@@ -100,14 +100,15 @@ def cmd_analyze(args) -> int:
     cfg = _mfa_config_from_flags(args)
     out_dir = _ensure_out(args.out)
 
+    profile = hurst_profile(series, cfg)
     do_denoise = args.denoise if args.denoise is not None else (cfg.method == "fs-mfa")
     if do_denoise:
-        denoised, model, r = denoise(series)
+        # fs-mfa has denoised the series already
+        denoised, model, r = profile.denoised or denoise(series)
         with open(os.path.join(out_dir, "denoise.json"), "w") as fh:
             fh.write(diagnostics_json(model, r))
         np.savetxt(os.path.join(out_dir, "denoised.csv"), denoised.values, fmt="%.17g")
 
-    profile = hurst_profile(series, cfg)
     with open(os.path.join(out_dir, "hurst.json"), "w") as fh:
         fh.write(profile.to_json())
 

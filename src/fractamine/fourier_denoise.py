@@ -100,6 +100,10 @@ def fit_fourier(s: Series, max_terms: int, omega: float | None = None) -> Fourie
     so the coefficients are determined. A rank-deficient design (aliased
     or vanishing harmonics) raises DegenerateBasisError naming the
     offending terms rather than returning an unidentifiable fit.
+
+    One SVD serves both the solve and the rank check: lstsq with
+    rcond=None treats singular values at or below eps*max(M, N)*s_max
+    as zero, the threshold np.linalg.matrix_rank applies by default.
     """
     n = len(s)
     if max_terms < 1:
@@ -109,7 +113,7 @@ def fit_fourier(s: Series, max_terms: int, omega: float | None = None) -> Fourie
     if omega is None:
         omega = angular_frequency(s)
     X = _design(omega, n, max_terms)
-    rank = np.linalg.matrix_rank(X)
+    coef, _, rank, _ = np.linalg.lstsq(X, s.values, rcond=None)
     if rank < X.shape[1]:
         norms = np.linalg.norm(X, axis=0)
         bad = set()
@@ -125,7 +129,6 @@ def fit_fourier(s: Series, max_terms: int, omega: float | None = None) -> Fourie
                     if col > 0:
                         bad.add((col - 1) % max_terms + 1)
         raise DegenerateBasisError(sorted(bad))
-    coef, *_ = np.linalg.lstsq(X, s.values, rcond=None)
     eta0 = float(coef[0])
     alpha = coef[1 : max_terms + 1].copy()
     beta = coef[max_terms + 1 :].copy()

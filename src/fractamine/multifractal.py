@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fourier_denoise import denoise
+from .fourier_denoise import FourierModel, denoise
 from .series import Series
 
 __all__ = [
@@ -109,6 +109,8 @@ class HurstProfile:
     table: FluctuationTable
     degenerate_scales: np.ndarray
     config: MfaConfig
+    # fs-mfa only: the (series, model, r) that denoise returned
+    denoised: tuple[Series, FourierModel, int] | None = None
 
     def to_json(self) -> str:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -159,7 +161,7 @@ def historical_volatility(y: Series, window: int) -> Series:
     return Series(theta)
 
 
-def weighted_trend(y: Series, theta: Series, s: int) -> Series:
+def weighted_trend(y: Series, theta: Series, s: int | np.ndarray) -> Series | np.ndarray:
     """Volatility-weighted recursive trend.
 
     Seeded at position 2s-1 with the mean of Y over [s, 2s-1]; from
@@ -168,29 +170,45 @@ def weighted_trend(y: Series, theta: Series, s: int) -> Series:
     normalized by their total. Zero total volatility carries the
     previous value. Positions before the seed hold the seed value so
     the output aligns with Y.
+
+    An int s gives that scale's trend as a Series. An array of scales
+    gives every scale's trend as the columns of an (N, len(s)) array,
+    from one sweep over positions that updates all scales at once. Each
+    column performs the scalar recursion's IEEE operations in its order,
+    (w_prev * prev + theta_i * Y_i) / total, so it is bit-identical to
+    a per-position loop at that scale. A column that carries its value
+    (before its seed, or at zero total volatility) takes w_prev = 1,
+    theta_i * Y_i = -0.0 and total = 1, which is exact for every prev.
     """
     n = len(y)
     if len(theta) != n:
         raise ValueError("y and theta lengths differ")
-    if n < 4 * s:
-        raise ValueError(f"need N >= 4s = {4 * s}, got {n}")
+    scales = np.atleast_1d(np.asarray(s, dtype=np.int64))
+    max_scale = int(scales.max())
+    if n < 4 * max_scale:
+        raise ValueError(f"need N >= 4s = {4 * max_scale}, got {n}")
     yv = y.values
     th = theta.values
     if np.any(th < 0):
         raise ValueError("volatilities must be nonnegative")
-    trend = np.empty(n)
-    seed = yv[s - 1 : 2 * s - 1].mean()  # positions s..2s-1, 1-based
-    trend[: 2 * s - 1] = seed
+    pos = np.arange(n)[:, None]
     cumsum = np.concatenate([[0.0], np.cumsum(th)])
-    prev = seed
-    for i in range(2 * s - 1, n):  # 1-based positions 2s..N
-        w_prev = cumsum[i] - cumsum[i - s]
-        w_cur = th[i]
-        total = w_prev + w_cur
-        if total > 0:
-            prev = (w_prev * prev + w_cur * yv[i]) / total
-        trend[i] = prev
-    return Series(trend)
+    w_prev = cumsum[:-1, None] - cumsum[np.maximum(pos - scales, 0)]
+    total = w_prev + th[:, None]
+    carry = (pos < 2 * scales - 1) | ~(total > 0)
+    w_prev[carry] = 1.0
+    total[carry] = 1.0
+    weighted_y = np.where(carry, -0.0, (th * yv)[:, None])
+
+    trends = np.empty((n, scales.size))
+    trends[0] = [yv[sc - 1 : 2 * sc - 1].mean() for sc in scales]  # positions s..2s-1, 1-based
+    prev = trends[0]
+    for row, wp, wy, tot in zip(trends[1:], w_prev[1:], weighted_y[1:], total[1:]):
+        np.multiply(wp, prev, out=row)
+        row += wy
+        row /= tot
+        prev = row
+    return Series(trends[:, 0]) if np.ndim(s) == 0 else trends
 
 
 def detrend(y: Series, trend: Series, s: int) -> Series:
@@ -236,6 +254,25 @@ def fluctuation(variances: np.ndarray, q: float) -> float:
     return float(moment ** (1.0 / q))
 
 
+def _fluctuation_column(variances: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
+    """fluctuation at every q of q_grid for one scale's variances.
+
+    q > 0 takes every window; q <= 0 takes only the windows of nonzero
+    variance. The arithmetic is fluctuation's, broadcast over q, so
+    each entry agrees with the scalar call on the same windows.
+    """
+    v = np.asarray(variances, dtype=np.float64)
+    positive = v[v > 0]
+    out = np.empty(q_grid.size)
+    for rows, base in ((q_grid > 0, v), (q_grid < 0, positive)):
+        q = q_grid[rows]
+        out[rows] = np.mean(base[None, :] ** (q[:, None] / 2.0), axis=1) ** (1.0 / q)
+    zero = q_grid == 0
+    if zero.any():
+        out[zero] = np.exp(0.5 * np.mean(np.log(positive)))
+    return out
+
+
 def polynomial_detrend_variances(y: Series, s: int, order: int) -> np.ndarray:
     """Mean squared residual of a per-window least-squares polynomial."""
     if s <= order + 1:
@@ -251,30 +288,49 @@ def polynomial_detrend_variances(y: Series, s: int, order: int) -> np.ndarray:
     return np.mean(residuals**2, axis=0)
 
 
-def _variances_for_scale(y: Series, theta: Series | None, s: int, cfg: MfaConfig) -> np.ndarray:
-    if cfg.method == "mf-dfa":
-        return polynomial_detrend_variances(y, s, cfg.dfa_poly_order)
-    trend = weighted_trend(y, theta, s)
-    return window_variances(detrend(y, trend, s), s)
+def _fit_loglog(
+    log_scales: np.ndarray, table: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row OLS slope, intercept and R^2 of ln F_q(s) against ln s.
 
-
-def _fit_loglog(log_s: np.ndarray, log_f: np.ndarray) -> tuple[float, float, float]:
-    """OLS slope, intercept, and R^2 of log F against log s."""
-    slope, intercept = np.polyfit(log_s, log_f, 1)
-    fitted = slope * log_s + intercept
-    ss_res = float(np.sum((log_f - fitted) ** 2))
-    ss_tot = float(np.sum((log_f - log_f.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return float(slope), float(intercept), r2
+    A row uses the scales where its entry is finite and positive and is
+    NaN with fewer than MIN_FIT_SCALES of them. Every row is fitted at
+    once in closed form: the other scales get weight 0 in the sums.
+    """
+    ok = np.isfinite(table) & (table > 0)
+    w = ok.astype(np.float64)
+    logf = np.log(np.where(ok, table, 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = w.sum(axis=1)
+        x_mean = (w @ log_scales) / n
+        y_mean = (w * logf).sum(axis=1) / n
+        xc = w * (log_scales - x_mean[:, None])
+        yc = w * (logf - y_mean[:, None])
+        slope = (xc * yc).sum(axis=1) / (xc * xc).sum(axis=1)
+        intercept = y_mean - slope * x_mean
+        residual = w * (logf - slope[:, None] * log_scales - intercept[:, None])
+        ss_res = (residual**2).sum(axis=1)
+        ss_tot = (yc**2).sum(axis=1)
+        r_squared = np.where(ss_tot == 0, 1.0, np.maximum(0.0, 1.0 - ss_res / ss_tot))
+    few = n < MIN_FIT_SCALES
+    slope[few] = intercept[few] = r_squared[few] = np.nan
+    return slope, intercept, r_squared
 
 
 def hurst_profile(s: Series, cfg: MfaConfig | None = None) -> HurstProfile:
     """Full estimator: variances per scale, F_q(s) table, per-q slopes.
 
-    Zero-variance windows are excluded from the moment for q <= 0 and
-    the affected scale is flagged; a scale where more than half the
-    windows are degenerate is dropped for every q. Each q needs at
-    least 4 surviving scales, otherwise its H is NaN.
+    Zero-variance windows are excluded from the moment for q <= 0; a
+    scale where more than half the windows are degenerate is dropped
+    for every q. Each q needs at least 4 surviving scales, otherwise
+    its H is NaN.
+
+    The volatility methods compute every scale's trend in one
+    weighted_trend sweep, bit-identical to the per-scale recursion. The
+    table is built per scale, vectorized over q, and agrees with the
+    scalar fluctuation to 1e-12 relative; the slopes are closed-form
+    OLS over all q rows at once and agree with np.polyfit to 1e-12.
+    fs-mfa keeps its denoise result in HurstProfile.denoised.
     """
     cfg = cfg or MfaConfig()
     n = len(s)
@@ -285,15 +341,16 @@ def hurst_profile(s: Series, cfg: MfaConfig | None = None) -> HurstProfile:
     if n < 4 * max_scale:
         raise ValueError(f"need N >= 4*max(scales) = {4 * max_scale}, got N = {n}")
 
-    work = s
-    if cfg.method == "fs-mfa":
-        work, _, _ = denoise(work)
-    y = profile_series(work)
-    theta = None
-    if cfg.method in ("fs-mfa", "mf-dhv"):
-        theta = historical_volatility(y, cfg.vol_window)
-
-    per_scale = [_variances_for_scale(y, theta, int(sc), cfg) for sc in scales]
+    denoised = denoise(s) if cfg.method == "fs-mfa" else None
+    y = profile_series(denoised[0] if denoised else s)
+    if cfg.method == "mf-dfa":
+        per_scale = [polynomial_detrend_variances(y, int(sc), cfg.dfa_poly_order) for sc in scales]
+    else:
+        trends = weighted_trend(y, historical_volatility(y, cfg.vol_window), scales)
+        per_scale = [
+            window_variances(detrend(y, Series(trends[:, j]), int(sc)), int(sc))
+            for j, sc in enumerate(scales)
+        ]
     dropped = np.array(
         [np.mean(v == 0) > DEGENERATE_WINDOW_FRACTION for v in per_scale], dtype=bool
     )
@@ -301,23 +358,10 @@ def hurst_profile(s: Series, cfg: MfaConfig | None = None) -> HurstProfile:
     q_grid = cfg.q_grid
     table = np.full((q_grid.size, scales.size), np.nan)
     for j, (v, drop) in enumerate(zip(per_scale, dropped)):
-        if drop:
-            continue
-        positive = v[v > 0]
-        for i, q in enumerate(q_grid):
-            table[i, j] = fluctuation(v if q > 0 else positive, float(q))
+        if not drop:
+            table[:, j] = _fluctuation_column(v, q_grid)
 
-    log_scales = np.log(scales.astype(np.float64))
-    hurst = np.full(q_grid.size, np.nan)
-    intercept = np.full(q_grid.size, np.nan)
-    r_squared = np.full(q_grid.size, np.nan)
-    for i in range(q_grid.size):
-        row = table[i]
-        ok = np.isfinite(row) & (row > 0)
-        if int(ok.sum()) < MIN_FIT_SCALES:
-            continue
-        hurst[i], intercept[i], r_squared[i] = _fit_loglog(log_scales[ok], np.log(row[ok]))
-
+    hurst, intercept, r_squared = _fit_loglog(np.log(scales.astype(np.float64)), table)
     return HurstProfile(
         method=cfg.method,
         q_grid=q_grid,
@@ -327,4 +371,5 @@ def hurst_profile(s: Series, cfg: MfaConfig | None = None) -> HurstProfile:
         table=FluctuationTable(q_grid=q_grid, scales=scales, values=table),
         degenerate_scales=scales[dropped],
         config=cfg,
+        denoised=denoised,
     )

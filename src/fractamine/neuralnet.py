@@ -402,7 +402,8 @@ def load_checkpoint(prefix: str) -> ModelParams:
         header = json.load(fh)
     if header.get("format_version") != 1:
         raise ValueError(f"unsupported checkpoint format_version {header.get('format_version')}")
-    blob = np.frombuffer(open(f"{prefix}.bin", "rb").read(), dtype="<f8")
+    with open(f"{prefix}.bin", "rb") as fh:
+        blob = np.frombuffer(fh.read(), dtype="<f8")
     if blob.size != header["total_values"]:
         raise ValueError(
             f"checkpoint blob holds {blob.size} values, manifest expects {header['total_values']}"

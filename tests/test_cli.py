@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
+import fractamine.cli as cli
+import fractamine.multifractal as mf
 from fractamine.cli import build_parser, corpus_to_json_dict, load_corpus, main
-from fractamine.series import synth_embedded_corpus
+from fractamine.fourier_denoise import denoise, diagnostics_json
+from fractamine.series import load_series, synth_embedded_corpus
 
 
 def run(argv):
@@ -134,6 +137,25 @@ class TestAnalyze:
             ]
         ) == 0
         assert os.path.exists(out / "denoise.json")
+
+    @pytest.mark.parametrize("method,flags", [("fs-mfa", []), ("mf-dhv", ["--denoise", "on"])])
+    def test_denoises_once(self, fgn_csv, tmp_path, monkeypatch, method, flags):
+        calls = []
+
+        def counting(series):
+            calls.append(len(series))
+            return denoise(series)
+
+        monkeypatch.setattr(cli, "denoise", counting)
+        monkeypatch.setattr(mf, "denoise", counting)
+        out = tmp_path / "an"
+        assert run(["analyze", "--input", fgn_csv, "--method", method, *flags, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        denoised, model, r = denoise(load_series(fgn_csv))
+        assert (out / "denoise.json").read_text() == diagnostics_json(model, r)
+        expected = tmp_path / "expected.csv"
+        np.savetxt(expected, denoised.values, fmt="%.17g")
+        assert (out / "denoised.csv").read_bytes() == expected.read_bytes()
 
     def test_custom_scales(self, fgn_csv, tmp_path):
         out = tmp_path / "an"

@@ -2,10 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from fractamine.fourier_denoise import denoise
 from fractamine.multifractal import (
+    DEGENERATE_WINDOW_FRACTION,
     METHODS,
+    MIN_FIT_SCALES,
     MfaConfig,
     default_q_grid,
     default_scales,
@@ -18,7 +23,75 @@ from fractamine.multifractal import (
     weighted_trend,
     window_variances,
 )
-from fractamine.series import Series, synth_fgn, synth_gaussian_noise
+from fractamine.series import Series, synth_binomial_cascade, synth_fgn, synth_gaussian_noise
+
+
+def weighted_trend_loop(y: Series, theta: Series, s: int) -> np.ndarray:
+    """The per-position recursion of weighted_trend, kept as its oracle."""
+    yv, th = y.values, theta.values
+    n = yv.size
+    trend = np.empty(n)
+    seed = yv[s - 1 : 2 * s - 1].mean()
+    trend[: 2 * s - 1] = seed
+    cumsum = np.concatenate([[0.0], np.cumsum(th)])
+    prev = seed
+    for i in range(2 * s - 1, n):
+        w_prev = cumsum[i] - cumsum[i - s]
+        w_cur = th[i]
+        total = w_prev + w_cur
+        if total > 0:
+            prev = (w_prev * prev + w_cur * yv[i]) / total
+        trend[i] = prev
+    return trend
+
+
+def oracle_profile(s: Series, cfg: MfaConfig):
+    """hurst_profile from the scalar parts: per-scale trends, a scalar
+    fluctuation call per table cell and one np.polyfit per q."""
+    scales = cfg.scales if cfg.scales is not None else default_scales(len(s))
+    work = denoise(s)[0] if cfg.method == "fs-mfa" else s
+    y = profile_series(work)
+    per_scale = []
+    for sc in (int(v) for v in scales):
+        if cfg.method == "mf-dfa":
+            per_scale.append(polynomial_detrend_variances(y, sc, cfg.dfa_poly_order))
+        else:
+            theta = historical_volatility(y, cfg.vol_window)
+            trend = Series(weighted_trend_loop(y, theta, sc))
+            per_scale.append(window_variances(detrend(y, trend, sc), sc))
+    dropped = np.array([np.mean(v == 0) > DEGENERATE_WINDOW_FRACTION for v in per_scale])
+    table = np.full((cfg.q_grid.size, scales.size), np.nan)
+    for j, v in enumerate(per_scale):
+        if dropped[j]:
+            continue
+        for i, q in enumerate(cfg.q_grid):
+            table[i, j] = fluctuation(v if q > 0 else v[v > 0], float(q))
+    fits = np.full((3, cfg.q_grid.size), np.nan)
+    log_s = np.log(scales.astype(np.float64))
+    for i, row in enumerate(table):
+        ok = np.isfinite(row) & (row > 0)
+        if ok.sum() < MIN_FIT_SCALES:
+            continue
+        x, logf = log_s[ok], np.log(row[ok])
+        slope, intercept = np.polyfit(x, logf, 1)
+        ss_res = np.sum((logf - (slope * x + intercept)) ** 2)
+        ss_tot = np.sum((logf - logf.mean()) ** 2)
+        fits[:, i] = slope, intercept, 1.0 if ss_tot == 0 else max(0.0, 1.0 - ss_res / ss_tot)
+    return per_scale, dropped, table, fits
+
+
+def zero_window_series(n: int = 4096, flat: int = 2400, seed: int = 0) -> Series:
+    """Flat for `flat` samples, then a balanced +-1 walk.
+
+    The steps are integers summing to 0, so the mean is exactly 0 and
+    the profile is exactly 0 over the flat part: windows there have
+    variance exactly 0 under both detrending schemes. Small scales
+    lose more than half their windows to it and are dropped; scale 512
+    keeps its zero windows.
+    """
+    steps = np.resize([1.0, -1.0], n - flat)
+    np.random.default_rng(seed).shuffle(steps)
+    return Series(np.concatenate([np.zeros(flat), steps]))
 
 
 class TestConfig:
@@ -125,6 +198,77 @@ class TestWeightedTrend:
     def test_negative_volatility_rejected(self):
         with pytest.raises(ValueError):
             weighted_trend(Series(np.arange(20.0)), Series(np.full(20, -1.0)), 3)
+
+
+class TestAllScaleSweep:
+    @pytest.mark.parametrize("n", [768, 4096])
+    @pytest.mark.parametrize("zero_stretch", [False, True])
+    def test_bit_identical_to_loop(self, n, zero_stretch):
+        rng = np.random.default_rng(n)
+        y = Series(np.cumsum(rng.standard_normal(n)))
+        th = np.abs(rng.standard_normal(n))
+        if zero_stretch:
+            # longer than the largest scale n//4, so every scale meets
+            # total == 0 and carries its previous value
+            th[n // 4 : n // 2 + 8] = 0.0
+        theta = Series(th)
+        scales = default_scales(n)
+        trends = weighted_trend(y, theta, scales)
+        assert trends.shape == (n, scales.size)
+        for j, s in enumerate(scales):
+            expected = weighted_trend_loop(y, theta, int(s))
+            assert np.array_equal(trends[:, j].view(np.uint64), expected.view(np.uint64)), s
+        s = int(scales[0])
+        assert np.array_equal(weighted_trend(y, theta, s).values, weighted_trend_loop(y, theta, s))
+
+    def test_guard_uses_largest_scale(self):
+        y, theta = Series(np.arange(64.0)), Series(np.ones(64))
+        with pytest.raises(ValueError, match="4s = 68"):
+            weighted_trend(y, theta, np.array([4, 17]))
+
+
+class TestTableAndFitsAgainstOracle:
+    CASES = [
+        ("fgn", synth_fgn(4096, 0.7, seed=1), METHODS),
+        ("cascade", synth_binomial_cascade(12, 0.75), METHODS),
+        ("zero-windows", zero_window_series(), ("mf-dhv", "mf-dfa")),
+    ]
+
+    @pytest.mark.parametrize(
+        "series,method",
+        [pytest.param(s, m, id=f"{name}-{m}") for name, s, methods in CASES for m in methods],
+    )
+    def test_matches_scalar_oracle(self, series, method):
+        cfg = MfaConfig(method=method)
+        prof = hurst_profile(series, cfg)
+        per_scale, dropped, table, fits = oracle_profile(series, cfg)
+        assert np.array_equal(prof.degenerate_scales, prof.table.scales[dropped])
+        assert np.array_equal(np.isnan(prof.table.values), np.isnan(table))
+        assert_allclose(prof.table.values, table, rtol=1e-12, atol=0)
+        # H, intercept and R^2 are of unit scale; near zero a value has
+        # no relative precision to keep, hence the matching atol
+        for got, want in zip((prof.hurst, prof.intercept, prof.r_squared), fits):
+            assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["mf-dhv", "mf-dfa"])
+    def test_zero_window_series_exercises_both_rules(self, method):
+        per_scale, dropped, table, _ = oracle_profile(zero_window_series(), MfaConfig(method=method))
+        assert dropped.any() and not dropped.all()
+        assert any(np.any(v == 0) for v, d in zip(per_scale, dropped) if not d)
+        assert np.all(np.isfinite(table[:, ~dropped]))
+
+
+SCALE_INVARIANCE_BASE = synth_fgn(1024, 0.7, seed=11)
+
+
+@settings(max_examples=30, deadline=None)
+@given(c=st.floats(min_value=1e-3, max_value=1e3), method=st.sampled_from(METHODS))
+def test_hurst_invariant_under_scaling(c, method):
+    cfg = MfaConfig(method=method)
+    base = hurst_profile(SCALE_INVARIANCE_BASE, cfg)
+    scaled = hurst_profile(Series(c * SCALE_INVARIANCE_BASE.values), cfg)
+    assert np.all(np.isfinite(base.hurst))
+    assert_allclose(scaled.hurst, base.hurst, rtol=0, atol=1e-9)
 
 
 class TestDetrend:

@@ -1,3 +1,7 @@
+import gc
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -225,6 +229,21 @@ class TestCheckpoint:
             np.array_equal(params.tensors[n].data, again.tensors[n].data)
             for n in params.tensors
         )
+
+    def test_load_closes_its_files(self, tmp_path, monkeypatch):
+        params = init_params(micro_config(), embed_dim=6, seed=4)
+        prefix = str(tmp_path / "model")
+        save_checkpoint(params, prefix)
+        # an unclosed file warns from its finalizer, where an error
+        # reaches only sys.unraisablehook
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            again = load_checkpoint(prefix)
+            gc.collect()
+        assert unraisable == []
+        assert all(np.array_equal(params.tensors[n].data, again.tensors[n].data) for n in params.tensors)
 
     def test_predictions_survive_round_trip(self, tmp_path):
         cfg = micro_config()
