@@ -77,7 +77,7 @@ def _ensure_out(path: str) -> str:
     return path
 
 
-def _mfa_config_from_flags(args, n_hint: int | None = None) -> MfaConfig:
+def _mfa_config_from_flags(args) -> MfaConfig:
     q_grid = _parse_q_list(args.q) if args.q else default_q_grid()
     scales = _parse_scales(args.scales) if args.scales else None
     return MfaConfig(

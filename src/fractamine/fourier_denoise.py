@@ -87,10 +87,39 @@ def angular_frequency(s: Series) -> float:
     return 2.0 * np.pi / t
 
 
-def _design(omega: float, n: int, max_terms: int) -> np.ndarray:
-    k = np.arange(1, n + 1, dtype=np.float64)
-    arg = np.outer(k, np.arange(1, max_terms + 1, dtype=np.float64)) * omega
-    return np.hstack([np.ones((n, 1)), np.cos(arg), np.sin(arg)])
+def _trig_rows(out: np.ndarray, omega: float, harmonics: np.ndarray) -> np.ndarray:
+    """Fill out[:h] with cos(u*omega*k) and out[h:] with sin(u*omega*k).
+
+    u runs over the h harmonics and k over the sample positions 1..N, so
+    out has shape (2h, N). Each row is contiguous, which keeps numpy's
+    vectorized cos/sin loops in use, and writing in place spares a
+    stacked copy.
+    """
+    k = np.arange(1, out.shape[1] + 1, dtype=np.float64)
+    arg = np.outer(harmonics, k) * omega
+    h = len(harmonics)
+    np.cos(arg, out=out[:h])
+    np.sin(arg, out=out[h:])
+    return out
+
+
+def _degenerate_terms(gram: np.ndarray, max_terms: int) -> list[int]:
+    """Harmonics whose columns vanish or are collinear with another column.
+
+    Column norms and pairwise cosines come straight from the Gram matrix.
+    The constant column (index 0) names no harmonic.
+    """
+    norms = np.sqrt(np.diag(gram))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosines = np.abs(gram) / np.outer(norms, norms)
+    np.fill_diagonal(cosines, 0.0)
+    bad = np.flatnonzero((norms < 1e-9) | np.any(cosines > 1.0 - 1e-9, axis=1))
+    return sorted({int(col - 1) % max_terms + 1 for col in bad if col > 0})
+
+
+# Eigenvalues of the Gram matrix at or below
+# _GRAM_RESOLUTION * (2m+1) * eps * lambda_max count as zero.
+_GRAM_RESOLUTION = 10.0
 
 
 def fit_fourier(s: Series, max_terms: int, omega: float | None = None) -> FourierModel:
@@ -101,9 +130,22 @@ def fit_fourier(s: Series, max_terms: int, omega: float | None = None) -> Fourie
     or vanishing harmonics) raises DegenerateBasisError naming the
     offending terms rather than returning an unidentifiable fit.
 
-    One SVD serves both the solve and the rank check: lstsq with
-    rcond=None treats singular values at or below eps*max(M, N)*s_max
-    as zero, the threshold np.linalg.matrix_rank applies by default.
+    The fit solves the normal equations. The design X (N x (2m+1),
+    m = max_terms, stored transposed with one contiguous row per basis
+    function) is built once and reduced to its Gram matrix
+    G = X^T X, at most 129 x 129, and to b = X^T y. One symmetric
+    eigendecomposition G = V diag(lam) V^T serves both the rank check
+    and the solve, coef = V (V^T b / lam).
+
+    Rank rule: the design counts as rank-deficient when
+    lam_min <= lam_max * (2m+1) * eps * 10, the resolution of G itself.
+    Since lam = sigma(X)**2, the fit refuses cond(X) above
+    1/sqrt(10 * (2m+1) * eps): 1.9e6 at m = 64, 1.2e7 at m = 1. An SVD
+    solve would accept cond(X) up to about 1/(N * eps), 1e11 or more,
+    but the normal equations square the condition number, so between
+    the two limits the coefficients would be mostly rounding error.
+    The designs denoise builds are close to orthogonal (cond(X) about
+    1.6), far inside the rule.
     """
     n = len(s)
     if max_terms < 1:
@@ -112,23 +154,15 @@ def fit_fourier(s: Series, max_terms: int, omega: float | None = None) -> Fourie
         raise ValueError(f"need N >= 2*max_terms+1 = {2 * max_terms + 1}, got N = {n}")
     if omega is None:
         omega = angular_frequency(s)
-    X = _design(omega, n, max_terms)
-    coef, _, rank, _ = np.linalg.lstsq(X, s.values, rcond=None)
-    if rank < X.shape[1]:
-        norms = np.linalg.norm(X, axis=0)
-        bad = set()
-        # vanishing columns first, then pairwise collinearity scan
-        for col in np.flatnonzero(norms < 1e-9):
-            bad.add(int((col - 1) % max_terms + 1))
-        unit = X / np.maximum(norms, 1e-300)
-        gram = np.abs(unit.T @ unit)
-        np.fill_diagonal(gram, 0.0)
-        for i, j in zip(*np.nonzero(gram > 1.0 - 1e-9)):
-            if i < j:
-                for col in (int(i), int(j)):
-                    if col > 0:
-                        bad.add((col - 1) % max_terms + 1)
-        raise DegenerateBasisError(sorted(bad))
+    xt = np.empty((2 * max_terms + 1, n))
+    xt[0] = 1.0
+    _trig_rows(xt[1:], omega, np.arange(1, max_terms + 1, dtype=np.float64))
+    gram = xt @ xt.T
+    lam, vecs = np.linalg.eigh(gram)
+    resolution = lam[-1] * gram.shape[0] * np.finfo(np.float64).eps * _GRAM_RESOLUTION
+    if not lam[0] > resolution:
+        raise DegenerateBasisError(_degenerate_terms(gram, max_terms))
+    coef = vecs @ ((vecs.T @ (xt @ s.values)) / lam)
     eta0 = float(coef[0])
     alpha = coef[1 : max_terms + 1].copy()
     beta = coef[max_terms + 1 :].copy()
@@ -172,16 +206,17 @@ def select_order(m: FourierModel) -> int:
 
 
 def reconstruct(m: FourierModel, r: int) -> Series:
-    """Evaluate the top-r energy-ranked terms at k = 1..N."""
+    """Evaluate the top-r energy-ranked terms at k = 1..N.
+
+    The kept coefficients times one cos/sin basis block of their
+    harmonics.
+    """
     if not 0 <= r <= m.max_terms:
         raise ValueError(f"r must lie in [0, {m.max_terms}], got {r}")
     ranking, _ = _entropy_gains(m.energy)
-    k = np.arange(1, m.n_samples + 1, dtype=np.float64)
-    out = np.full(m.n_samples, m.eta0)
-    for idx in ranking[:r]:
-        u = idx + 1
-        out = out + m.alpha[idx] * np.cos(u * m.omega * k) + m.beta[idx] * np.sin(u * m.omega * k)
-    return Series(out)
+    top = ranking[:r]
+    basis = _trig_rows(np.empty((2 * r, m.n_samples)), m.omega, top + 1.0)
+    return Series(m.eta0 + np.concatenate([m.alpha[top], m.beta[top]]) @ basis)
 
 
 def denoise(s: Series) -> tuple[Series, FourierModel, int]:

@@ -11,13 +11,14 @@ sequence length intact and emits per-token distributions.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .activations import ActivationSpec
-from .autodiff import DiffArray, grad_check
+from .autodiff import DiffArray
 from .multifractal import MfaConfig, hurst_profile
 from .series import EmbeddingMatrix, mean_embedding
 
@@ -33,7 +34,6 @@ __all__ = [
     "init_params",
     "save_checkpoint",
     "load_checkpoint",
-    "grad_check",
 ]
 
 
@@ -118,9 +118,6 @@ class ModelParams:
     config: ModelConfig
     embed_dim: int
     tensors: dict[str, DiffArray]
-
-    def named(self) -> dict[str, DiffArray]:
-        return self.tensors
 
     def zero_grads(self):
         for t in self.tensors.values():
@@ -370,7 +367,13 @@ def predict_proba(v: EmbeddingMatrix, cfg: ModelConfig, params: ModelParams, fv=
 
 
 def save_checkpoint(params: ModelParams, prefix: str) -> tuple[str, str]:
-    """Write <prefix>.json (config + manifest) and <prefix>.bin (float64 LE)."""
+    """Write <prefix>.json (config + manifest) and <prefix>.bin (float64 LE).
+
+    Both files are written in full to temporary files in the target
+    directory and flushed to disk before either is renamed into place,
+    so a write that fails leaves an earlier checkpoint at prefix intact.
+    Each rename is atomic; the pair of renames is not.
+    """
     names = sorted(params.tensors)
     manifest = {}
     chunks = []
@@ -390,10 +393,22 @@ def save_checkpoint(params: ModelParams, prefix: str) -> tuple[str, str]:
     }
     json_path = f"{prefix}.json"
     bin_path = f"{prefix}.bin"
-    with open(json_path, "w") as fh:
-        json.dump(header, fh, indent=2)
-    with open(bin_path, "wb") as fh:
-        fh.write(np.concatenate(chunks).tobytes())
+    staged = {
+        json_path: json.dumps(header, indent=2).encode(),
+        bin_path: np.concatenate(chunks).tobytes(),
+    }
+    try:
+        for path, data in staged.items():
+            with open(f"{path}.tmp", "wb") as fh:
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+        for path in staged:
+            os.replace(f"{path}.tmp", path)
+    finally:
+        for path in staged:
+            if os.path.exists(f"{path}.tmp"):
+                os.remove(f"{path}.tmp")
     return json_path, bin_path
 
 

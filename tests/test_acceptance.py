@@ -185,7 +185,7 @@ def test_criterion_07_fluctuation_structure(tmp_path):
             ]
         )
         assert code == 0
-        payload = json.load(open(out / "hurst.json"))
+        payload = json.loads((out / "hurst.json").read_text())
         assert payload["q"] == [-10.0, -5.0, 0.0, 5.0, 10.0]
         assert len(payload["logF"]) == 5
         for row in payload["logF"]:
@@ -308,7 +308,7 @@ def test_criterion_10_compare_harness_shape(tmp_path):
     ]
     out_act = tmp_path / "act"
     assert cli_main(["compare", "--mode", "activations", *base, "--out", str(out_act)]) == 0
-    table = json.load(open(out_act / "compare.json"))
+    table = json.loads((out_act / "compare.json").read_text())
     assert len(table["rows"]) == 12
     assert sorted(r["activation"] for r in table["rows"]) == sorted(KINDS)
     hashes = {r["config_hash"] for r in table["rows"]}
@@ -320,6 +320,6 @@ def test_criterion_10_compare_harness_shape(tmp_path):
 
     out_mfa = tmp_path / "mfa"
     assert cli_main(["compare", "--mode", "mfa", *base, "--out", str(out_mfa)]) == 0
-    table = json.load(open(out_mfa / "compare.json"))
+    table = json.loads((out_mfa / "compare.json").read_text())
     assert [r["method"] for r in table["rows"]] == ["fs-mfa", "mf-dhv", "mf-dfa"]
     assert len({r["config_hash"] for r in table["rows"]}) == 1

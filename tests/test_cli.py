@@ -55,7 +55,7 @@ class TestSynth:
         assert run(["synth", "noise", "--n", "512", "--seed", "3", "--out", str(out)]) == 0
         values = np.loadtxt(out / "series.csv")
         assert values.shape == (512,)
-        manifest = json.load(open(out / "manifest.json"))
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["format_version"] == 1
         assert manifest["command"] == "synth"
         assert manifest["config"]["seed"] == 3
@@ -109,11 +109,11 @@ class TestAnalyze:
         assert run(
             ["analyze", "--input", fgn_csv, "--method", "mf-dfa", "--q=-2,0,2", "--out", str(out)]
         ) == 0
-        profile = json.load(open(out / "hurst.json"))
+        profile = json.loads((out / "hurst.json").read_text())
         assert profile["format_version"] == 1
         assert profile["q"] == [-2.0, 0.0, 2.0]
         assert len(profile["H"]) == 3
-        manifest = json.load(open(out / "manifest.json"))
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["method"] == "mf-dfa"
         # mf-dfa does not denoise, so no diagnostics by default
         assert not os.path.exists(out / "denoise.json")
@@ -123,7 +123,7 @@ class TestAnalyze:
         assert run(
             ["analyze", "--input", fgn_csv, "--method", "fs-mfa", "--out", str(out)]
         ) == 0
-        diag = json.load(open(out / "denoise.json"))
+        diag = json.loads((out / "denoise.json").read_text())
         assert diag["format_version"] == 1
         assert "r_selected" in diag
         assert os.path.exists(out / "denoised.csv")
@@ -165,7 +165,7 @@ class TestAnalyze:
                 "--scales", "16:512:10", "--q=2", "--out", str(out),
             ]
         ) == 0
-        profile = json.load(open(out / "hurst.json"))
+        profile = json.loads((out / "hurst.json").read_text())
         assert profile["scales"][0] == 16
         assert profile["scales"][-1] == 512
 
@@ -184,7 +184,7 @@ class TestTrainEval:
         assert code == 0
         for name in ("metrics.json", "history.json", "manifest.json", "checkpoint.json", "checkpoint.bin"):
             assert os.path.exists(out / name), name
-        metrics = json.load(open(out / "metrics.json"))
+        metrics = json.loads((out / "metrics.json").read_text())
         assert set(metrics["mean"]) == {"val", "test"}
         assert len(metrics["runs"]) == 1
 
@@ -199,7 +199,7 @@ class TestTrainEval:
             ]
         )
         assert code == 0
-        metrics = json.load(open(out / "metrics.json"))
+        metrics = json.loads((out / "metrics.json").read_text())
         assert len(metrics["runs"]) == 2
         seeds = [r["seed"] for r in metrics["runs"]]
         assert seeds == [0, 1]
@@ -237,7 +237,7 @@ class TestCompare:
     def test_activation_table_has_twelve_rows(self, tmp_path):
         out = tmp_path / "cmp"
         assert run(self.compare_args("activations", out)) == 0
-        table = json.load(open(out / "compare.json"))
+        table = json.loads((out / "compare.json").read_text())
         assert len(table["rows"]) == 12
         kinds = [row["activation"] for row in table["rows"]]
         assert len(set(kinds)) == 12
@@ -247,7 +247,7 @@ class TestCompare:
     def test_mfa_table_has_three_rows(self, tmp_path):
         out = tmp_path / "cmp"
         assert run(self.compare_args("mfa", out)) == 0
-        table = json.load(open(out / "compare.json"))
+        table = json.loads((out / "compare.json").read_text())
         methods = [row["method"] for row in table["rows"]]
         assert methods == ["fs-mfa", "mf-dhv", "mf-dfa"]
         assert "excluded" in table
@@ -255,7 +255,7 @@ class TestCompare:
     def test_csv_mirror(self, tmp_path):
         out = tmp_path / "cmp"
         run(self.compare_args("mfa", out))
-        lines = open(out / "compare.csv").read().strip().splitlines()
+        lines = (out / "compare.csv").read_text().strip().splitlines()
         assert len(lines) == 4  # header + 3 rows
         assert lines[0].startswith("method,seed,config_hash")
 
@@ -265,8 +265,8 @@ class TestCompare:
         monkeypatch.setenv("FRACTAMINE_THREADS", "3")
         parallel_out = tmp_path / "parallel"
         run(self.compare_args("mfa", parallel_out))
-        a = json.load(open(serial_out / "compare.json"))
-        b = json.load(open(parallel_out / "compare.json"))
+        a = json.loads((serial_out / "compare.json").read_text())
+        b = json.loads((parallel_out / "compare.json").read_text())
         assert a["rows"] == b["rows"]
 
     def test_bad_thread_env(self, tmp_path, monkeypatch):

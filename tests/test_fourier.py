@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fractamine.fourier_denoise import (
@@ -15,7 +17,7 @@ from fractamine.fourier_denoise import (
     reconstruct,
     select_order,
 )
-from fractamine.series import Series
+from fractamine.series import Series, synth_fgn
 
 
 def periodic_signal(n=800, period=40.0):
@@ -92,6 +94,19 @@ class TestFitFourier:
             fit_fourier(s, max_terms=20)
         assert 20 in err.value.terms
 
+    def test_near_collinear_pair_raises(self):
+        # harmonics 3 and 4 alias at omega = 2*pi/7; a 1e-10 detuning leaves
+        # cond(X) near 2e8, which an SVD solve would still accept
+        n, m = 64, 4
+        omega = 2 * np.pi / 7 * (1 + 1e-10)
+        X = oracle_design(omega, n, m)
+        assert 1e6 < np.linalg.cond(X) < 1e11
+        assert np.linalg.matrix_rank(X) == X.shape[1]
+        y = Series(np.random.default_rng(3).standard_normal(n))
+        with pytest.raises(DegenerateBasisError) as err:
+            fit_fourier(y, max_terms=m, omega=omega)
+        assert err.value.terms == [3, 4]
+
     def test_explicit_omega_override(self):
         k = np.arange(256, dtype=np.float64)
         w = 2 * np.pi / 32
@@ -103,6 +118,34 @@ class TestFitFourier:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             fit_fourier(Series(np.arange(10.0)), max_terms=8)
+
+
+def oracle_design(omega, n, max_terms):
+    k = np.arange(1, n + 1, dtype=np.float64)
+    arg = np.outer(k, np.arange(1, max_terms + 1, dtype=np.float64)) * omega
+    return np.hstack([np.ones((n, 1)), np.cos(arg), np.sin(arg)])
+
+
+@st.composite
+def denoise_designs(draw):
+    """(N, T, m) as denoise draws them: omega = 2*pi/T, T = N for the fallback."""
+    n = draw(st.integers(16, 4096))
+    t = draw(st.integers(3, n))
+    m = draw(st.integers(1, min(n // 4, 64, (t - 1) // 2)))
+    return n, t, m
+
+
+@settings(max_examples=40, deadline=None)
+@given(design=denoise_designs(), seed=st.integers(0, 2**32 - 1))
+def test_fit_matches_lstsq_oracle(design, seed):
+    n, t, m = design
+    omega = 2 * np.pi / t
+    y = np.random.default_rng(seed).standard_normal(n)
+    model = fit_fourier(Series(y), max_terms=m, omega=omega)
+    coef = np.linalg.lstsq(oracle_design(omega, n, m), y, rcond=None)[0]
+    assert abs(model.eta0 - coef[0]) <= 1e-12
+    assert_allclose(model.alpha, coef[1 : m + 1], rtol=0, atol=1e-12)
+    assert_allclose(model.beta, coef[m + 1 :], rtol=0, atol=1e-12)
 
 
 def model_with_energy(energy):
@@ -133,7 +176,28 @@ class TestSelectOrder:
         assert select_order(model_with_energy([1.0])) == 1
 
 
+def reconstruct_loop(m, r):
+    """Per-term evaluation, the reference for reconstruct."""
+    ranking = np.argsort(-m.energy, kind="stable")
+    k = np.arange(1, m.n_samples + 1, dtype=np.float64)
+    out = np.full(m.n_samples, m.eta0)
+    for idx in ranking[:r]:
+        u = idx + 1
+        out = out + m.alpha[idx] * np.cos(u * m.omega * k) + m.beta[idx] * np.sin(u * m.omega * k)
+    return out
+
+
 class TestReconstruct:
+    @pytest.mark.parametrize("which", ["periodic", "fgn"])
+    @pytest.mark.parametrize("order", ["zero", "one", "max"])
+    def test_matches_per_term_loop(self, which, order):
+        if which == "periodic":
+            model = fit_fourier(periodic_signal()[0], max_terms=12)
+        else:
+            _, model, _ = denoise(synth_fgn(768, 0.7, 4))
+        r = {"zero": 0, "one": 1, "max": model.max_terms}[order]
+        assert_allclose(reconstruct(model, r).values, reconstruct_loop(model, r), rtol=0, atol=1e-12)
+
     def test_partial_order_keeps_top_energy_terms(self):
         s, w = periodic_signal()
         model = fit_fourier(s, max_terms=6)

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import fractamine.autodiff as ad
+import fractamine.neuralnet as neuralnet
 from fractamine.activations import ActivationSpec
 from fractamine.autodiff import DiffArray
 from fractamine.multifractal import MfaConfig
@@ -230,6 +231,27 @@ class TestCheckpoint:
             for n in params.tensors
         )
 
+    @pytest.mark.parametrize("failing_file", [0, 1], ids=["json", "bin"])
+    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path, monkeypatch, failing_file):
+        cfg = micro_config()
+        earlier = init_params(cfg, embed_dim=6, seed=4)
+        prefix = str(tmp_path / "model")
+        save_checkpoint(earlier, prefix)
+        synced = []
+
+        def fsync_fails_on(fd):
+            # a full disk surfaces at the flush of one of the staged files
+            synced.append(fd)
+            if len(synced) > failing_file:
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(neuralnet.os, "fsync", fsync_fails_on)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(init_params(cfg, embed_dim=6, seed=5), prefix)
+        again = load_checkpoint(prefix)
+        assert all(np.array_equal(earlier.tensors[n].data, again.tensors[n].data) for n in earlier.tensors)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "model.json"]
+
     def test_load_closes_its_files(self, tmp_path, monkeypatch):
         params = init_params(micro_config(), embed_dim=6, seed=4)
         prefix = str(tmp_path / "model")
@@ -265,8 +287,9 @@ class TestCheckpoint:
         params = init_params(cfg, embed_dim=6, seed=0)
         prefix = str(tmp_path / "model")
         save_checkpoint(params, prefix)
-        meta = json.load(open(prefix + ".json"))
+        header = tmp_path / "model.json"
+        meta = json.loads(header.read_text())
         meta["format_version"] = 99
-        json.dump(meta, open(prefix + ".json", "w"))
+        header.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="format_version"):
             load_checkpoint(prefix)
