@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -107,7 +107,7 @@ def cmd_analyze(args) -> int:
         denoised, model, r = profile.denoised or denoise(series)
         with open(os.path.join(out_dir, "denoise.json"), "w") as fh:
             fh.write(diagnostics_json(model, r))
-        np.savetxt(os.path.join(out_dir, "denoised.csv"), denoised.values, fmt="%.17g")
+        _write_series_csv(os.path.join(out_dir, "denoised.csv"), denoised)
 
     with open(os.path.join(out_dir, "hurst.json"), "w") as fh:
         fh.write(profile.to_json())
@@ -118,10 +118,7 @@ def cmd_analyze(args) -> int:
         {
             "input": args.input,
             "format": args.format,
-            "method": cfg.method,
-            "q": [float(q) for q in cfg.q_grid],
-            "scales": None if cfg.scales is None else [int(s) for s in cfg.scales],
-            "vol_window": cfg.vol_window,
+            **cfg.to_json_dict(),
             "denoise_diagnostics": bool(do_denoise),
         },
     )
@@ -129,7 +126,10 @@ def cmd_analyze(args) -> int:
 
 
 def _write_series_csv(path: str, series: Series):
-    np.savetxt(path, series.values, fmt="%.17g")
+    """One "%.17g" line per value, the bytes np.savetxt(path, values, fmt="%.17g") writes."""
+    values = series.values.tolist()
+    with open(path, "w") as fh:
+        fh.write(("%.17g\n" * len(values)) % tuple(values))
 
 
 def corpus_to_json_dict(dataset: LabeledDataset) -> dict:
@@ -269,15 +269,6 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("FRACTAMINE_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"FRACTAMINE_THREADS must be an integer, got {raw!r}") from None
-    return max(1, workers)
-
-
 def cmd_compare(args) -> int:
     dataset = _dataset_from_flags(args)
     out_dir = _ensure_out(args.out)
@@ -297,35 +288,14 @@ def cmd_compare(args) -> int:
     base_payload = base_model.to_json_dict()
     if args.mode == "activations":
         del base_payload["activation"]  # the varied axis
-        variants = [(kind, ModelConfig(
-            n_classes=base_model.n_classes,
-            hidden=base_model.hidden,
-            filters=base_model.filters,
-            blocks=base_model.blocks,
-            conv_width=base_model.conv_width,
-            activation=ActivationSpec(kind),
-            mfa=base_model.mfa,
-        )) for kind in KINDS]
+        variants = [(kind, replace(base_model, activation=ActivationSpec(kind))) for kind in KINDS]
         label_field = "activation"
     elif args.mode == "mfa":
         del base_payload["mfa"]
-        variants = []
-        for method in METHODS:
-            mfa = MfaConfig(
-                method=method,
-                q_grid=base_model.mfa.q_grid,
-                scales=base_model.mfa.scales,
-                vol_window=base_model.mfa.vol_window,
-            )
-            variants.append((method, ModelConfig(
-                n_classes=base_model.n_classes,
-                hidden=base_model.hidden,
-                filters=base_model.filters,
-                blocks=base_model.blocks,
-                conv_width=base_model.conv_width,
-                activation=base_model.activation,
-                mfa=mfa,
-            )))
+        variants = [
+            (method, replace(base_model, mfa=replace(base_model.mfa, method=method)))
+            for method in METHODS
+        ]
         label_field = "method"
     else:
         raise ValueError(f"unknown compare mode {args.mode!r}")
@@ -347,12 +317,7 @@ def cmd_compare(args) -> int:
             "test_macro_f1": metrics["test"]["macro_f1"],
         }
 
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_variant, variants))
-    else:
-        rows = [run_variant(v) for v in variants]
+    rows = [run_variant(v) for v in variants]
 
     payload = {"mode": args.mode, "rows": rows}
     if args.mode == "mfa":
@@ -375,7 +340,6 @@ def cmd_compare(args) -> int:
             "seed": args.seed,
             "epochs": args.epochs,
             "config_hash": shared_hash,
-            "threads": workers,
         },
     )
     return 0

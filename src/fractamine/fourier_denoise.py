@@ -122,6 +122,42 @@ def _degenerate_terms(gram: np.ndarray, max_terms: int) -> list[int]:
 _GRAM_RESOLUTION = 10.0
 
 
+# Samples per row block of the design in fit_fourier. It bounds the
+# fit's working memory at one (2m+1) x 4096 block, 4.2 MB at m = 64,
+# whatever N is.
+_FIT_BLOCK = 4096
+
+
+def _gram_blocked(y: np.ndarray, omega: float, max_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """G = X^T X and b = X^T y of the design, one row block at a time.
+
+    X has the rows [1, cos(u*omega*k), sin(u*omega*k)] for u = 1..m at
+    k = 1..N; each block holds it transposed, one contiguous row per
+    basis function. Within a block, cos and sin of harmonic u are the
+    real and imaginary parts of z**u, z = exp(i*omega*k), built by the
+    recurrence z**u = z**(u-1) * z. Its rounding error grows to about
+    m*eps, within the argument rounding of cos(u*omega*k) itself.
+    """
+    n = y.size
+    m = max_terms
+    gram = np.zeros((2 * m + 1, 2 * m + 1))
+    b = np.zeros(2 * m + 1)
+    block = np.empty((2 * m + 1, min(n, _FIT_BLOCK)))
+    block[0] = 1.0
+    for start in range(0, n, _FIT_BLOCK):
+        stop = min(start + _FIT_BLOCK, n)
+        xt = block[:, : stop - start]
+        z = np.exp(1j * omega * np.arange(start + 1, stop + 1, dtype=np.float64))
+        p = np.ones_like(z)
+        for u in range(1, m + 1):
+            p *= z
+            xt[u] = p.real
+            xt[m + u] = p.imag
+        gram += xt @ xt.T
+        b += xt @ y[start:stop]
+    return gram, b
+
+
 def fit_fourier(s: Series, max_terms: int, omega: float | None = None) -> FourierModel:
     """Ordinary least squares against the omega-derived basis.
 
@@ -131,11 +167,11 @@ def fit_fourier(s: Series, max_terms: int, omega: float | None = None) -> Fourie
     offending terms rather than returning an unidentifiable fit.
 
     The fit solves the normal equations. The design X (N x (2m+1),
-    m = max_terms, stored transposed with one contiguous row per basis
-    function) is built once and reduced to its Gram matrix
-    G = X^T X, at most 129 x 129, and to b = X^T y. One symmetric
-    eigendecomposition G = V diag(lam) V^T serves both the rank check
-    and the solve, coef = V (V^T b / lam).
+    m = max_terms) is never held whole: its Gram matrix G = X^T X, at
+    most 129 x 129, and b = X^T y are summed over row blocks of
+    _FIT_BLOCK samples (_gram_blocked). One symmetric eigendecomposition
+    G = V diag(lam) V^T serves both the rank check and the solve,
+    coef = V (V^T b / lam).
 
     Rank rule: the design counts as rank-deficient when
     lam_min <= lam_max * (2m+1) * eps * 10, the resolution of G itself.
@@ -154,15 +190,12 @@ def fit_fourier(s: Series, max_terms: int, omega: float | None = None) -> Fourie
         raise ValueError(f"need N >= 2*max_terms+1 = {2 * max_terms + 1}, got N = {n}")
     if omega is None:
         omega = angular_frequency(s)
-    xt = np.empty((2 * max_terms + 1, n))
-    xt[0] = 1.0
-    _trig_rows(xt[1:], omega, np.arange(1, max_terms + 1, dtype=np.float64))
-    gram = xt @ xt.T
+    gram, b = _gram_blocked(s.values, omega, max_terms)
     lam, vecs = np.linalg.eigh(gram)
     resolution = lam[-1] * gram.shape[0] * np.finfo(np.float64).eps * _GRAM_RESOLUTION
     if not lam[0] > resolution:
         raise DegenerateBasisError(_degenerate_terms(gram, max_terms))
-    coef = vecs @ ((vecs.T @ (xt @ s.values)) / lam)
+    coef = vecs @ ((vecs.T @ b) / lam)
     eta0 = float(coef[0])
     alpha = coef[1 : max_terms + 1].copy()
     beta = coef[max_terms + 1 :].copy()

@@ -83,6 +83,25 @@ class MfaConfig:
         if self.dfa_poly_order < 0:
             raise ValueError("dfa_poly_order must be nonnegative")
 
+    def to_json_dict(self) -> dict:
+        return {
+            "method": self.method,
+            "q_grid": [float(q) for q in self.q_grid],
+            "scales": None if self.scales is None else [int(s) for s in self.scales],
+            "vol_window": self.vol_window,
+            "dfa_poly_order": self.dfa_poly_order,
+        }
+
+    @classmethod
+    def from_json_dict(cls, payload: dict) -> "MfaConfig":
+        return cls(
+            method=payload["method"],
+            q_grid=np.asarray(payload["q_grid"]),
+            scales=None if payload["scales"] is None else np.asarray(payload["scales"]),
+            vol_window=payload["vol_window"],
+            dfa_poly_order=payload["dfa_poly_order"],
+        )
+
 
 @dataclass(frozen=True)
 class FluctuationTable:

@@ -10,6 +10,7 @@ sequence length intact and emits per-token distributions.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -68,7 +69,6 @@ class ModelConfig:
         return replace(self, hidden=200, filters=256, blocks=5)
 
     def to_json_dict(self) -> dict:
-        mfa = self.mfa
         return {
             "n_classes": self.n_classes,
             "task": self.task,
@@ -79,18 +79,11 @@ class ModelConfig:
             "dense_width": self.dense_width,
             "attn_dim": self.attn_dim,
             "activation": self.activation.to_json_dict(),
-            "mfa": {
-                "method": mfa.method,
-                "q_grid": [float(q) for q in mfa.q_grid],
-                "scales": None if mfa.scales is None else [int(s) for s in mfa.scales],
-                "vol_window": mfa.vol_window,
-                "dfa_poly_order": mfa.dfa_poly_order,
-            },
+            "mfa": self.mfa.to_json_dict(),
         }
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ModelConfig":
-        mfa = payload["mfa"]
         return cls(
             n_classes=payload["n_classes"],
             task=payload["task"],
@@ -101,13 +94,7 @@ class ModelConfig:
             dense_width=payload["dense_width"],
             attn_dim=payload["attn_dim"],
             activation=ActivationSpec.from_json_dict(payload["activation"]),
-            mfa=MfaConfig(
-                method=mfa["method"],
-                q_grid=np.asarray(mfa["q_grid"]),
-                scales=None if mfa["scales"] is None else np.asarray(mfa["scales"]),
-                vol_window=mfa["vol_window"],
-                dfa_poly_order=mfa["dfa_poly_order"],
-            ),
+            mfa=MfaConfig.from_json_dict(payload["mfa"]),
         )
 
 
@@ -372,7 +359,9 @@ def save_checkpoint(params: ModelParams, prefix: str) -> tuple[str, str]:
     Both files are written in full to temporary files in the target
     directory and flushed to disk before either is renamed into place,
     so a write that fails leaves an earlier checkpoint at prefix intact.
-    Each rename is atomic; the pair of renames is not.
+    Each rename is atomic; the pair of renames is not, so the header
+    carries the blob's sha256 and load_checkpoint refuses a header
+    beside a blob from another save.
     """
     names = sorted(params.tensors)
     manifest = {}
@@ -384,19 +373,18 @@ def save_checkpoint(params: ModelParams, prefix: str) -> tuple[str, str]:
         flat = np.ascontiguousarray(arr, dtype="<f8").reshape(-1)
         chunks.append(flat)
         offset += flat.size
+    blob = np.concatenate(chunks).tobytes()
     header = {
         "format_version": 1,
         "config": params.config.to_json_dict(),
         "embed_dim": params.embed_dim,
         "total_values": offset,
+        "blob_sha256": hashlib.sha256(blob).hexdigest(),
         "manifest": manifest,
     }
     json_path = f"{prefix}.json"
     bin_path = f"{prefix}.bin"
-    staged = {
-        json_path: json.dumps(header, indent=2).encode(),
-        bin_path: np.concatenate(chunks).tobytes(),
-    }
+    staged = {json_path: json.dumps(header, indent=2).encode(), bin_path: blob}
     try:
         for path, data in staged.items():
             with open(f"{path}.tmp", "wb") as fh:
@@ -413,21 +401,46 @@ def save_checkpoint(params: ModelParams, prefix: str) -> tuple[str, str]:
 
 
 def load_checkpoint(prefix: str) -> ModelParams:
+    """Read a checkpoint written by save_checkpoint.
+
+    Raises ValueError when the blob's sha256 differs from the one in the
+    header (for instance the header of one save beside the blob of
+    another), or when the tensor names or shapes differ from what
+    init_params builds for the stored config; the error names the
+    tensor.
+    """
     with open(f"{prefix}.json") as fh:
         header = json.load(fh)
     if header.get("format_version") != 1:
         raise ValueError(f"unsupported checkpoint format_version {header.get('format_version')}")
     with open(f"{prefix}.bin", "rb") as fh:
-        blob = np.frombuffer(fh.read(), dtype="<f8")
+        raw = fh.read()
+    digest = hashlib.sha256(raw).hexdigest()
+    if digest != header.get("blob_sha256"):
+        raise ValueError(
+            f"{prefix}.bin has sha256 {digest}, the header expects {header.get('blob_sha256')}"
+        )
+    blob = np.frombuffer(raw, dtype="<f8")
     if blob.size != header["total_values"]:
         raise ValueError(
             f"checkpoint blob holds {blob.size} values, manifest expects {header['total_values']}"
         )
     cfg = ModelConfig.from_json_dict(header["config"])
+    expected = init_params(cfg, header["embed_dim"], seed=0).tensors
+    manifest = header["manifest"]
+    unknown = sorted(manifest.keys() - expected.keys())
+    if unknown:
+        raise ValueError(f"checkpoint tensor {unknown[0]!r} is not part of the stored config")
     tensors = {}
-    for name, entry in header["manifest"].items():
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        tensors[name] = DiffArray(blob[start : start + size].reshape(shape).copy())
+    for name, template in expected.items():
+        if name not in manifest:
+            raise ValueError(f"checkpoint lacks tensor {name!r}")
+        shape = tuple(manifest[name]["shape"])
+        if shape != template.data.shape:
+            raise ValueError(
+                f"checkpoint tensor {name!r} has shape {shape}, the stored config "
+                f"needs {template.data.shape}"
+            )
+        start = manifest[name]["offset"]
+        tensors[name] = DiffArray(blob[start : start + template.data.size].reshape(shape).copy())
     return ModelParams(config=cfg, embed_dim=header["embed_dim"], tensors=tensors)

@@ -99,6 +99,23 @@ class LabeledDataset:
         return len(self.items)
 
 
+def _parse_csv_lines(path: str, lines: list[str]) -> np.ndarray:
+    """Parse line by line, naming the first line that fails to parse or is not finite."""
+    values = []
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        try:
+            v = float(text)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: cannot parse {text!r} as a number") from None
+        if not np.isfinite(v):
+            raise ValueError(f"{path}:{lineno}: non-finite value {text!r}")
+        values.append(v)
+    return np.array(values)
+
+
 def load_series(path: str, format: str = "csv") -> Series:
     """Read a Series from disk.
 
@@ -108,22 +125,18 @@ def load_series(path: str, format: str = "csv") -> Series:
     offending line or index.
     """
     if format == "csv":
-        values = []
         with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                text = raw.strip()
-                if not text:
-                    continue
-                try:
-                    v = float(text)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: cannot parse {text!r} as a number") from None
-                if not np.isfinite(v):
-                    raise ValueError(f"{path}:{lineno}: non-finite value {text!r}")
-                values.append(v)
-        if not values:
+            lines = fh.read().split("\n")
+        try:
+            values = np.fromiter(map(float, filter(None, map(str.strip, lines))), dtype=np.float64)
+        except ValueError:
+            values = None
+        if values is None or not np.all(np.isfinite(values)):
+            # the slow walk runs only to name the offending line
+            values = _parse_csv_lines(path, lines)
+        if not values.size:
             raise ValueError(f"{path}: no numeric values found")
-        return Series(np.array(values))
+        return Series(values)
     if format == "json":
         with open(path) as fh:
             payload = json.load(fh)

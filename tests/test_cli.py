@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 
@@ -6,9 +7,18 @@ import pytest
 
 import fractamine.cli as cli
 import fractamine.multifractal as mf
+from fractamine.activations import KINDS, ActivationSpec
 from fractamine.cli import build_parser, corpus_to_json_dict, load_corpus, main
 from fractamine.fourier_denoise import denoise, diagnostics_json
-from fractamine.series import load_series, synth_embedded_corpus
+from fractamine.multifractal import MfaConfig
+from fractamine.neuralnet import ModelConfig
+from fractamine.series import (
+    load_series,
+    synth_binomial_cascade,
+    synth_embedded_corpus,
+    synth_fgn,
+    synth_gaussian_noise,
+)
 
 
 def run(argv):
@@ -59,6 +69,21 @@ class TestSynth:
         assert manifest["format_version"] == 1
         assert manifest["command"] == "synth"
         assert manifest["config"]["seed"] == 3
+
+    @pytest.mark.parametrize(
+        "kind,series",
+        [
+            ("noise", lambda: synth_gaussian_noise(1024, 2)),
+            ("fgn", lambda: synth_fgn(1024, 0.7, 2)),
+            ("cascade", lambda: synth_binomial_cascade(10, 0.75)),
+        ],
+    )
+    def test_series_csv_matches_savetxt(self, tmp_path, kind, series):
+        out = tmp_path / "o"
+        assert run(["synth", kind, "--n", "1024", "--levels", "10", "--seed", "2", "--out", str(out)]) == 0
+        expected = tmp_path / "expected.csv"
+        np.savetxt(expected, series().values, fmt="%.17g")
+        assert (out / "series.csv").read_bytes() == expected.read_bytes()
 
     def test_noise_deterministic_by_seed(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -114,7 +139,12 @@ class TestAnalyze:
         assert profile["q"] == [-2.0, 0.0, 2.0]
         assert len(profile["H"]) == 3
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["method"] == "mf-dfa"
+        assert manifest["config"] == {
+            "input": fgn_csv,
+            "format": "csv",
+            **MfaConfig(method="mf-dfa", q_grid=[-2.0, 0.0, 2.0]).to_json_dict(),
+            "denoise_diagnostics": False,
+        }
         # mf-dfa does not denoise, so no diagnostics by default
         assert not os.path.exists(out / "denoise.json")
 
@@ -259,19 +289,32 @@ class TestCompare:
         assert len(lines) == 4  # header + 3 rows
         assert lines[0].startswith("method,seed,config_hash")
 
-    def test_thread_env_parallel_result_matches_serial(self, tmp_path, monkeypatch):
-        serial_out = tmp_path / "serial"
-        run(self.compare_args("mfa", serial_out))
-        monkeypatch.setenv("FRACTAMINE_THREADS", "3")
-        parallel_out = tmp_path / "parallel"
-        run(self.compare_args("mfa", parallel_out))
-        a = json.loads((serial_out / "compare.json").read_text())
-        b = json.loads((parallel_out / "compare.json").read_text())
-        assert a["rows"] == b["rows"]
+    @pytest.mark.parametrize("mode", ["activations", "mfa"])
+    def test_variants_keep_every_base_field(self, tmp_path, monkeypatch, mode):
+        seen = []
 
-    def test_bad_thread_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FRACTAMINE_THREADS", "lots")
-        assert run(self.compare_args("mfa", tmp_path / "cmp")) == 2
+        def record(dataset, model_cfg, train_cfg):
+            seen.append(model_cfg)
+            metrics = {"accuracy": 0.0, "macro_f1": 0.0}
+            return None, [], {"val": metrics, "test": metrics}
+
+        base_mfa = MfaConfig(method="mf-dhv", q_grid=[-1.0, 1.0], vol_window=8, dfa_poly_order=2)
+        monkeypatch.setattr(cli, "_run_once", record)
+        monkeypatch.setattr(cli, "_mfa_config_from_flags", lambda args: base_mfa)
+        monkeypatch.setattr(cli, "ModelConfig", functools.partial(ModelConfig, dense_width=7, attn_dim=5))
+        argv = self.compare_args(mode, tmp_path / "cmp") + ["--activation", "kdac"]
+        assert run(argv) == 0
+        assert len(seen) == (12 if mode == "activations" else 3)
+        for cfg in seen:
+            assert (cfg.dense_width, cfg.attn_dim, cfg.hidden, cfg.conv_width) == (7, 5, 4, 2)
+            assert cfg.mfa.dfa_poly_order == 2
+            assert cfg.mfa.vol_window == 8
+        if mode == "activations":
+            assert [c.activation for c in seen] == [ActivationSpec(k) for k in KINDS]
+            assert all(c.mfa is base_mfa for c in seen)
+        else:
+            assert [c.mfa.method for c in seen] == list(mf.METHODS)
+            assert all(c.activation == ActivationSpec("kdac") for c in seen)
 
 
 class TestCorpusIO:

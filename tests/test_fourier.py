@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,31 @@ def test_fit_matches_lstsq_oracle(design, seed):
     assert abs(model.eta0 - coef[0]) <= 1e-12
     assert_allclose(model.alpha, coef[1 : m + 1], rtol=0, atol=1e-12)
     assert_allclose(model.beta, coef[m + 1 :], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,t,m", [(4097, 129, 64), (12289, 3001, 64), (9000, 9000, 3)])
+def test_blocked_fit_matches_lstsq_oracle(n, t, m):
+    # several row blocks, the last one partial
+    omega = 2 * np.pi / t
+    y = synth_fgn(n, 0.7, seed=n).values
+    model = fit_fourier(Series(y), max_terms=m, omega=omega)
+    coef = np.linalg.lstsq(oracle_design(omega, n, m), y, rcond=None)[0]
+    assert abs(model.eta0 - coef[0]) <= 1e-12
+    assert_allclose(model.alpha, coef[1 : m + 1], rtol=0, atol=1e-12)
+    assert_allclose(model.beta, coef[m + 1 :], rtol=0, atol=1e-12)
+
+
+def test_fit_memory_independent_of_n():
+    # the full 129 x 65536 design alone would take 68 MB
+    s = synth_fgn(65536, 0.7, seed=0)
+    omega = angular_frequency(s)
+    tracemalloc.start()
+    try:
+        fit_fourier(s, max_terms=64, omega=omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def model_with_energy(energy):

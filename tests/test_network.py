@@ -1,4 +1,5 @@
 import gc
+import json
 import sys
 import warnings
 
@@ -67,6 +68,28 @@ class TestConfig:
         cfg = micro_config()
         again = ModelConfig.from_json_dict(cfg.to_json_dict())
         assert again.to_json_dict() == cfg.to_json_dict()
+
+    def test_checkpoint_json_pinned(self):
+        # the config JSON a checkpoint header carries; the string is the
+        # one the field-by-field serializer wrote before MfaConfig had its own
+        cfg = ModelConfig(
+            n_classes=2, hidden=5, filters=4, blocks=1, conv_width=2, dense_width=6, attn_dim=3,
+            activation=ActivationSpec("kdac"),
+            mfa=MfaConfig(
+                method="mf-dhv", q_grid=[-1.5, 0, 2], scales=[8, 16, 32], vol_window=8,
+                dfa_poly_order=2,
+            ),
+        )
+        pinned = (
+            '{"n_classes": 2, "task": "classification", "hidden": 5, "filters": 4, "blocks": 1, '
+            '"conv_width": 2, "dense_width": 6, "attn_dim": 3, "activation": {"kind": "kdac", '
+            '"params": {"beta1": 1.0, "beta2": 0.1, "mu": 0.01}}, "mfa": {"method": "mf-dhv", '
+            '"q_grid": [-1.5, 0.0, 2.0], "scales": [8, 16, 32], "vol_window": 8, "dfa_poly_order": 2}}'
+        )
+        assert json.dumps(cfg.to_json_dict()) == pinned
+        again = ModelConfig.from_json_dict(json.loads(pinned))
+        assert json.dumps(again.to_json_dict()) == pinned
+        assert again.mfa.scales.dtype == np.int64
 
     def test_final_channels(self):
         cfg = micro_config(hidden=8, filters=4, blocks=2)
@@ -281,8 +304,6 @@ class TestCheckpoint:
         )
 
     def test_version_mismatch_rejected(self, tmp_path):
-        import json
-
         cfg = micro_config()
         params = init_params(cfg, embed_dim=6, seed=0)
         prefix = str(tmp_path / "model")
@@ -292,4 +313,41 @@ class TestCheckpoint:
         meta["format_version"] = 99
         header.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="format_version"):
+            load_checkpoint(prefix)
+
+    def test_torn_save_rejected(self, tmp_path, monkeypatch):
+        # the second rename fails: the new header lands beside the old blob
+        prefix = str(tmp_path / "model")
+        save_checkpoint(init_params(micro_config(), embed_dim=6, seed=4), prefix)
+        real_replace = neuralnet.os.replace
+        renames = []
+
+        def second_rename_fails(src, dst):
+            renames.append(dst)
+            if len(renames) == 2:
+                raise OSError("rename interrupted")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(neuralnet.os, "replace", second_rename_fails)
+        newer = micro_config(mfa=MfaConfig(method="mf-dhv", q_grid=np.linspace(-2, 2, 5)))
+        with pytest.raises(OSError, match="interrupted"):
+            save_checkpoint(init_params(newer, embed_dim=6, seed=5), prefix)
+        with pytest.raises(ValueError, match="sha256"):
+            load_checkpoint(prefix)
+
+    @pytest.mark.parametrize("edit,named", [("shape", "dense0.w"), ("name", "dense9.w")])
+    def test_edited_header_rejected(self, tmp_path, edit, named):
+        prefix = str(tmp_path / "model")
+        save_checkpoint(init_params(micro_config(), embed_dim=6, seed=0), prefix)
+        header = tmp_path / "model.json"
+        meta = json.loads(header.read_text())
+        # the value count stays the same, so only the manifest check can notice
+        entry = meta["manifest"]["dense0.w"]
+        assert entry["shape"] == [18, 6]
+        if edit == "shape":
+            entry["shape"] = [6, 18]
+        else:
+            meta["manifest"]["dense9.w"] = meta["manifest"].pop("dense0.w")
+        header.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=named):
             load_checkpoint(prefix)

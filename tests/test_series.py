@@ -92,6 +92,31 @@ class TestLoadSeries:
         with pytest.raises(ValueError, match=":2:"):
             load_series(str(path))
 
+    def test_csv_nonfinite_after_blank_lines_names_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("1.0\n\n  \n2.0\r\n\ninf\nbogus\n")
+        with pytest.raises(ValueError, match=r"s\.csv:6: non-finite value 'inf'"):
+            load_series(str(path))
+
+    @pytest.mark.parametrize("text", ["", "\n", "  \n\t\n\n"], ids=["empty", "newline", "blank"])
+    def test_csv_without_values(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no numeric values"):
+            load_series(str(path))
+
+    def test_csv_values_are_float_of_each_line(self, tmp_path):
+        rng = np.random.default_rng(5)
+        scaled = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
+        lines = [repr(v) for v in scaled.tolist()]
+        lines += ["%.17g" % v for v in rng.standard_normal(200)]
+        lines += ["1e-320", "-0", "  7  ", "8.", "1_000", "+.5e1"]
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(lines) + "\n")
+        values = load_series(str(path)).values
+        expected = np.array([float(t) for t in lines])
+        assert values.tobytes() == expected.tobytes()
+
     def test_json_bare_array(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text("[0.5, 1.5, 2.5]")
