@@ -1,9 +1,11 @@
 """Minimal reverse-mode automatic differentiation over float64 arrays.
 
-DiffArray nodes record their parents together with vector-Jacobian
-closures; backward() runs a topological sweep accumulating gradients.
-Recurrent and convolution layers are fused ops with hand-written
-backward passes so graph bookkeeping stays off the per-timestep path.
+Each DiffArray node records a tuple of parents and one vector-Jacobian
+product: vjp(g) returns one gradient per parent, in parent order.
+backward() runs a topological sweep, calls each node's vjp once and
+accumulates the results into the parents. Recurrent and convolution
+layers are fused ops with hand-written backward passes so graph
+bookkeeping stays off the per-timestep path.
 """
 from __future__ import annotations
 
@@ -38,14 +40,19 @@ __all__ = [
 
 
 class DiffArray:
-    """A value in the computation graph with a gradient slot."""
+    """A value in the computation graph with a gradient slot.
 
-    __slots__ = ("data", "grad", "_parents")
+    parents is a tuple of nodes; vjp(g) maps the gradient of this node
+    to a tuple holding one gradient per parent, in the same order.
+    """
 
-    def __init__(self, data, parents=()):
+    __slots__ = ("data", "grad", "_parents", "_vjp")
+
+    def __init__(self, data, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self._parents = parents
+        self._vjp = vjp
 
     @property
     def shape(self):
@@ -70,15 +77,14 @@ class DiffArray:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent, _ in node._parents:
+            for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node.grad is None:
+            if node.grad is None or not node._parents:
                 continue
-            for parent, vjp in node._parents:
-                g = vjp(node.grad)
+            for parent, g in zip(node._parents, node._vjp(node.grad)):
                 parent.grad = g if parent.grad is None else parent.grad + g
 
 
@@ -96,74 +102,53 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a: DiffArray, b: DiffArray) -> DiffArray:
     return DiffArray(
         a.data + b.data,
-        parents=(
-            (a, lambda g: _unbroadcast(g, a.data.shape)),
-            (b, lambda g: _unbroadcast(g, b.data.shape)),
-        ),
+        (a, b),
+        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
     )
 
 
 def sub(a: DiffArray, b: DiffArray) -> DiffArray:
     return DiffArray(
         a.data - b.data,
-        parents=(
-            (a, lambda g: _unbroadcast(g, a.data.shape)),
-            (b, lambda g: _unbroadcast(-g, b.data.shape)),
-        ),
+        (a, b),
+        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
     )
 
 
 def mul(a: DiffArray, b: DiffArray) -> DiffArray:
     return DiffArray(
         a.data * b.data,
-        parents=(
-            (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-            (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
-        ),
+        (a, b),
+        lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)),
     )
 
 
 def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
-    return DiffArray(
-        a.data @ b.data,
-        parents=(
-            (a, lambda g: _matmul_grad_a(g, a.data, b.data)),
-            (b, lambda g: _matmul_grad_b(g, a.data, b.data)),
-        ),
-    )
+    return DiffArray(a.data @ b.data, (a, b), lambda g: _matmul_vjp(g, a.data, b.data))
 
 
-def _matmul_grad_a(g, a, b):
-    if a.ndim == 1 and b.ndim == 2:
-        return g @ b.T
-    if a.ndim == 2 and b.ndim == 1:
-        return np.outer(g, b)
-    return g @ b.T
-
-
-def _matmul_grad_b(g, a, b):
-    if a.ndim == 1 and b.ndim == 2:
-        return np.outer(a, g)
-    if a.ndim == 2 and b.ndim == 1:
-        return a.T @ g
-    return a.T @ g
+def _matmul_vjp(g, a, b):
+    # a vector operand's gradient is an outer product; multiply.outer also
+    # covers the vector-vector case, where g is a scalar
+    da = np.multiply.outer(g, b) if b.ndim == 1 else g @ b.T
+    db = np.multiply.outer(a, g) if a.ndim == 1 else a.T @ g
+    return da, db
 
 
 def tanh(t: DiffArray) -> DiffArray:
     out = np.tanh(t.data)
-    return DiffArray(out, parents=((t, lambda g: g * (1.0 - out * out)),))
+    return DiffArray(out, (t,), lambda g: (g * (1.0 - out * out),))
 
 
 def sigmoid(t: DiffArray) -> DiffArray:
     out = np.exp(-np.logaddexp(0.0, -t.data))
-    return DiffArray(out, parents=((t, lambda g: g * out * (1.0 - out)),))
+    return DiffArray(out, (t,), lambda g: (g * out * (1.0 - out),))
 
 
 def activation(t: DiffArray, spec: ActivationSpec) -> DiffArray:
     """Fixed-parameter activation; for trainable sital use sital_op."""
     return DiffArray(
-        act_apply(spec, t.data),
-        parents=((t, lambda g: g * act_derivative(spec, t.data)),),
+        act_apply(spec, t.data), (t,), lambda g: (g * act_derivative(spec, t.data),)
     )
 
 
@@ -173,22 +158,15 @@ def sital_op(t: DiffArray, gamma: DiffArray, eta: DiffArray) -> DiffArray:
     eval_ = float(eta.data)
     x = t.data
 
-    def vjp_gamma(g):
-        dg, _ = _sital_param_partials(x, gval, eval_)
-        return np.array(np.sum(g * dg))
+    def vjp(g):
+        dg, de = _sital_param_partials(x, gval, eval_)
+        return (
+            g * sital_derivative(x, gval, eval_),
+            np.array(np.sum(g * dg)),
+            np.array(np.sum(g * de)),
+        )
 
-    def vjp_eta(g):
-        _, de = _sital_param_partials(x, gval, eval_)
-        return np.array(np.sum(g * de))
-
-    return DiffArray(
-        sital_fn(x, gval, eval_),
-        parents=(
-            (t, lambda g: g * sital_derivative(x, gval, eval_)),
-            (gamma, vjp_gamma),
-            (eta, vjp_eta),
-        ),
-    )
+    return DiffArray(sital_fn(x, gval, eval_), (t, gamma, eta), vjp)
 
 
 def narrow(t: DiffArray, axis: int, start: int, length: int) -> DiffArray:
@@ -199,32 +177,24 @@ def narrow(t: DiffArray, axis: int, start: int, length: int) -> DiffArray:
     def vjp(g):
         out = np.zeros_like(t.data)
         out[index] = g
-        return out
+        return (out,)
 
-    return DiffArray(t.data[index], parents=((t, vjp),))
+    return DiffArray(t.data[index], (t,), vjp)
 
 
 def concat(parts: list[DiffArray], axis: int) -> DiffArray:
     sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    def make_vjp(i):
-        def vjp(g):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            return g[tuple(index)]
-
-        return vjp
-
+    offsets = np.cumsum(sizes)[:-1]
     return DiffArray(
         np.concatenate([p.data for p in parts], axis=axis),
-        parents=tuple((p, make_vjp(i)) for i, p in enumerate(parts)),
+        tuple(parts),
+        lambda g: tuple(np.split(g, offsets, axis)),
     )
 
 
 def reshape(t: DiffArray, shape: tuple) -> DiffArray:
     old = t.data.shape
-    return DiffArray(t.data.reshape(shape), parents=((t, lambda g: g.reshape(old)),))
+    return DiffArray(t.data.reshape(shape), (t,), lambda g: (g.reshape(old),))
 
 
 def reduce_max(t: DiffArray, axis: int) -> DiffArray:
@@ -235,16 +205,15 @@ def reduce_max(t: DiffArray, axis: int) -> DiffArray:
     def vjp(g):
         full = np.zeros_like(t.data)
         np.put_along_axis(full, idx, np.expand_dims(g, axis), axis=axis)
-        return full
+        return (full,)
 
-    return DiffArray(out, parents=((t, vjp),))
+    return DiffArray(out, (t,), vjp)
 
 
 def mean_all(t: DiffArray) -> DiffArray:
     n = t.data.size
     return DiffArray(
-        np.asarray(t.data.mean()),
-        parents=((t, lambda g: np.full_like(t.data, float(g) / n)),),
+        np.asarray(t.data.mean()), (t,), lambda g: (np.full_like(t.data, float(g) / n),)
     )
 
 
@@ -256,9 +225,9 @@ def softmax(t: DiffArray) -> DiffArray:
 
     def vjp(g):
         dot = np.sum(g * out, axis=-1, keepdims=True)
-        return out * (g - dot)
+        return (out * (g - dot),)
 
-    return DiffArray(out, parents=((t, vjp),))
+    return DiffArray(out, (t,), vjp)
 
 
 def cross_entropy(logits: DiffArray, labels) -> DiffArray:
@@ -283,9 +252,9 @@ def cross_entropy(logits: DiffArray, labels) -> DiffArray:
         soft /= soft.sum(axis=1, keepdims=True)
         soft[np.arange(z2.shape[0]), labels] -= 1.0
         soft *= float(g) / z2.shape[0]
-        return soft.reshape(z.shape)
+        return (soft.reshape(z.shape),)
 
-    return DiffArray(np.asarray(loss), parents=((logits, vjp),))
+    return DiffArray(np.asarray(loss), (logits,), vjp)
 
 
 def lstm_layer(
@@ -368,28 +337,8 @@ def lstm_layer(
             dx = dx[::-1]
         return dx, dwx, dwh, db
 
-    cache: dict = {}
-
-    def shared(which):
-        def inner(g):
-            key = id(g)
-            if cache.get("key") != key:
-                cache["key"] = key
-                cache["grads"] = vjp(g)
-            return cache["grads"][which]
-
-        return inner
-
     out = hidden[::-1] if reverse else hidden
-    return DiffArray(
-        out,
-        parents=(
-            (x, shared(0)),
-            (wx, shared(1)),
-            (wh, shared(2)),
-            (b, shared(3)),
-        ),
-    )
+    return DiffArray(out, (x, wx, wh, b), vjp)
 
 
 def conv1d(
@@ -418,7 +367,7 @@ def conv1d(
     windows = sliding_window_view(xd, w, axis=0)  # (Lo, C, w)
     out = np.tensordot(windows, kernels.data, axes=((2, 1), (0, 1))) + bias.data
 
-    def vjp_x(g):
+    def vjp(g):
         spread = np.tensordot(g, kernels.data, axes=((1,), (2,)))  # (Lo, w, C)
         dx = np.zeros_like(xd)
         lo = g.shape[0]
@@ -426,20 +375,10 @@ def conv1d(
             dx[dw : dw + lo] += spread[:, dw, :]
         if same_length:
             dx = dx[pad_left : pad_left + x.data.shape[0]]
-        return dx
-
-    def vjp_k(g):
         dk = np.tensordot(windows, g, axes=((0,), (0,)))  # (C, w, F)
-        return dk.transpose(1, 0, 2)
+        return dx, dk.transpose(1, 0, 2), g.sum(axis=0)
 
-    return DiffArray(
-        out,
-        parents=(
-            (x, vjp_x),
-            (kernels, vjp_k),
-            (bias, lambda g: g.sum(axis=0)),
-        ),
-    )
+    return DiffArray(out, (x, kernels, bias), vjp)
 
 
 def maxpool(t: DiffArray, size: int = 2, stride: int = 2) -> DiffArray:
@@ -459,9 +398,9 @@ def maxpool(t: DiffArray, size: int = 2, stride: int = 2) -> DiffArray:
         np.put_along_axis(full, idx, np.expand_dims(g, 1), axis=1)
         dx = np.zeros_like(t.data)
         dx[: lo * size] = full.reshape(lo * size, c)
-        return dx
+        return (dx,)
 
-    return DiffArray(out, parents=((t, vjp),))
+    return DiffArray(out, (t,), vjp)
 
 
 def grad_check(op_handle, point: list[DiffArray], h: float = 1e-5, skip=None) -> float:

@@ -95,6 +95,18 @@ def _activation_from_flags(args) -> ActivationSpec:
     return ActivationSpec(kind=args.activation, params=params)
 
 
+def _model_config_from_flags(args, n_classes: int) -> ModelConfig:
+    return ModelConfig(
+        n_classes=n_classes,
+        hidden=args.hidden,
+        filters=args.filters,
+        blocks=args.blocks,
+        conv_width=args.conv_width,
+        activation=_activation_from_flags(args),
+        mfa=_mfa_config_from_flags(args),
+    )
+
+
 def cmd_analyze(args) -> int:
     series = load_series(args.input, format=args.format)
     cfg = _mfa_config_from_flags(args)
@@ -211,15 +223,7 @@ def _run_once(dataset, model_cfg, train_cfg):
 
 def cmd_train_eval(args) -> int:
     dataset = _dataset_from_flags(args)
-    model_cfg = ModelConfig(
-        n_classes=dataset.n_classes,
-        hidden=args.hidden,
-        filters=args.filters,
-        blocks=args.blocks,
-        conv_width=args.conv_width,
-        activation=_activation_from_flags(args),
-        mfa=_mfa_config_from_flags(args),
-    )
+    model_cfg = _model_config_from_flags(args, dataset.n_classes)
     out_dir = _ensure_out(args.out)
 
     runs = []
@@ -272,15 +276,7 @@ def _config_hash(payload: dict) -> str:
 def cmd_compare(args) -> int:
     dataset = _dataset_from_flags(args)
     out_dir = _ensure_out(args.out)
-    base_model = ModelConfig(
-        n_classes=dataset.n_classes,
-        hidden=args.hidden,
-        filters=args.filters,
-        blocks=args.blocks,
-        conv_width=args.conv_width,
-        activation=_activation_from_flags(args),
-        mfa=_mfa_config_from_flags(args),
-    )
+    base_model = _model_config_from_flags(args, dataset.n_classes)
     train_cfg = TrainConfig(
         lr_weights=args.lr, lr_activation=args.lr_act, epochs=args.epochs, seed=args.seed
     )
@@ -358,8 +354,9 @@ def _add_model_flags(parser):
     parser.add_argument("--eta", type=float, default=1.0)
     parser.add_argument("--hidden", type=int, default=32)
     parser.add_argument("--filters", type=int, default=32)
-    parser.add_argument("--blocks", type=int, default=2)
-    parser.add_argument("--conv-width", type=int, default=4, dest="conv_width")
+    # one block of width-2 convolutions fits the default 12-token documents
+    parser.add_argument("--blocks", type=int, default=1)
+    parser.add_argument("--conv-width", type=int, default=2, dest="conv_width")
 
 
 def _add_train_flags(parser):

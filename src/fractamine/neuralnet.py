@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,33 +69,22 @@ class ModelConfig:
         return replace(self, hidden=200, filters=256, blocks=5)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes,
-            "task": self.task,
-            "hidden": self.hidden,
-            "filters": self.filters,
-            "blocks": self.blocks,
-            "conv_width": self.conv_width,
-            "dense_width": self.dense_width,
-            "attn_dim": self.attn_dim,
-            "activation": self.activation.to_json_dict(),
-            "mfa": self.mfa.to_json_dict(),
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in _NESTED_CONFIGS:
+            payload[name] = payload[name].to_json_dict()
+        return payload
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ModelConfig":
-        return cls(
-            n_classes=payload["n_classes"],
-            task=payload["task"],
-            hidden=payload["hidden"],
-            filters=payload["filters"],
-            blocks=payload["blocks"],
-            conv_width=payload["conv_width"],
-            dense_width=payload["dense_width"],
-            attn_dim=payload["attn_dim"],
-            activation=ActivationSpec.from_json_dict(payload["activation"]),
-            mfa=MfaConfig.from_json_dict(payload["mfa"]),
-        )
+        """Every field is required; a missing key raises KeyError."""
+        values = {f.name: payload[f.name] for f in fields(cls)}
+        for name, config_type in _NESTED_CONFIGS.items():
+            values[name] = config_type.from_json_dict(values[name])
+        return cls(**values)
+
+
+# fields of ModelConfig that serialize through their own to/from_json_dict
+_NESTED_CONFIGS = {"activation": ActivationSpec, "mfa": MfaConfig}
 
 
 @dataclass

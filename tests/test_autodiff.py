@@ -48,6 +48,21 @@ class TestBackward:
         y.backward()
         assert_allclose(x.grad, 1.0)
 
+    def test_one_vjp_call_per_node(self):
+        # a node whose value reaches the output along two paths, with the
+        # same parent listed twice: one vjp call, both entries accumulated
+        calls = []
+        x = leaf([1.0, 2.0])
+
+        def vjp(g):
+            calls.append(g)
+            return g * 2.0, g * 3.0
+
+        node = DiffArray(x.data * 5.0, (x, x), vjp)
+        ad.mean_all(ad.add(node, ad.tanh(node))).backward()
+        assert len(calls) == 1
+        assert_allclose(x.grad, 5.0 * calls[0])
+
     def test_backward_requires_scalar(self):
         x = leaf([1.0, 2.0])
         with pytest.raises(ValueError):
@@ -95,6 +110,14 @@ class TestMatmul:
 
         pt = [leaf(RNG.standard_normal((3, 4))), leaf(RNG.standard_normal(4))]
         assert grad_check(op, pt) < 1e-7
+
+    def test_1d_1d(self):
+        def op(u, v):
+            return ad.matmul(u, v)
+
+        u, v = leaf(RNG.standard_normal(4)), leaf(RNG.standard_normal(4))
+        assert grad_check(op, [u, v]) < 1e-7
+        assert u.grad.shape == v.grad.shape == (4,)
 
 
 class TestShapeOps:
@@ -208,6 +231,18 @@ class TestActivationOps:
         pt = [leaf(RNG.standard_normal((4, 3))), leaf(1.2), leaf(0.8)]
         assert grad_check(op, pt) < 1e-6
 
+    def test_sital_op_partials_once_per_backward(self, monkeypatch):
+        calls = []
+        partials = ad._sital_param_partials
+
+        def counting(*args):
+            calls.append(args)
+            return partials(*args)
+
+        monkeypatch.setattr(ad, "_sital_param_partials", counting)
+        ad.mean_all(ad.sital_op(leaf(RNG.standard_normal((4, 3))), leaf(1.2), leaf(0.8))).backward()
+        assert len(calls) == 1
+
 
 class TestRecurrent:
     def make_point(self, n=5, d=4, h=3):
@@ -297,7 +332,7 @@ class TestGradCheckHarness:
     def test_catches_wrong_gradient(self):
         # a deliberately broken vjp must be flagged
         def op(x):
-            bad = DiffArray(x.data * 2.0, parents=((x, lambda g: g * 3.0),))
+            bad = DiffArray(x.data * 2.0, (x,), lambda g: (g * 3.0,))
             return ad.mean_all(bad)
 
         err = grad_check(op, [leaf(RNG.standard_normal(4))])

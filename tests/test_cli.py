@@ -317,6 +317,20 @@ class TestCompare:
             assert all(c.activation == ActivationSpec("kdac") for c in seen)
 
 
+class TestReadmeCommands:
+    def test_readme_commands_run_on_defaults(self, tmp_path):
+        # the README's compare commands and a train-eval with no model
+        # flags, shrunk to --docs 12 --epochs 1
+        small = ["--docs", "12", "--epochs", "1"]
+        for argv in (
+            ["compare", "--mode", "activations", *small, "--seed", "0"],
+            ["compare", "--mode", "mfa", *small, "--seed", "0"],
+            ["train-eval", *small],
+        ):
+            out = tmp_path / "-".join(argv[:3])
+            assert run([*argv, "--out", str(out)]) == 0, argv
+
+
 class TestCorpusIO:
     def test_round_trip(self, tmp_path):
         ds = synth_embedded_corpus(6, 2, 4, 8, 3.0, seed=0)

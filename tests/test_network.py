@@ -69,6 +69,14 @@ class TestConfig:
         again = ModelConfig.from_json_dict(cfg.to_json_dict())
         assert again.to_json_dict() == cfg.to_json_dict()
 
+    @pytest.mark.parametrize("key", list(ModelConfig().to_json_dict()))
+    def test_from_json_requires_every_key(self, key):
+        # a checkpoint header missing a field must not load with a default
+        payload = micro_config().to_json_dict()
+        del payload[key]
+        with pytest.raises(KeyError):
+            ModelConfig.from_json_dict(payload)
+
     def test_checkpoint_json_pinned(self):
         # the config JSON a checkpoint header carries; the string is the
         # one the field-by-field serializer wrote before MfaConfig had its own
