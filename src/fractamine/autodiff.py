@@ -5,7 +5,10 @@ product: vjp(g) returns one gradient per parent, in parent order.
 backward() runs a topological sweep, calls each node's vjp once and
 accumulates the results into the parents. Recurrent and convolution
 layers are fused ops with hand-written backward passes so graph
-bookkeeping stays off the per-timestep path.
+bookkeeping stays off the per-timestep path. In the recurrent op the
+Python loop over time steps carries only the recurrence: the input
+projection and the weight and input gradients are whole-sequence
+matrix products outside it.
 """
 from __future__ import annotations
 
@@ -270,6 +273,13 @@ def lstm_layer(
     output], each of width h. Boundary hidden and cell states are zero.
     Returns the (n, h) hidden-state sequence; reverse=True processes
     the sequence back to front and returns states in input order.
+
+    The loops over time steps do only the recurrent work. The input
+    projection x @ wx + b is one (n, d) x (d, 4h) product ahead of the
+    forward loop. The backward pass computes every factor that does not
+    depend on the recurrence for all steps at once, carries dh and dc
+    through the loop while it fills the (n, 4h) gate gradient dz, and
+    forms dx, dwx, dwh and db from dz with one product or sum each.
     """
     xd = x.data[::-1] if reverse else x.data
     n = xd.shape[0]
@@ -278,64 +288,55 @@ def lstm_layer(
         raise ValueError("gate weight width must be a multiple of 4")
     h = h4 // 4
 
-    gates = np.empty((n, h4))
+    gates = xd @ wx.data + b.data  # pre-activations, then gate values in place
     cells = np.empty((n, h))
     tanh_c = np.empty((n, h))
     hidden = np.empty((n, h))
     h_prev = np.zeros(h)
     c_prev = np.zeros(h)
     for t in range(n):
-        z = xd[t] @ wx.data + h_prev @ wh.data + b.data
-        zi = np.exp(-np.logaddexp(0.0, -z[: 2 * h]))  # input+forget gates
+        z = gates[t]
+        z += h_prev @ wh.data
         zg = np.tanh(z[2 * h : 3 * h])
-        zo = np.exp(-np.logaddexp(0.0, -z[3 * h :]))
-        gates[t, : 2 * h] = zi
-        gates[t, 2 * h : 3 * h] = zg
-        gates[t, 3 * h :] = zo
-        c_prev = zi[h:] * c_prev + zi[:h] * zg
-        cells[t] = c_prev
-        tanh_c[t] = np.tanh(c_prev)
-        h_prev = zo * tanh_c[t]
-        hidden[t] = h_prev
+        np.exp(-np.logaddexp(0.0, -z), out=z)  # sigmoid of every block,
+        z[2 * h : 3 * h] = zg  # then the cell block takes its tanh back
+        c_prev = np.multiply(z[h : 2 * h], c_prev, out=cells[t])
+        c_prev += z[:h] * zg
+        np.tanh(c_prev, out=tanh_c[t])
+        h_prev = np.multiply(z[3 * h :], tanh_c[t], out=hidden[t])
 
     def vjp(grad_out):
         gh = grad_out[::-1] if reverse else grad_out
-        dwx = np.zeros_like(wx.data)
-        dwh = np.zeros_like(wh.data)
-        db = np.zeros_like(b.data)
-        dx = np.zeros_like(xd)
+        i_g, f_g, g_g, o_g = (gates[:, k * h : (k + 1) * h] for k in range(4))
+        c_old = np.concatenate([np.zeros((1, h)), cells[:-1]])
+        # dz[t] = [dc, dc, dc, dh] * factors[t], per gate block
+        factors = np.stack(
+            [
+                g_g * (i_g * (1.0 - i_g)),
+                c_old * (f_g * (1.0 - f_g)),
+                i_g * (1.0 - g_g * g_g),
+                tanh_c * (o_g * (1.0 - o_g)),
+            ],
+            axis=1,
+        )
+        dc_dh = o_g * (1.0 - tanh_c * tanh_c)
+        dz = np.empty((n, 4, h))
+        dz_rows = dz.reshape(n, h4)
+        wh_t = wh.data.T
         dh_next = np.zeros(h)
         dc_next = np.zeros(h)
         for t in range(n - 1, -1, -1):
-            i_g = gates[t, :h]
-            f_g = gates[t, h : 2 * h]
-            g_g = gates[t, 2 * h : 3 * h]
-            o_g = gates[t, 3 * h :]
-            c_old = cells[t - 1] if t > 0 else np.zeros(h)
-            h_old = hidden[t - 1] if t > 0 else np.zeros(h)
             dh = gh[t] + dh_next
-            do = dh * tanh_c[t]
-            dc = dc_next + dh * o_g * (1.0 - tanh_c[t] ** 2)
-            di = dc * g_g
-            df = dc * c_old
-            dg = dc * i_g
-            dz = np.concatenate(
-                [
-                    di * i_g * (1.0 - i_g),
-                    df * f_g * (1.0 - f_g),
-                    dg * (1.0 - g_g * g_g),
-                    do * o_g * (1.0 - o_g),
-                ]
-            )
-            dwx += np.outer(xd[t], dz)
-            dwh += np.outer(h_old, dz)
-            db += dz
-            dx[t] = dz @ wx.data.T
-            dh_next = dz @ wh.data.T
-            dc_next = dc * f_g
+            dc = dc_next + dh * dc_dh[t]
+            np.multiply(factors[t, :3], dc, out=dz[t, :3])
+            np.multiply(factors[t, 3], dh, out=dz[t, 3])
+            dh_next = dz_rows[t] @ wh_t
+            dc_next = dc * f_g[t]
+        dx = dz_rows @ wx.data.T
         if reverse:
             dx = dx[::-1]
-        return dx, dwx, dwh, db
+        dwh = hidden[:-1].T @ dz_rows[1:]  # the state before step 0 is zero
+        return dx, xd.T @ dz_rows, dwh, dz_rows.sum(axis=0)
 
     out = hidden[::-1] if reverse else hidden
     return DiffArray(out, (x, wx, wh, b), vjp)

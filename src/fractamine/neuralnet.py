@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,12 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture knobs.
-
-    Desk-scale defaults keep every test fast; full_scale() switches to
-    the full-size production configuration (hidden 200, filters 256,
-    five blocks).
-    """
+    """Architecture knobs; desk-scale defaults keep every test fast."""
 
     n_classes: int = 3
     task: str = "classification"  # or "tagging"
@@ -65,8 +60,21 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 
-    def full_scale(self) -> "ModelConfig":
-        return replace(self, hidden=200, filters=256, blocks=5)
+    def min_tokens(self) -> int:
+        """Shortest document the convolution and pooling stack accepts.
+
+        Classification: each stage's two valid convolutions shorten the
+        sequence by 2 * (conv_width - 1), and each block halves it
+        (rounding down) before its stage, so the need is worked back
+        from the last stage. Tagging pads and never pools: one token.
+        """
+        if self.task == "tagging":
+            return 1
+        shrink = 2 * (self.conv_width - 1)
+        need = shrink + 1
+        for _ in range(self.blocks):
+            need = 2 * need + shrink
+        return need
 
     def to_json_dict(self) -> dict:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -1,9 +1,11 @@
-"""Deterministic single-instance trainer with a two-group Adam.
+"""Deterministic single-instance trainer with Adam over one flat buffer.
 
-Weights update at lr_weights, the trainable activation parameters at
-lr_activation; both share one Adam state machine. Instances are
-visited in a seeded shuffle, one forward/backward per instance, so a
-run is reproducible bit for bit.
+The optimizer copies every parameter into one float64 vector and makes
+each tensor a view of it; weights update at lr_weights and the
+trainable activation parameters at lr_activation through one
+per-element rate vector, in one vectorized Adam update per step.
+Instances are visited in a seeded shuffle, one forward/backward per
+instance, so a run is reproducible bit for bit.
 """
 from __future__ import annotations
 
@@ -52,33 +54,81 @@ def _is_activation_param(name: str) -> bool:
 
 
 class _Adam:
+    """Adam over one flat float64 buffer that holds every parameter.
+
+    __init__ copies the tensors in params.tensors into the buffer and
+    rebinds each tensor's data to a view of it, so step() updates all
+    of them in place. The update is elementwise and does the per-tensor
+    arithmetic in the same order, so it is bit-identical to updating
+    each tensor on its own. A tensor whose grad is None in a step keeps
+    its data and its m and v.
+    """
+
     def __init__(self, params: ModelParams, cfg: TrainConfig):
         self.cfg = cfg
         self.step_count = 0
-        self.m = {k: np.zeros_like(t.data) for k, t in params.tensors.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in params.tensors.items()}
+        self.tensors = list(params.tensors.values())
+        ends = np.cumsum([t.data.size for t in self.tensors]).tolist()
+        self.spans = list(zip([0, *ends[:-1]], ends))
+        size = ends[-1]
+        self.data = np.empty(size)
+        self.lr = np.empty(size)
+        for (name, tensor), (start, stop) in zip(params.tensors.items(), self.spans):
+            self.data[start:stop] = tensor.data.reshape(-1)
+            tensor.data = self.data[start:stop].reshape(tensor.data.shape)
+            self.lr[start:stop] = cfg.lr_activation if _is_activation_param(name) else cfg.lr_weights
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.grad = np.empty(size)
+        self._work = (np.empty(size), np.empty(size))
 
-    def step(self, params: ModelParams):
+    def step(self):
         self.step_count += 1
         c = self.cfg
         bc1 = 1.0 - c.adam_beta1**self.step_count
         bc2 = 1.0 - c.adam_beta2**self.step_count
-        for name, tensor in params.tensors.items():
+        runs: list[list[int]] = []  # [start, stop) of consecutive tensors with a grad
+        for tensor, (start, stop) in zip(self.tensors, self.spans):
             if tensor.grad is None:
                 continue
-            g = tensor.grad
-            m = self.m[name]
-            v = self.v[name]
+            self.grad[start:stop] = tensor.grad.reshape(-1)
+            if runs and runs[-1][1] == start:
+                runs[-1][1] = stop
+            else:
+                runs.append([start, stop])
+        for start, stop in runs:
+            part = slice(start, stop)
+            g, m, v = self.grad[part], self.m[part], self.v[part]
+            delta, denom = (w[part] for w in self._work)
             m *= c.adam_beta1
-            m += (1.0 - c.adam_beta1) * g
+            m += np.multiply(g, 1.0 - c.adam_beta1, out=delta)
             v *= c.adam_beta2
-            v += (1.0 - c.adam_beta2) * g * g
-            lr = c.lr_activation if _is_activation_param(name) else c.lr_weights
-            tensor.data = tensor.data - lr * (m / bc1) / (np.sqrt(v / bc2) + c.adam_eps)
+            np.multiply(g, 1.0 - c.adam_beta2, out=delta)
+            delta *= g
+            v += delta
+            # data -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
+            np.divide(m, bc1, out=delta)
+            delta *= self.lr[part]
+            np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+            denom += c.adam_eps
+            delta /= denom
+            self.data[part] -= delta
 
 
 def _precompute_features(dataset: LabeledDataset, model_cfg: ModelConfig) -> list[np.ndarray]:
     return [hurst_features(doc, model_cfg) for doc, _ in dataset.items]
+
+
+def _check_lengths(dataset: LabeledDataset, model_cfg: ModelConfig):
+    """Refuse, before any forward pass, a document the model cannot take."""
+    need = model_cfg.min_tokens()
+    for idx, (doc, _) in enumerate(dataset.items):
+        if doc.n_tokens < need:
+            raise ValueError(
+                f"document {idx} has {doc.n_tokens} tokens; a {model_cfg.task} model with "
+                f"blocks={model_cfg.blocks} and conv_width={model_cfg.conv_width} needs at "
+                f"least {need} (ModelConfig.min_tokens())"
+            )
 
 
 def _instance_loss_and_logits(doc, target, model_cfg, params, fv):
@@ -108,6 +158,7 @@ def train(
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
+    _check_lengths(dataset, model_cfg)
     if params is None:
         embed_dim = dataset.items[0][0].dim
         params = init_params(model_cfg, embed_dim, seed=cfg.seed)
@@ -133,7 +184,7 @@ def train(
                     f"non-finite loss {value} at epoch {epoch}, instance {int(idx)}"
                 )
             loss.backward()
-            optimizer.step(params)
+            optimizer.step()
             losses[pos] = value
             pred = np.argmax(logits.data, axis=-1)
             hits += int(np.sum(pred == target))
@@ -151,6 +202,7 @@ def evaluate(
     features: list[np.ndarray] | None = None,
 ) -> dict:
     """Accuracy and macro-F1 on a dataset with fixed parameters."""
+    _check_lengths(dataset, model_cfg)
     if features is None:
         features = _precompute_features(dataset, model_cfg)
     y_true: list[int] = []

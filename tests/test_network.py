@@ -56,9 +56,19 @@ class TestConfig:
         assert cfg.task == "classification"
         assert cfg.activation.kind == "sital"
 
-    def test_full_scale(self):
-        cfg = ModelConfig().full_scale()
-        assert (cfg.hidden, cfg.filters, cfg.blocks) == (200, 256, 5)
+    def test_min_tokens_of_defaults(self):
+        assert ModelConfig().min_tokens() == 46
+        assert ModelConfig(task="tagging").min_tokens() == 1
+
+    @pytest.mark.parametrize("blocks, width", [(1, 2), (1, 3), (2, 2), (2, 4), (3, 3)])
+    def test_min_tokens_is_what_the_stack_accepts(self, blocks, width):
+        cfg = micro_config(blocks=blocks, conv_width=width)
+        need = cfg.min_tokens()
+        params = init_params(cfg, embed_dim=6, seed=0)
+        fv = np.full(5, 0.5)
+        assert deffsi_forward(micro_doc(n_tokens=need), cfg, params, fv=fv).data.shape == (3,)
+        with pytest.raises(ValueError, match="scnn stage"):
+            deffsi_forward(micro_doc(n_tokens=need - 1), cfg, params, fv=fv)
 
     def test_bad_task(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,9 @@ from numpy.testing import assert_allclose
 from fractamine.activations import ActivationSpec
 from fractamine.autodiff import DiffArray
 from fractamine.multifractal import MfaConfig
-from fractamine.neuralnet import ModelConfig, init_params
+from fractamine.neuralnet import ModelConfig, ModelParams, init_params
 from fractamine.series import EmbeddingMatrix, LabeledDataset, synth_embedded_corpus
+import fractamine.training as training
 from fractamine.training import (
     TrainConfig,
     TrainingDiverged,
@@ -35,6 +36,46 @@ def small_model(**overrides):
 
 def small_corpus(docs=24, seed=0):
     return synth_embedded_corpus(docs, 3, 8, 64, 4.0, seed=seed)
+
+
+class PerTensorAdam:
+    """The per-tensor Adam loop that training._Adam replaced; the oracle."""
+
+    def __init__(self, params, cfg):
+        self.cfg = cfg
+        self.step_count = 0
+        self.m = {k: np.zeros_like(t.data) for k, t in params.tensors.items()}
+        self.v = {k: np.zeros_like(t.data) for k, t in params.tensors.items()}
+
+    def step(self, params):
+        self.step_count += 1
+        c = self.cfg
+        bc1 = 1.0 - c.adam_beta1**self.step_count
+        bc2 = 1.0 - c.adam_beta2**self.step_count
+        for name, tensor in params.tensors.items():
+            if tensor.grad is None:
+                continue
+            g = tensor.grad
+            m = self.m[name]
+            v = self.v[name]
+            m *= c.adam_beta1
+            m += (1.0 - c.adam_beta1) * g
+            v *= c.adam_beta2
+            v += (1.0 - c.adam_beta2) * g * g
+            lr = c.lr_activation if name.startswith("act.") else c.lr_weights
+            tensor.data = tensor.data - lr * (m / bc1) / (np.sqrt(v / bc2) + c.adam_eps)
+
+
+def flat_parts(optimizer, params, flat):
+    """Split one of the optimizer's flat arrays into per-tensor arrays."""
+    return {
+        name: flat[start:stop].reshape(t.data.shape)
+        for (name, t), (start, stop) in zip(params.tensors.items(), optimizer.spans)
+    }
+
+
+def fresh_params(seed=0):
+    return init_params(small_model(), embed_dim=64, seed=seed)
 
 
 class TestMetrics:
@@ -148,6 +189,165 @@ class TestTrain:
         gammas = [t for n, t in params.tensors.items() if n.endswith(".gamma")]
         assert gammas, "sital sites must expose learnable gamma"
         assert any(not np.allclose(g.data, 1.0) for g in gammas)
+
+
+class TestAdam:
+    def set_grads(self, rng, params, skip=()):
+        for name, t in params.tensors.items():
+            scale = 10.0 ** rng.uniform(-6, 1)
+            t.grad = None if name in skip else rng.standard_normal(t.data.shape) * scale
+
+    def test_bit_identical_to_per_tensor_loop(self):
+        cfg = TrainConfig(lr_weights=3e-3, lr_activation=7e-3)
+        flat_params, loop_params = fresh_params(), fresh_params()
+        flat, loop = training._Adam(flat_params, cfg), PerTensorAdam(loop_params, cfg)
+        names = list(flat_params.tensors)
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        for step in range(7):
+            skip = set(names[step::5]) if step % 3 == 2 else ()
+            self.set_grads(rng_a, flat_params, skip)
+            self.set_grads(rng_b, loop_params, skip)
+            flat.step()
+            loop.step(loop_params)
+        m = flat_parts(flat, flat_params, flat.m)
+        v = flat_parts(flat, flat_params, flat.v)
+        for name in names:
+            assert np.array_equal(flat_params.tensors[name].data, loop_params.tensors[name].data), name
+            assert np.array_equal(m[name], loop.m[name]), name
+            assert np.array_equal(v[name], loop.v[name]), name
+
+    def test_tensor_without_grad_is_left_alone(self):
+        params = fresh_params()
+        optimizer = training._Adam(params, TrainConfig())
+        rng = np.random.default_rng(4)
+        self.set_grads(rng, params)
+        optimizer.step()
+        idle = "gate1.kappa"
+        before = (
+            params.tensors[idle].data.copy(),
+            flat_parts(optimizer, params, optimizer.m)[idle].copy(),
+            flat_parts(optimizer, params, optimizer.v)[idle].copy(),
+        )
+        others = {n: t.data.copy() for n, t in params.tensors.items() if n != idle}
+        self.set_grads(rng, params, skip={idle})
+        optimizer.step()
+        after = (
+            params.tensors[idle].data,
+            flat_parts(optimizer, params, optimizer.m)[idle],
+            flat_parts(optimizer, params, optimizer.v)[idle],
+        )
+        for old, new in zip(before, after):
+            assert np.array_equal(old, new)
+        assert all(not np.array_equal(params.tensors[n].data, d) for n, d in others.items())
+
+    def test_activation_and_weight_rates(self):
+        # the first step moves each element by lr * g / (|g| + eps), which is
+        # lr to within a relative eps / |g|
+        cfg = TrainConfig(lr_weights=3e-4, lr_activation=5e-4)
+        params = fresh_params()
+        before = {n: t.data.copy() for n, t in params.tensors.items()}
+        optimizer = training._Adam(params, cfg)
+        for t in params.tensors.values():
+            t.grad = np.full(t.data.shape, 0.25)
+        optimizer.step()
+        names = list(params.tensors)
+        assert any(n.startswith("act.") for n in names)
+        for name in names:
+            lr = cfg.lr_activation if name.startswith("act.") else cfg.lr_weights
+            moved = before[name] - params.tensors[name].data
+            assert_allclose(moved, lr, rtol=1e-6, err_msg=name)
+
+
+class TestTrainParamsContract:
+    """What train promises about the params it is given."""
+
+    def test_zero_grads_once_per_step_before_forward(self, monkeypatch):
+        ds = small_corpus(docs=6)
+        model_cfg = small_model()
+        events = []
+
+        class Recording(ModelParams):
+            def zero_grads(self):
+                events.append("zero")
+                super().zero_grads()
+
+        init = init_params(model_cfg, embed_dim=64, seed=0)
+        params = Recording(config=init.config, embed_dim=init.embed_dim, tensors=init.tensors)
+        forward = training.deffsi_forward
+
+        def recording_forward(*args, **kwargs):
+            assert all(t.grad is None for t in params.tensors.values())
+            events.append("forward")
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(training, "deffsi_forward", recording_forward)
+        train(ds, TrainConfig(epochs=2, seed=0), model_cfg, params=params)
+        assert events == ["zero", "forward"] * (2 * len(ds))
+
+    def test_trains_the_tensors_present_at_call_time(self):
+        ds = small_corpus(docs=6)
+        model_cfg = small_model()
+        params = init_params(model_cfg, embed_dim=64, seed=0)
+        name = "head.w"
+        replaced = params.tensors[name]
+        params.tensors[name] = DiffArray(replaced.data.copy())
+        kept = replaced.data.copy()
+        start = params.tensors[name].data.copy()
+        trained, _ = train(ds, TrainConfig(epochs=1, seed=0), model_cfg, params=params)
+        assert trained.tensors[name] is params.tensors[name]
+        assert not np.array_equal(trained.tensors[name].data, start)
+        assert np.array_equal(replaced.data, kept)
+
+    def test_subclass_is_trained_in_place(self):
+        ds = small_corpus(docs=6)
+        model_cfg = small_model()
+
+        class Subclass(ModelParams):
+            pass
+
+        init = init_params(model_cfg, embed_dim=64, seed=0)
+        params = Subclass(config=init.config, embed_dim=init.embed_dim, tensors=init.tensors)
+        tensors = dict(params.tensors)
+        start = {n: t.data.copy() for n, t in tensors.items()}
+        trained, _ = train(ds, TrainConfig(epochs=1, seed=0), model_cfg, params=params)
+        assert trained is params
+        assert all(trained.tensors[n] is t for n, t in tensors.items())
+        assert any(not np.array_equal(t.data, start[n]) for n, t in tensors.items())
+
+
+class TestDocumentLength:
+    @pytest.mark.parametrize(
+        "model_cfg",
+        [ModelConfig(), small_model(blocks=2, conv_width=3)],
+        ids=["defaults", "blocks2-width3"],
+    )
+    def test_train_and_evaluate_check_min_tokens(self, model_cfg, monkeypatch):
+        need = model_cfg.min_tokens()
+        rng = np.random.default_rng(1)
+
+        def dataset(lengths):
+            docs = [EmbeddingMatrix(rng.standard_normal((n, 16))) for n in lengths]
+            return LabeledDataset(items=[(d, i % 3) for i, d in enumerate(docs)], n_classes=3)
+
+        fits = dataset([need, need + 3])
+        params, _ = train(fits, TrainConfig(epochs=1, seed=0), model_cfg)
+        assert set(evaluate(fits, model_cfg, params)) == {"accuracy", "macro_f1"}
+
+        calls = []
+        forward = training.deffsi_forward
+        monkeypatch.setattr(
+            training, "deffsi_forward", lambda *a, **k: calls.append(1) or forward(*a, **k)
+        )
+        short = dataset([need, need - 1])
+        message = (
+            f"document 1 has {need - 1} tokens.*blocks={model_cfg.blocks} "
+            f"and conv_width={model_cfg.conv_width}.*at least {need}"
+        )
+        with pytest.raises(ValueError, match=message):
+            train(short, TrainConfig(epochs=1, seed=0), model_cfg)
+        with pytest.raises(ValueError, match=message):
+            evaluate(short, model_cfg, params)
+        assert calls == []
 
 
 class TestEvaluate:
