@@ -16,13 +16,13 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from .activations import KINDS, ActivationSpec
 from .fourier_denoise import denoise, diagnostics_json
-from .multifractal import METHODS, MfaConfig, default_q_grid, hurst_profile
+from .multifractal import METHODS, MfaConfig, hurst_profile
 from .neuralnet import ModelConfig, save_checkpoint
 from .series import (
     EmbeddingMatrix,
@@ -42,22 +42,26 @@ FORMAT_VERSION = 1
 
 
 def _parse_q_list(text: str) -> np.ndarray:
+    # an empty list parses here and MfaConfig refuses it
     try:
-        values = np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+        return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
     except ValueError:
-        raise ValueError(f"cannot parse q list {text!r}, expected comma-separated reals") from None
-    if values.size == 0:
-        raise ValueError("q list is empty")
-    return values
+        raise argparse.ArgumentTypeError(
+            f"cannot parse q list {text!r}, expected comma-separated reals"
+        ) from None
 
 
 def _parse_scales(text: str) -> np.ndarray:
     try:
         lo, hi, count = (int(tok) for tok in text.split(":"))
     except ValueError:
-        raise ValueError(f"cannot parse scales {text!r}, expected min:max:count") from None
+        raise argparse.ArgumentTypeError(
+            f"cannot parse scales {text!r}, expected min:max:count"
+        ) from None
     if lo < 4 or hi < lo or count < 1:
-        raise ValueError(f"bad scale range {text!r}: need 4 <= min <= max and count >= 1")
+        raise argparse.ArgumentTypeError(
+            f"bad scale range {text!r}: need 4 <= min <= max and count >= 1"
+        )
     raw = np.exp(np.linspace(np.log(lo), np.log(hi), count))
     return np.unique(np.round(raw).astype(np.int64))
 
@@ -77,39 +81,27 @@ def _ensure_out(path: str) -> str:
     return path
 
 
-def _mfa_config_from_flags(args) -> MfaConfig:
-    q_grid = _parse_q_list(args.q) if args.q else default_q_grid()
-    scales = _parse_scales(args.scales) if args.scales else None
-    return MfaConfig(
-        method=args.method,
-        q_grid=q_grid,
-        scales=scales,
-        vol_window=args.vol_window,
-    )
+def _given(args, config) -> dict:
+    """The flags given on the command line whose dest is a field of config.
 
-
-def _activation_from_flags(args) -> ActivationSpec:
-    params = {}
-    if args.activation == "sital":
-        params = {"gamma": args.gamma, "eta": args.eta}
-    return ActivationSpec(kind=args.activation, params=params)
+    Every flag that sets a config field is named after it and defaults
+    to None, so a flag left out keeps the config's own default.
+    """
+    values = {f.name: getattr(args, f.name, None) for f in fields(config)}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _model_config_from_flags(args, n_classes: int) -> ModelConfig:
-    return ModelConfig(
-        n_classes=n_classes,
-        hidden=args.hidden,
-        filters=args.filters,
-        blocks=args.blocks,
-        conv_width=args.conv_width,
-        activation=_activation_from_flags(args),
-        mfa=_mfa_config_from_flags(args),
-    )
+    base = ModelConfig(n_classes=n_classes)
+    given = _given(args, base)
+    params = {k: getattr(args, k) for k in ("gamma", "eta") if getattr(args, k) is not None}
+    given["activation"] = ActivationSpec(given.get("activation", base.activation.kind), params)
+    return replace(base, mfa=replace(base.mfa, **_given(args, base.mfa)), **given)
 
 
 def cmd_analyze(args) -> int:
     series = load_series(args.input, format=args.format)
-    cfg = _mfa_config_from_flags(args)
+    cfg = replace(MfaConfig(), **_given(args, MfaConfig))
     out_dir = _ensure_out(args.out)
 
     profile = hurst_profile(series, cfg)
@@ -204,16 +196,21 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _dataset_from_flags(args) -> LabeledDataset:
+def _dataset_from_flags(args, seed: int) -> LabeledDataset:
     if args.input:
         return load_corpus(args.input)
     return synth_embedded_corpus(
-        args.docs, args.classes, args.tokens, args.dim, args.separation, args.seed
+        args.docs, args.classes, args.tokens, args.dim, args.separation, seed
     )
 
 
 def _run_once(dataset, model_cfg, train_cfg):
-    train_set, val_set, test_set = split_dataset(dataset, seed=train_cfg.seed)
+    splits = split_dataset(dataset, seed=train_cfg.seed)
+    for name, part in zip(("train", "val", "test"), splits):
+        if not len(part):
+            msg = f"{len(dataset)} documents leave the {name} split empty; the 8:1:1 split needs 8"
+            raise ValueError(msg)
+    train_set, val_set, test_set = splits
     params, history = train(train_set, train_cfg, model_cfg)
     return params, history, {
         "val": evaluate(val_set, model_cfg, params),
@@ -222,20 +219,16 @@ def _run_once(dataset, model_cfg, train_cfg):
 
 
 def cmd_train_eval(args) -> int:
-    dataset = _dataset_from_flags(args)
+    train_cfg = TrainConfig(**_given(args, TrainConfig))
+    dataset = _dataset_from_flags(args, train_cfg.seed)
     model_cfg = _model_config_from_flags(args, dataset.n_classes)
     out_dir = _ensure_out(args.out)
 
     runs = []
     for rep in range(args.repeats):
-        train_cfg = TrainConfig(
-            lr_weights=args.lr,
-            lr_activation=args.lr_act,
-            epochs=args.epochs,
-            seed=args.seed + rep,
-        )
-        params, history, metrics = _run_once(dataset, model_cfg, train_cfg)
-        runs.append({"seed": train_cfg.seed, "history": history, "metrics": metrics})
+        run_cfg = replace(train_cfg, seed=train_cfg.seed + rep)
+        params, history, metrics = _run_once(dataset, model_cfg, run_cfg)
+        runs.append({"seed": run_cfg.seed, "history": history, "metrics": metrics})
         if rep == 0:
             save_checkpoint(params, os.path.join(out_dir, "checkpoint"))
             _write_json(os.path.join(out_dir, "history.json"), {"history": history})
@@ -257,10 +250,7 @@ def cmd_train_eval(args) -> int:
         "train-eval",
         {
             "model": model_cfg.to_json_dict(),
-            "epochs": args.epochs,
-            "lr": args.lr,
-            "lr_act": args.lr_act,
-            "seed": args.seed,
+            "train": asdict(train_cfg),
             "repeats": args.repeats,
             "data": args.input or "synthetic",
         },
@@ -274,12 +264,10 @@ def _config_hash(payload: dict) -> str:
 
 
 def cmd_compare(args) -> int:
-    dataset = _dataset_from_flags(args)
+    train_cfg = TrainConfig(**_given(args, TrainConfig))
+    dataset = _dataset_from_flags(args, train_cfg.seed)
     out_dir = _ensure_out(args.out)
     base_model = _model_config_from_flags(args, dataset.n_classes)
-    train_cfg = TrainConfig(
-        lr_weights=args.lr, lr_activation=args.lr_act, epochs=args.epochs, seed=args.seed
-    )
 
     base_payload = base_model.to_json_dict()
     if args.mode == "activations":
@@ -296,16 +284,14 @@ def cmd_compare(args) -> int:
     else:
         raise ValueError(f"unknown compare mode {args.mode!r}")
 
-    shared_hash = _config_hash(
-        {"base": base_payload, "epochs": args.epochs, "lr": args.lr, "seed": args.seed}
-    )
+    shared_hash = _config_hash({"base": base_payload, "train": asdict(train_cfg)})
 
     def run_variant(pair):
         label, model_cfg = pair
         _, _, metrics = _run_once(dataset, model_cfg, train_cfg)
         return {
             label_field: label,
-            "seed": args.seed,
+            "seed": train_cfg.seed,
             "config_hash": shared_hash,
             "val_accuracy": metrics["val"]["accuracy"],
             "val_macro_f1": metrics["val"]["macro_f1"],
@@ -333,8 +319,7 @@ def cmd_compare(args) -> int:
         {
             "mode": args.mode,
             "base": base_payload,
-            "seed": args.seed,
-            "epochs": args.epochs,
+            "train": asdict(train_cfg),
             "config_hash": shared_hash,
         },
     )
@@ -342,27 +327,27 @@ def cmd_compare(args) -> int:
 
 
 def _add_mfa_flags(parser):
-    parser.add_argument("--method", choices=METHODS, default="mf-dfa")
-    parser.add_argument("--q", default=None, help="comma-separated q values")
-    parser.add_argument("--scales", default=None, help="min:max:count log-spaced windows")
-    parser.add_argument("--vol-window", type=int, default=16, dest="vol_window")
+    parser.add_argument("--method", choices=METHODS, default=None)
+    parser.add_argument("--q", type=_parse_q_list, default=None, dest="q_grid", help="comma-separated q values")
+    parser.add_argument("--scales", type=_parse_scales, default=None, help="min:max:count log-spaced windows")
+    parser.add_argument("--vol-window", type=int, default=None, dest="vol_window")
 
 
 def _add_model_flags(parser):
-    parser.add_argument("--activation", choices=KINDS, default="sital")
-    parser.add_argument("--gamma", type=float, default=1.0)
-    parser.add_argument("--eta", type=float, default=1.0)
-    parser.add_argument("--hidden", type=int, default=32)
-    parser.add_argument("--filters", type=int, default=32)
-    # one block of width-2 convolutions fits the default 12-token documents
-    parser.add_argument("--blocks", type=int, default=1)
-    parser.add_argument("--conv-width", type=int, default=2, dest="conv_width")
+    parser.add_argument("--activation", choices=KINDS, default=None)
+    parser.add_argument("--gamma", type=float, default=None)
+    parser.add_argument("--eta", type=float, default=None)
+    parser.add_argument("--hidden", type=int, default=None)
+    parser.add_argument("--filters", type=int, default=None)
+    parser.add_argument("--blocks", type=int, default=None)
+    parser.add_argument("--conv-width", type=int, default=None, dest="conv_width")
 
 
 def _add_train_flags(parser):
-    parser.add_argument("--epochs", type=int, default=20)
-    parser.add_argument("--lr", type=float, default=3e-4)
-    parser.add_argument("--lr-act", type=float, default=5e-4, dest="lr_act")
+    parser.add_argument("--epochs", type=int, default=None)
+    parser.add_argument("--lr", type=float, default=None, dest="lr_weights")
+    parser.add_argument("--lr-act", type=float, default=None, dest="lr_activation")
+    parser.add_argument("--seed", type=int, default=None, help="also seeds the synthetic corpus")
     parser.add_argument("--repeats", type=int, default=1)
 
 
@@ -415,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_train)
     _add_mfa_flags(p_train)
     _add_train_flags(p_train)
-    p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--out", default=".")
     p_train.set_defaults(fn=cmd_train_eval)
 
@@ -425,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_cmp)
     _add_mfa_flags(p_cmp)
     _add_train_flags(p_cmp)
-    p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--out", default=".")
     p_cmp.set_defaults(fn=cmd_compare)
 

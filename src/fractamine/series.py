@@ -99,9 +99,8 @@ class LabeledDataset:
         return len(self.items)
 
 
-def _parse_csv_lines(path: str, lines: list[str]) -> np.ndarray:
-    """Parse line by line, naming the first line that fails to parse or is not finite."""
-    values = []
+def _csv_error(path: str, lines: list[str]) -> ValueError:
+    """The error naming the first line that fails to parse or is not finite."""
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text:
@@ -109,11 +108,10 @@ def _parse_csv_lines(path: str, lines: list[str]) -> np.ndarray:
         try:
             v = float(text)
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: cannot parse {text!r} as a number") from None
+            return ValueError(f"{path}:{lineno}: cannot parse {text!r} as a number")
         if not np.isfinite(v):
-            raise ValueError(f"{path}:{lineno}: non-finite value {text!r}")
-        values.append(v)
-    return np.array(values)
+            return ValueError(f"{path}:{lineno}: non-finite value {text!r}")
+    return ValueError(f"{path}: no numeric values found")
 
 
 def load_series(path: str, format: str = "csv") -> Series:
@@ -129,14 +127,10 @@ def load_series(path: str, format: str = "csv") -> Series:
             lines = fh.read().split("\n")
         try:
             values = np.fromiter(map(float, filter(None, map(str.strip, lines))), dtype=np.float64)
+            return Series(values)
         except ValueError:
-            values = None
-        if values is None or not np.all(np.isfinite(values)):
             # the slow walk runs only to name the offending line
-            values = _parse_csv_lines(path, lines)
-        if not values.size:
-            raise ValueError(f"{path}: no numeric values found")
-        return Series(values)
+            raise _csv_error(path, lines) from None
     if format == "json":
         with open(path) as fh:
             payload = json.load(fh)
@@ -146,13 +140,10 @@ def load_series(path: str, format: str = "csv") -> Series:
             payload = payload["values"]
         if not isinstance(payload, list) or not payload:
             raise ValueError(f"{path}: expected a non-empty numeric array")
-        arr = np.asarray(payload, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"{path}: expected a flat array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise ValueError(f"{path}: non-finite value at index {bad}")
-        return Series(arr)
+        try:
+            return Series(np.asarray(payload, dtype=np.float64))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     raise ValueError(f"unknown format {format!r}, expected 'csv' or 'json'")
 
 

@@ -1,6 +1,8 @@
+import argparse
 import functools
 import json
 import os
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from fractamine.series import (
     synth_fgn,
     synth_gaussian_noise,
 )
+from fractamine.training import TrainConfig
 
 
 def run(argv):
@@ -51,6 +54,46 @@ class TestParsing:
     def test_missing_input_file(self, tmp_path):
         code = run(["analyze", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            (["--q=abc"], "cannot parse q list 'abc'"),
+            (["--q="], "q_grid must be nonempty"),
+            (["--scales", "64"], "cannot parse scales '64'"),
+        ],
+        ids=["q-text", "q-empty", "scales"],
+    )
+    def test_bad_mfa_flag_says_what_is_wrong(self, tmp_path, capsys, flag, message):
+        series = tmp_path / "s.csv"
+        series.write_text("\n".join(str(v) for v in np.sin(np.arange(256) / 5)))
+        assert run(["analyze", "--input", str(series), *flag, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_activation_parameter_the_kind_does_not_take(self, tmp_path, capsys):
+        argv = ["train-eval", "--docs", "12", "--epochs", "1", "--activation", "relu", "--gamma", "2"]
+        assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert "gamma" in capsys.readouterr().err
+
+    def test_config_flags_default_to_none(self):
+        # a flag that sets a config field carries no default of its own,
+        # so the dataclass default is the only copy
+        config_dests = {
+            f.name for config in (ModelConfig, MfaConfig, TrainConfig) for f in fields(config)
+        } | {"activation", "gamma", "eta"}
+        (subparsers,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        for command in ("analyze", "train-eval", "compare"):
+            actions = [a for a in subparsers.choices[command]._actions if a.dest in config_dests]
+            assert {a.dest for a in actions} >= {"method", "q_grid", "scales", "vol_window"}
+            if command != "analyze":
+                assert {a.dest for a in actions} >= {
+                    "activation", "gamma", "eta", "hidden", "filters", "blocks", "conv_width",
+                    "epochs", "lr_weights", "lr_activation", "seed",
+                }
+            for action in actions:
+                assert action.default is None, (command, action.dest)
 
     def test_parser_registers_all_subcommands(self):
         parser = build_parser()
@@ -236,6 +279,19 @@ class TestTrainEval:
         per_run = [r["metrics"]["test"]["accuracy"] for r in metrics["runs"]]
         assert metrics["mean"]["test"]["accuracy"] == pytest.approx(np.mean(per_run))
 
+    def test_manifest_records_the_config_defaults(self, tmp_path):
+        out = tmp_path / "tr"
+        assert run(["train-eval", "--docs", "12", "--epochs", "1", "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["model"] == ModelConfig(n_classes=3).to_json_dict()
+        assert config["train"] == asdict(TrainConfig(epochs=1, seed=0))
+
+    @pytest.mark.parametrize("docs,empty", [(7, "test"), (3, "val")])
+    def test_empty_split_fails_before_training(self, tmp_path, capsys, monkeypatch, docs, empty):
+        monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("train ran on an empty split"))
+        assert run(["train-eval", "--docs", str(docs), "--out", str(tmp_path / "tr")]) == 2
+        assert f"{docs} documents leave the {empty} split empty" in capsys.readouterr().err
+
     def test_corpus_input_file(self, tmp_path):
         corpus_dir = tmp_path / "c"
         run(
@@ -300,8 +356,9 @@ class TestCompare:
 
         base_mfa = MfaConfig(method="mf-dhv", q_grid=[-1.0, 1.0], vol_window=8, dfa_poly_order=2)
         monkeypatch.setattr(cli, "_run_once", record)
-        monkeypatch.setattr(cli, "_mfa_config_from_flags", lambda args: base_mfa)
-        monkeypatch.setattr(cli, "ModelConfig", functools.partial(ModelConfig, dense_width=7, attn_dim=5))
+        monkeypatch.setattr(
+            cli, "ModelConfig", functools.partial(ModelConfig, dense_width=7, attn_dim=5, mfa=base_mfa)
+        )
         argv = self.compare_args(mode, tmp_path / "cmp") + ["--activation", "kdac"]
         assert run(argv) == 0
         assert len(seen) == (12 if mode == "activations" else 3)
@@ -311,7 +368,7 @@ class TestCompare:
             assert cfg.mfa.vol_window == 8
         if mode == "activations":
             assert [c.activation for c in seen] == [ActivationSpec(k) for k in KINDS]
-            assert all(c.mfa is base_mfa for c in seen)
+            assert all(c.mfa.to_json_dict() == base_mfa.to_json_dict() for c in seen)
         else:
             assert [c.mfa.method for c in seen] == list(mf.METHODS)
             assert all(c.activation == ActivationSpec("kdac") for c in seen)

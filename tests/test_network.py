@@ -57,7 +57,7 @@ class TestConfig:
         assert cfg.activation.kind == "sital"
 
     def test_min_tokens_of_defaults(self):
-        assert ModelConfig().min_tokens() == 46
+        assert ModelConfig().min_tokens() == 8
         assert ModelConfig(task="tagging").min_tokens() == 1
 
     @pytest.mark.parametrize("blocks, width", [(1, 2), (1, 3), (2, 2), (2, 4), (3, 3)])
