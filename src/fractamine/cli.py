@@ -66,6 +66,16 @@ def _parse_scales(text: str) -> np.ndarray:
     return np.unique(np.round(raw).astype(np.int64))
 
 
+def _parse_repeats(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r} as an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _write_json(path: str, payload: dict):
     payload = {"format_version": FORMAT_VERSION, **payload}
     with open(path, "w") as fh:
@@ -196,6 +206,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _data_record(args) -> dict:
+    """The manifest's record of the corpus: its path, or the flags that
+    synthesized it (the seed is TrainConfig.seed)."""
+    if args.input:
+        return {"data": args.input}
+    flags = ("docs", "classes", "tokens", "dim", "separation")
+    return {"data": "synthetic", **{name: getattr(args, name) for name in flags}}
+
+
 def _dataset_from_flags(args, seed: int) -> LabeledDataset:
     if args.input:
         return load_corpus(args.input)
@@ -252,7 +271,7 @@ def cmd_train_eval(args) -> int:
             "model": model_cfg.to_json_dict(),
             "train": asdict(train_cfg),
             "repeats": args.repeats,
-            "data": args.input or "synthetic",
+            **_data_record(args),
         },
     )
     return 0
@@ -321,6 +340,7 @@ def cmd_compare(args) -> int:
             "base": base_payload,
             "train": asdict(train_cfg),
             "config_hash": shared_hash,
+            **_data_record(args),
         },
     )
     return 0
@@ -348,7 +368,7 @@ def _add_train_flags(parser):
     parser.add_argument("--lr", type=float, default=None, dest="lr_weights")
     parser.add_argument("--lr-act", type=float, default=None, dest="lr_activation")
     parser.add_argument("--seed", type=int, default=None, help="also seeds the synthetic corpus")
-    parser.add_argument("--repeats", type=int, default=1)
+    parser.add_argument("--repeats", type=_parse_repeats, default=1)
 
 
 def _add_corpus_flags(parser):

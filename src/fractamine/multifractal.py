@@ -9,6 +9,7 @@ profile as the baseline.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,13 +192,23 @@ def weighted_trend(y: Series, theta: Series, s: int | np.ndarray) -> Series | np
     the output aligns with Y.
 
     An int s gives that scale's trend as a Series. An array of scales
-    gives every scale's trend as the columns of an (N, len(s)) array,
-    from one sweep over positions that updates all scales at once. Each
-    column performs the scalar recursion's IEEE operations in its order,
-    (w_prev * prev + theta_i * Y_i) / total, so it is bit-identical to
-    a per-position loop at that scale. A column that carries its value
-    (before its seed, or at zero total volatility) takes w_prev = 1,
-    theta_i * Y_i = -0.0 and total = 1, which is exact for every prev.
+    gives every scale's trend as the columns of an (N, len(s)) array.
+    Both run one scan over positions, vectorized over scales, of the
+    affine maps prev -> a_i * prev + c_i with a_i = w_prev / total and
+    c_i = theta_i * Y_i / total (a_i = 1 and c_i = 0 where the value is
+    carried). Affine maps compose associatively, so the N-1 rows after
+    the seed row are cut into about sqrt(N) blocks of L = isqrt(N-1)
+    rows: one pass composes the maps inside every block at once, a
+    second carries each block's start value through it, and the fewer
+    than L rows left over run the plain recurrence. That is about
+    2 sqrt(N) vectorized steps in place of N scalar ones, all in place
+    in the a and c buffers.
+
+    Composing reorders the rounding, so the result is not bit-identical
+    to the per-position recursion: each of the about 2 sqrt(N) steps on
+    a path adds a few ulps of max|Y|, and the tests bound the difference
+    by 4 sqrt(N) eps max|Y|. Positions before the seed equal the seed,
+    and a carried position equals its predecessor, exactly.
     """
     n = len(y)
     if len(theta) != n:
@@ -212,22 +223,35 @@ def weighted_trend(y: Series, theta: Series, s: int | np.ndarray) -> Series | np
         raise ValueError("volatilities must be nonnegative")
     pos = np.arange(n)[:, None]
     cumsum = np.concatenate([[0.0], np.cumsum(th)])
-    w_prev = cumsum[:-1, None] - cumsum[np.maximum(pos - scales, 0)]
+    lag = pos - scales
+    np.maximum(lag, 0, out=lag)
+    w_prev = cumsum[lag]
+    del lag
+    np.subtract(cumsum[:-1, None], w_prev, out=w_prev)
     total = w_prev + th[:, None]
     carry = (pos < 2 * scales - 1) | ~(total > 0)
-    w_prev[carry] = 1.0
-    total[carry] = 1.0
-    weighted_y = np.where(carry, -0.0, (th * yv)[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where carried
+        a = np.divide(w_prev, total, out=w_prev)
+        c = np.divide((th * yv)[:, None], total, out=total)
+    np.copyto(a, 1.0, where=carry)
+    np.copyto(c, 0.0, where=carry)
+    c[0] = [yv[sc - 1 : 2 * sc - 1].mean() for sc in scales]  # positions s..2s-1, 1-based
 
-    trends = np.empty((n, scales.size))
-    trends[0] = [yv[sc - 1 : 2 * sc - 1].mean() for sc in scales]  # positions s..2s-1, 1-based
-    prev = trends[0]
-    for row, wp, wy, tot in zip(trends[1:], w_prev[1:], weighted_y[1:], total[1:]):
-        np.multiply(wp, prev, out=row)
-        row += wy
-        row /= tot
-        prev = row
-    return Series(trends[:, 0]) if np.ndim(s) == 0 else trends
+    length = math.isqrt(n - 1)
+    end = 1 + (n - 1) // length * length
+    ab = a[1:end].reshape(-1, length, scales.size)
+    cb = c[1:end].reshape(-1, length, scales.size)
+    for k in range(1, length):
+        cb[:, k] += ab[:, k] * cb[:, k - 1]
+        ab[:, k] *= ab[:, k - 1]
+    prev = c[0]
+    for block_a, block_c in zip(ab, cb):
+        block_a *= prev
+        block_c += block_a
+        prev = block_c[-1]
+    for i in range(end, n):
+        c[i] += a[i] * c[i - 1]
+    return Series(c[:, 0]) if np.ndim(s) == 0 else c
 
 
 def detrend(y: Series, trend: Series, s: int) -> Series:
@@ -345,7 +369,12 @@ def hurst_profile(s: Series, cfg: MfaConfig | None = None) -> HurstProfile:
     its H is NaN.
 
     The volatility methods compute every scale's trend in one
-    weighted_trend sweep, bit-identical to the per-scale recursion. The
+    weighted_trend scan, within 4 sqrt(N) eps max|Y| of the per-scale
+    recursion (its rounding order differs; see weighted_trend). Where
+    the detrended residual is small against max|Y|, as at the smallest
+    scales of fs-mfa's smooth denoised profile, that moves log F by up
+    to about 1e-11, the size of the recursion's own rounding error
+    there; H moves by less than 1e-12. The
     table is built per scale, vectorized over q, and agrees with the
     scalar fluctuation to 1e-12 relative; the slopes are closed-form
     OLS over all q rows at once and agree with np.polyfit to 1e-12.

@@ -286,6 +286,34 @@ class TestTrainEval:
         assert config["model"] == ModelConfig(n_classes=3).to_json_dict()
         assert config["train"] == asdict(TrainConfig(epochs=1, seed=0))
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_refused_before_any_file(self, tmp_path, capsys, monkeypatch, repeats):
+        monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("train ran"))
+        out = tmp_path / "tr"
+        assert run(["train-eval", "--docs", "12", "--repeats", repeats, "--out", str(out)]) == 2
+        assert "--repeats" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_records_the_synthetic_corpus(self, tmp_path):
+        out = tmp_path / "tr"
+        argv = ["train-eval", "--docs", "12", "--tokens", "9", "--separation", "3.5", "--epochs", "1"]
+        assert run([*argv, "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        recorded = {k: config[k] for k in ("data", "docs", "classes", "tokens", "dim", "separation")}
+        assert recorded == {
+            "data": "synthetic", "docs": 12, "classes": 3, "tokens": 9, "dim": 64, "separation": 3.5,
+        }
+
+    def test_manifest_of_an_input_corpus_names_only_the_file(self, tmp_path):
+        corpus = tmp_path / "corpus.json"
+        dataset = synth_embedded_corpus(12, 3, 8, 64, 4.0, seed=5)
+        corpus.write_text(json.dumps(corpus_to_json_dict(dataset)))
+        out = tmp_path / "tr"
+        assert run(["train-eval", "--input", str(corpus), "--epochs", "1", "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["data"] == str(corpus)
+        assert not {"docs", "classes", "tokens", "dim", "separation"} & set(config)
+
     @pytest.mark.parametrize("docs,empty", [(7, "test"), (3, "val")])
     def test_empty_split_fails_before_training(self, tmp_path, capsys, monkeypatch, docs, empty):
         monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("train ran on an empty split"))
@@ -344,6 +372,18 @@ class TestCompare:
         lines = (out / "compare.csv").read_text().strip().splitlines()
         assert len(lines) == 4  # header + 3 rows
         assert lines[0].startswith("method,seed,config_hash")
+
+    def test_manifest_records_the_synthetic_corpus(self, tmp_path, monkeypatch):
+        metrics = {"accuracy": 0.0, "macro_f1": 0.0}
+        monkeypatch.setattr(cli, "_run_once", lambda *a: (None, [], {"val": metrics, "test": metrics}))
+        out = tmp_path / "cmp"
+        assert run(self.compare_args("mfa", out)) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        recorded = {k: config[k] for k in ("data", "docs", "classes", "tokens", "dim", "separation")}
+        assert recorded == {
+            "data": "synthetic", "docs": 15, "classes": 3, "tokens": 8, "dim": 64, "separation": 4.0,
+        }
+        assert config["train"]["seed"] == 3
 
     @pytest.mark.parametrize("mode", ["activations", "mfa"])
     def test_variants_keep_every_base_field(self, tmp_path, monkeypatch, mode):

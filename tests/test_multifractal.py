@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -200,10 +200,39 @@ class TestWeightedTrend:
             weighted_trend(Series(np.arange(20.0)), Series(np.full(20, -1.0)), 3)
 
 
+def trend_bound(y: Series) -> float:
+    """Largest allowed |weighted_trend - weighted_trend_loop|.
+
+    The scan composes about 2 sqrt(N) affine maps on the way to any
+    position (within its block, then across blocks), and each step adds
+    a few ulps relative to max|Y|, which bounds every trend value.
+    """
+    return 4 * np.sqrt(len(y)) * np.finfo(np.float64).eps * np.abs(y.values).max()
+
+
+def carried_positions(theta: Series, s: int) -> np.ndarray:
+    """Positions from the seed on where the loop's total volatility is 0."""
+    th = theta.values
+    cumsum = np.concatenate([[0.0], np.cumsum(th)])
+    i = np.arange(2 * s - 1, th.size)
+    return i[~(cumsum[i] - cumsum[i - s] + th[i] > 0)]
+
+
+def assert_trend_matches_loop(trend: np.ndarray, y: Series, theta: Series, s: int):
+    expected = weighted_trend_loop(y, theta, s)
+    assert np.max(np.abs(trend - expected)) <= trend_bound(y), s
+    # exact wherever the value is copied rather than computed
+    bits = trend.view(np.uint64)
+    assert np.all(bits[: 2 * s - 1] == expected[:1].view(np.uint64)), s
+    carried = carried_positions(theta, s)
+    assert np.array_equal(bits[carried], bits[carried - 1]), s
+    return carried
+
+
 class TestAllScaleSweep:
     @pytest.mark.parametrize("n", [768, 4096])
     @pytest.mark.parametrize("zero_stretch", [False, True])
-    def test_bit_identical_to_loop(self, n, zero_stretch):
+    def test_within_tolerance_of_loop(self, n, zero_stretch):
         rng = np.random.default_rng(n)
         y = Series(np.cumsum(rng.standard_normal(n)))
         th = np.abs(rng.standard_normal(n))
@@ -216,10 +245,31 @@ class TestAllScaleSweep:
         trends = weighted_trend(y, theta, scales)
         assert trends.shape == (n, scales.size)
         for j, s in enumerate(scales):
-            expected = weighted_trend_loop(y, theta, int(s))
-            assert np.array_equal(trends[:, j].view(np.uint64), expected.view(np.uint64)), s
-        s = int(scales[0])
-        assert np.array_equal(weighted_trend(y, theta, s).values, weighted_trend_loop(y, theta, s))
+            carried = assert_trend_matches_loop(trends[:, j], y, theta, int(s))
+            assert carried.size > 0 if zero_stretch else carried.size == 0
+        for s in (int(scales[0]), int(scales[-1])):
+            assert_trend_matches_loop(weighted_trend(y, theta, s).values, y, theta, s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(64, 4096),
+        seed=st.integers(0, 2**32 - 1),
+        stretches=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 0.5)), max_size=3),
+        scale_picks=st.lists(st.floats(0, 1), min_size=1, max_size=5),
+    )
+    # N - 1 = 69 rows: 8 blocks of 8 and a tail of 5 on the plain recurrence
+    @example(n=70, seed=0, stretches=[(0.4, 0.3)], scale_picks=[0.0, 1.0])
+    def test_property_against_loop(self, n, seed, stretches, scale_picks):
+        rng = np.random.default_rng(seed)
+        y = Series(np.cumsum(rng.standard_normal(n)))
+        th = np.abs(rng.standard_normal(n))
+        for start, length in stretches:
+            th[int(start * n) : int((start + length) * n) + 1] = 0.0
+        theta = Series(th)
+        scales = np.unique([2 + round(p * (n // 4 - 2)) for p in scale_picks])
+        trends = weighted_trend(y, theta, scales)
+        for j, s in enumerate(scales):
+            assert_trend_matches_loop(trends[:, j], y, theta, int(s))
 
     def test_guard_uses_largest_scale(self):
         y, theta = Series(np.arange(64.0)), Series(np.ones(64))
@@ -269,6 +319,19 @@ def test_hurst_invariant_under_scaling(c, method):
     scaled = hurst_profile(Series(c * SCALE_INVARIANCE_BASE.values), cfg)
     assert np.all(np.isfinite(base.hurst))
     assert_allclose(scaled.hurst, base.hurst, rtol=0, atol=1e-9)
+
+
+# fs-mfa is left out: its denoiser counts sign changes of the raw series,
+# so a shift moves its H (by 0.24 for x + 0.5 on fGn(4096, H=0.7)), and
+# whether that is kept is still open
+@settings(max_examples=30, deadline=None)
+@given(c=st.floats(min_value=-1e3, max_value=1e3), method=st.sampled_from(("mf-dhv", "mf-dfa")))
+def test_hurst_invariant_under_shift(c, method):
+    cfg = MfaConfig(method=method)
+    base = hurst_profile(SCALE_INVARIANCE_BASE, cfg)
+    shifted = hurst_profile(Series(SCALE_INVARIANCE_BASE.values + c), cfg)
+    assert np.all(np.isfinite(base.hurst))
+    assert_allclose(shifted.hurst, base.hurst, rtol=0, atol=1e-9)
 
 
 class TestDetrend:
