@@ -117,8 +117,9 @@ def _degenerate_terms(gram: np.ndarray, max_terms: int) -> list[int]:
     return sorted({int(col - 1) % max_terms + 1 for col in bad if col > 0})
 
 
-# Eigenvalues of the Gram matrix at or below
-# _GRAM_RESOLUTION * (2m+1) * eps * lambda_max count as zero.
+# The Gram matrix counts as singular when it is not positive definite
+# after _GRAM_RESOLUTION * (2m+1) * eps * ||G||_inf is taken off its
+# diagonal (see fit_fourier).
 _GRAM_RESOLUTION = 10.0
 
 
@@ -169,19 +170,26 @@ def fit_fourier(s: Series, max_terms: int, omega: float | None = None) -> Fourie
     The fit solves the normal equations. The design X (N x (2m+1),
     m = max_terms) is never held whole: its Gram matrix G = X^T X, at
     most 129 x 129, and b = X^T y are summed over row blocks of
-    _FIT_BLOCK samples (_gram_blocked). One symmetric eigendecomposition
-    G = V diag(lam) V^T serves both the rank check and the solve,
-    coef = V (V^T b / lam).
+    _FIT_BLOCK samples (_gram_blocked). The rank test is one Cholesky
+    factorization, the solve one LU solve, coef = solve(G, b); no
+    eigenvalue is computed.
 
-    Rank rule: the design counts as rank-deficient when
-    lam_min <= lam_max * (2m+1) * eps * 10, the resolution of G itself.
-    Since lam = sigma(X)**2, the fit refuses cond(X) above
-    1/sqrt(10 * (2m+1) * eps): 1.9e6 at m = 64, 1.2e7 at m = 1. An SVD
-    solve would accept cond(X) up to about 1/(N * eps), 1e11 or more,
-    but the normal equations square the condition number, so between
-    the two limits the coefficients would be mostly rounding error.
-    The designs denoise builds are close to orthogonal (cond(X) about
-    1.6), far inside the rule.
+    Rank rule: with tau = ||G||_inf * (2m+1) * eps * 10, the design
+    counts as rank-deficient when the Cholesky factorization of
+    G - tau*I fails, that is when G - tau*I is not positive definite,
+    lam_min(G) <= tau up to rounding. ||G||_inf (the largest absolute
+    row sum) is at least lam_max and at most sqrt(2m+1) * lam_max, so
+    tau is never below the resolution of G, lam_max * (2m+1) * eps * 10,
+    and at most sqrt(2m+1) times it. Since lam = sigma(X)**2, the fit
+    refuses cond(X) above 1/sqrt(10 * (2m+1) * eps * ||G||_inf/lam_max):
+    between 5.6e5 and 1.9e6 at m = 64, depending on how far G is from
+    diagonal, and between 9.3e6 and 1.2e7 at m = 1. It accepts every
+    cond(X) below the lower figure, 1/sqrt(10 * (2m+1)**1.5 * eps). An
+    SVD solve would accept cond(X) up to about 1/(N * eps), 1e11 or more,
+    but the normal equations square the condition number, so beyond
+    these limits the coefficients would be mostly rounding error. The
+    designs denoise builds are close to orthogonal (cond(X) at most
+    about 2), far inside the rule.
     """
     n = len(s)
     if max_terms < 1:
@@ -191,11 +199,13 @@ def fit_fourier(s: Series, max_terms: int, omega: float | None = None) -> Fourie
     if omega is None:
         omega = angular_frequency(s)
     gram, b = _gram_blocked(s.values, omega, max_terms)
-    lam, vecs = np.linalg.eigh(gram)
-    resolution = lam[-1] * gram.shape[0] * np.finfo(np.float64).eps * _GRAM_RESOLUTION
-    if not lam[0] > resolution:
-        raise DegenerateBasisError(_degenerate_terms(gram, max_terms))
-    coef = vecs @ ((vecs.T @ b) / lam)
+    size = gram.shape[0]
+    tau = np.abs(gram).sum(axis=1).max() * size * np.finfo(np.float64).eps * _GRAM_RESOLUTION
+    try:
+        np.linalg.cholesky(gram - tau * np.eye(size))
+    except np.linalg.LinAlgError:
+        raise DegenerateBasisError(_degenerate_terms(gram, max_terms)) from None
+    coef = np.linalg.solve(gram, b)
     eta0 = float(coef[0])
     alpha = coef[1 : max_terms + 1].copy()
     beta = coef[max_terms + 1 :].copy()

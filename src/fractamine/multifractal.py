@@ -148,6 +148,7 @@ class HurstProfile:
             "scales": [int(s) for s in self.table.scales],
             "logF": [listify(row) for row in logf],
             "degenerate_scales": [int(s) for s in self.degenerate_scales],
+            "failed_fits": int(np.sum(~np.isfinite(self.hurst))),
         }
         return json.dumps(payload, indent=2)
 
@@ -297,25 +298,6 @@ def fluctuation(variances: np.ndarray, q: float) -> float:
     return float(moment ** (1.0 / q))
 
 
-def _fluctuation_column(variances: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
-    """fluctuation at every q of q_grid for one scale's variances.
-
-    q > 0 takes every window; q <= 0 takes only the windows of nonzero
-    variance. The arithmetic is fluctuation's, broadcast over q, so
-    each entry agrees with the scalar call on the same windows.
-    """
-    v = np.asarray(variances, dtype=np.float64)
-    positive = v[v > 0]
-    out = np.empty(q_grid.size)
-    for rows, base in ((q_grid > 0, v), (q_grid < 0, positive)):
-        q = q_grid[rows]
-        out[rows] = np.mean(base[None, :] ** (q[:, None] / 2.0), axis=1) ** (1.0 / q)
-    zero = q_grid == 0
-    if zero.any():
-        out[zero] = np.exp(0.5 * np.mean(np.log(positive)))
-    return out
-
-
 def polynomial_detrend_variances(y: Series, s: int, order: int) -> np.ndarray:
     """Mean squared residual of a per-window least-squares polynomial."""
     if s <= order + 1:
@@ -331,18 +313,87 @@ def polynomial_detrend_variances(y: Series, s: int, order: int) -> np.ndarray:
     return np.mean(residuals**2, axis=0)
 
 
+def _residual_variances(
+    y: Series, trends: np.ndarray, scales: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """window_variances(detrend(y, trend, s), s) of every scale, concatenated.
+
+    The squared residual trend - Y of scale j fills row j of one (S, N)
+    buffer, followed by one spare 0. Window k of scale s covers positions
+    2s-1+k*s .. 2s-2+(k+1)*s of its row, the rows detrend and
+    window_variances take, and counts[j] windows fit. One np.add.reduceat
+    sums every window of every scale: its cuts are the window starts and,
+    per scale, the end of the last window, whose segment (the dropped
+    tail and the next row's head) is discarded. The spare 0 keeps that
+    cut in range when the last window of the last scale ends at N.
+    """
+    n = len(y)
+    buf = np.empty(scales.size * n + 1)
+    buf[-1] = 0.0
+    np.subtract(trends.T, y.values, out=buf[:-1].reshape(scales.size, n))
+    np.square(buf, out=buf)
+    cuts = counts + 1
+    row = np.repeat(np.arange(scales.size), cuts)
+    k = np.arange(row.size) - np.repeat(np.cumsum(cuts) - cuts, cuts)
+    width = scales[row]
+    sums = np.add.reduceat(buf, row * n + 2 * width - 1 + k * width)
+    window = k < counts[row]
+    return sums[window] / width[window]
+
+
+def _log_fluctuation_table(
+    v: np.ndarray, counts: np.ndarray, q_grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """ln F_q(s) at every (q, scale), and the dropped-scale mask.
+
+    v holds every scale's window variances back to back, counts[j] of
+    them for scale j. For q != 0, with M the largest (q/2) ln v over the
+    cell's windows,
+        ln F_q = (M + ln sum exp((q/2) ln v - M) - ln w) / q,
+    so no power of a variance is formed and |q| = 10 neither overflows
+    nor underflows. M/q is half the scale's largest ln v for q > 0 and
+    half its smallest for q < 0: one maximum or minimum.reduceat per
+    q-sign group. q > 0 takes every window (ln 0 = -inf adds 0) and w
+    counts them; q < 0 takes the nonzero windows (a zero gets ln v =
+    +inf, whose term is again 0) and w counts those. q = 0 is half the
+    mean of ln v over the nonzero windows.
+    """
+    starts = np.cumsum(counts) - counts
+    positive = v > 0
+    nonzero = np.add.reduceat(positive, starts)
+    dropped = (counts - nonzero) / counts > DEGENERATE_WINDOW_FRACTION
+    logf = np.empty((q_grid.size, counts.size))
+    # a dropped scale may have no nonzero window: its NaN and infinite
+    # cells are overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_v = np.log(v)
+        groups = (
+            (q_grid > 0, log_v, np.maximum, counts),
+            (q_grid < 0, np.where(positive, log_v, np.inf), np.minimum, nonzero),
+        )
+        for rows, lv, extreme, w in groups:
+            q = q_grid[rows, None]
+            peak = extreme.reduceat(lv, starts)
+            terms = np.exp(q / 2.0 * (lv - np.repeat(peak, counts)))
+            total = np.add.reduceat(terms, starts, axis=1)
+            logf[rows] = peak / 2.0 + (np.log(total) - np.log(w)) / q
+        logf[q_grid == 0] = 0.5 * (np.add.reduceat(np.where(positive, log_v, 0.0), starts) / nonzero)
+    logf[:, dropped] = np.nan
+    return logf, dropped
+
+
 def _fit_loglog(
-    log_scales: np.ndarray, table: np.ndarray
+    log_scales: np.ndarray, logf: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row OLS slope, intercept and R^2 of ln F_q(s) against ln s.
 
-    A row uses the scales where its entry is finite and positive and is
-    NaN with fewer than MIN_FIT_SCALES of them. Every row is fitted at
-    once in closed form: the other scales get weight 0 in the sums.
+    A row uses the scales where its ln F entry is finite and is NaN with
+    fewer than MIN_FIT_SCALES of them. Every row is fitted at once in
+    closed form: the other scales get weight 0 in the sums.
     """
-    ok = np.isfinite(table) & (table > 0)
+    ok = np.isfinite(logf)
     w = ok.astype(np.float64)
-    logf = np.log(np.where(ok, table, 1.0))
+    logf = np.where(ok, logf, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         n = w.sum(axis=1)
         x_mean = (w @ log_scales) / n
@@ -368,17 +419,28 @@ def hurst_profile(s: Series, cfg: MfaConfig | None = None) -> HurstProfile:
     for every q. Each q needs at least 4 surviving scales, otherwise
     its H is NaN.
 
-    The volatility methods compute every scale's trend in one
-    weighted_trend scan, within 4 sqrt(N) eps max|Y| of the per-scale
-    recursion (its rounding order differs; see weighted_trend). Where
-    the detrended residual is small against max|Y|, as at the smallest
-    scales of fs-mfa's smooth denoised profile, that moves log F by up
-    to about 1e-11, the size of the recursion's own rounding error
-    there; H moves by less than 1e-12. The
-    table is built per scale, vectorized over q, and agrees with the
-    scalar fluctuation to 1e-12 relative; the slopes are closed-form
-    OLS over all q rows at once and agree with np.polyfit to 1e-12.
-    fs-mfa keeps its denoise result in HurstProfile.denoised.
+    One pass serves every scale: apart from mf-dfa's per-scale
+    polynomial fits and weighted_trend's per-scale seed means, the
+    number of numpy calls does not grow with the number of scales.
+    The volatility methods compute every scale's
+    trend in one weighted_trend scan, within 4 sqrt(N) eps max|Y| of
+    the per-scale recursion (its rounding order differs; see
+    weighted_trend). Where the detrended residual is small against
+    max|Y|, as at the smallest scales of fs-mfa's smooth denoised
+    profile, that moves log F by up to about 1e-11, the size of the
+    recursion's own rounding error there; H moves by less than 1e-12.
+    One np.add.reduceat then sums every window of every scale
+    (_residual_variances); mf-dfa concatenates the per-scale
+    polynomial_detrend_variances.
+
+    The table is built in the log domain from the concatenated
+    variances (_log_fluctuation_table), so F_q(s) at |q| = 10 neither
+    overflows nor underflows wherever the variances themselves are
+    finite (H of a series scaled by 1e-100 or 1e100 matches the
+    unscaled one to 1e-9), and it agrees with the scalar fluctuation
+    to 1e-12 relative. The slopes are closed-form OLS of ln F over all
+    q rows at once and agree with np.polyfit to 1e-12. fs-mfa keeps its
+    denoise result in HurstProfile.denoised.
     """
     cfg = cfg or MfaConfig()
     n = len(s)
@@ -392,31 +454,24 @@ def hurst_profile(s: Series, cfg: MfaConfig | None = None) -> HurstProfile:
     denoised = denoise(s) if cfg.method == "fs-mfa" else None
     y = profile_series(denoised[0] if denoised else s)
     if cfg.method == "mf-dfa":
-        per_scale = [polynomial_detrend_variances(y, int(sc), cfg.dfa_poly_order) for sc in scales]
+        counts = n // scales
+        v = np.concatenate(
+            [polynomial_detrend_variances(y, int(sc), cfg.dfa_poly_order) for sc in scales]
+        )
     else:
-        trends = weighted_trend(y, historical_volatility(y, cfg.vol_window), scales)
-        per_scale = [
-            window_variances(detrend(y, Series(trends[:, j]), int(sc)), int(sc))
-            for j, sc in enumerate(scales)
-        ]
-    dropped = np.array(
-        [np.mean(v == 0) > DEGENERATE_WINDOW_FRACTION for v in per_scale], dtype=bool
-    )
+        counts = (n - 2 * scales + 1) // scales
+        theta = historical_volatility(y, cfg.vol_window)
+        v = _residual_variances(y, weighted_trend(y, theta, scales), scales, counts)
+    logf, dropped = _log_fluctuation_table(v, counts, cfg.q_grid)
 
-    q_grid = cfg.q_grid
-    table = np.full((q_grid.size, scales.size), np.nan)
-    for j, (v, drop) in enumerate(zip(per_scale, dropped)):
-        if not drop:
-            table[:, j] = _fluctuation_column(v, q_grid)
-
-    hurst, intercept, r_squared = _fit_loglog(np.log(scales.astype(np.float64)), table)
+    hurst, intercept, r_squared = _fit_loglog(np.log(scales.astype(np.float64)), logf)
     return HurstProfile(
         method=cfg.method,
-        q_grid=q_grid,
+        q_grid=cfg.q_grid,
         hurst=hurst,
         intercept=intercept,
         r_squared=r_squared,
-        table=FluctuationTable(q_grid=q_grid, scales=scales, values=table),
+        table=FluctuationTable(q_grid=cfg.q_grid, scales=scales, values=np.exp(logf)),
         degenerate_scales=scales[dropped],
         config=cfg,
         denoised=denoised,

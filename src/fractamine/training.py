@@ -120,14 +120,25 @@ def _precompute_features(dataset: LabeledDataset, model_cfg: ModelConfig) -> lis
 
 
 def _check_lengths(dataset: LabeledDataset, model_cfg: ModelConfig):
-    """Refuse, before any forward pass, a document the model cannot take."""
+    """Refuse, before any forward pass, a document the model cannot take.
+
+    Explicit mfa.scales must fit the embedding width N of every
+    document, N >= 4*max(scales); hurst_features would otherwise give
+    every document the all-0.5 fallback vector.
+    """
     need = model_cfg.min_tokens()
+    scales = model_cfg.mfa.scales
     for idx, (doc, _) in enumerate(dataset.items):
         if doc.n_tokens < need:
             raise ValueError(
                 f"document {idx} has {doc.n_tokens} tokens; a {model_cfg.task} model with "
                 f"blocks={model_cfg.blocks} and conv_width={model_cfg.conv_width} needs at "
                 f"least {need} (ModelConfig.min_tokens())"
+            )
+        if scales is not None and doc.dim < 4 * scales[-1]:
+            raise ValueError(
+                f"document {idx} has embedding width N = {doc.dim}; mfa.scales up to "
+                f"{scales[-1]} need N >= 4*max(mfa.scales) = {4 * scales[-1]}"
             )
 
 

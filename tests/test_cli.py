@@ -9,6 +9,7 @@ import pytest
 
 import fractamine.cli as cli
 import fractamine.multifractal as mf
+import fractamine.training as training
 from fractamine.activations import KINDS, ActivationSpec
 from fractamine.cli import build_parser, corpus_to_json_dict, load_corpus, main
 from fractamine.fourier_denoise import denoise, diagnostics_json
@@ -293,6 +294,19 @@ class TestTrainEval:
         assert run(["train-eval", "--docs", "12", "--repeats", repeats, "--out", str(out)]) == 2
         assert "--repeats" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_scales_wider_than_the_embedding_refused(self, tmp_path, capsys, monkeypatch):
+        # at the default width of 64 every document would fall back to
+        # the all-0.5 Hurst vector
+        forward = training.deffsi_forward
+        monkeypatch.setattr(training, "deffsi_forward", lambda *a, **k: pytest.fail("forward ran"))
+        argv = ["train-eval", "--docs", "30", "--epochs", "1", "--scales", "64:512:6"]
+        assert run([*argv, "--out", str(tmp_path / "tr")]) == 2
+        err = capsys.readouterr().err
+        assert "mfa.scales" in err and "N = 64" in err and "2048" in err
+        monkeypatch.setattr(training, "deffsi_forward", forward)
+        argv = ["train-eval", "--docs", "12", "--epochs", "1", "--dim", "256", "--scales", "16:64:4"]
+        assert run([*argv, "--out", str(tmp_path / "wide")]) == 0
 
     def test_manifest_records_the_synthetic_corpus(self, tmp_path):
         out = tmp_path / "tr"

@@ -108,6 +108,37 @@ class TestFitFourier:
             fit_fourier(y, max_terms=m, omega=omega)
         assert err.value.terms == [3, 4]
 
+    def test_conditioned_inside_the_rule_fits(self):
+        # the same aliased pair detuned by 1e-7: cond(X) near 1.8e5, below
+        # 1/sqrt(10 * 9**1.5 * eps) = 4.1e6, the least the rule accepts at m = 4
+        n, m = 64, 4
+        omega = 2 * np.pi / 7 * (1 + 1e-7)
+        X = oracle_design(omega, n, m)
+        cond = np.linalg.cond(X)
+        assert 1e5 < cond < 4e5
+        y = np.random.default_rng(3).standard_normal(n)
+        model = fit_fourier(Series(y), max_terms=m, omega=omega)
+        got = np.concatenate([[model.eta0], model.alpha, model.beta])
+        coef = np.linalg.lstsq(X, y, rcond=None)[0]
+        # the normal equations lose cond(X)**2 * eps of the coefficients,
+        # which are large along the near-collinear pair; that direction is
+        # shrunk by sigma_min(X) in the fitted values
+        tol = cond**2 * np.finfo(np.float64).eps * np.abs(coef).max()
+        assert_allclose(got, coef, rtol=0, atol=tol)
+        sigma_min = np.linalg.norm(X, 2) / cond
+        assert_allclose(X @ got, X @ coef, rtol=0, atol=sigma_min * tol)
+
+    def test_conditioned_beyond_the_old_rule_raises(self):
+        # detuned by 1e-9: cond(X) near 1.8e7, above 1/sqrt(10 * 3 * eps)
+        # = 1.2e7, the most the eigenvalue rule accepted at any m
+        n, m = 64, 4
+        omega = 2 * np.pi / 7 * (1 + 1e-9)
+        assert 1.2e7 < np.linalg.cond(oracle_design(omega, n, m)) < 1e8
+        y = Series(np.random.default_rng(3).standard_normal(n))
+        with pytest.raises(DegenerateBasisError) as err:
+            fit_fourier(y, max_terms=m, omega=omega)
+        assert err.value.terms == [3, 4]
+
     def test_explicit_omega_override(self):
         k = np.arange(256, dtype=np.float64)
         w = 2 * np.pi / 32

@@ -277,6 +277,50 @@ class TestAllScaleSweep:
             weighted_trend(y, theta, np.array([4, 17]))
 
 
+def stretchy_series(n: int, flat: int, gaps: list, seed: int) -> Series:
+    """Zero for the first `flat` samples and over each gap, balanced +-1
+    steps elsewhere.
+
+    Each run of steps sums to 0 (an odd run ends on a 0), so the mean is
+    exactly 0 and the profile is exactly 0 over the flat prefix and every
+    gap. Windows inside the prefix have variance exactly 0 under both
+    detrending schemes, and mf-dfa windows inside a gap do too.
+    """
+    steps = np.zeros(n, dtype=bool)
+    steps[flat:] = True
+    for start, length in gaps:
+        steps[int(start * n) : int((start + length) * n)] = False
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], steps.astype(np.int8), [0]])))
+    x = np.zeros(n)
+    rng = np.random.default_rng(seed)
+    for a, b in zip(edges[::2], edges[1::2]):
+        run = np.resize([1.0, -1.0], (b - a) // 2 * 2)
+        rng.shuffle(run)
+        x[a : a + run.size] = run
+    return Series(x)
+
+
+@st.composite
+def table_cases(draw):
+    """(N, method, scales, flat, gaps, seed) with N >= 4*max(scales).
+
+    Half the draws add a scale whose last window ends exactly at N: for
+    mf-dhv one dividing N + 1, so it divides the N - 2s + 1 rows detrend
+    keeps; for mf-dfa one dividing N.
+    """
+    n = draw(st.integers(64, 4096))
+    method = draw(st.sampled_from(("mf-dhv", "mf-dfa")))
+    hi = n // 4
+    picks = draw(st.lists(st.integers(4, hi), min_size=1, max_size=6))
+    end = n + 1 if method == "mf-dhv" else n
+    aligned = [d for d in range(4, hi + 1) if end % d == 0]
+    if aligned and draw(st.booleans()):
+        picks.append(draw(st.sampled_from(aligned)))
+    flat = draw(st.integers(0, n))
+    gaps = draw(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 0.3)), max_size=3))
+    return n, method, np.unique(picks), flat, gaps, draw(st.integers(0, 2**32 - 1))
+
+
 class TestTableAndFitsAgainstOracle:
     CASES = [
         ("fgn", synth_fgn(4096, 0.7, seed=1), METHODS),
@@ -284,14 +328,10 @@ class TestTableAndFitsAgainstOracle:
         ("zero-windows", zero_window_series(), ("mf-dhv", "mf-dfa")),
     ]
 
-    @pytest.mark.parametrize(
-        "series,method",
-        [pytest.param(s, m, id=f"{name}-{m}") for name, s, methods in CASES for m in methods],
-    )
-    def test_matches_scalar_oracle(self, series, method):
-        cfg = MfaConfig(method=method)
+    @staticmethod
+    def assert_matches_oracle(series, cfg):
         prof = hurst_profile(series, cfg)
-        per_scale, dropped, table, fits = oracle_profile(series, cfg)
+        _, dropped, table, fits = oracle_profile(series, cfg)
         assert np.array_equal(prof.degenerate_scales, prof.table.scales[dropped])
         assert np.array_equal(np.isnan(prof.table.values), np.isnan(table))
         assert_allclose(prof.table.values, table, rtol=1e-12, atol=0)
@@ -299,6 +339,28 @@ class TestTableAndFitsAgainstOracle:
         # no relative precision to keep, hence the matching atol
         for got, want in zip((prof.hurst, prof.intercept, prof.r_squared), fits):
             assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "series,method",
+        [pytest.param(s, m, id=f"{name}-{m}") for name, s, methods in CASES for m in methods],
+    )
+    def test_matches_scalar_oracle(self, series, method):
+        self.assert_matches_oracle(series, MfaConfig(method=method))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=table_cases())
+    # N - 2s + 1 = 1024 - 2s is a multiple of every power of two s, so each
+    # scale's last window ends at N, the last scale's at the end of the
+    # one-pass buffer; the flat prefix drops scales 4 and 8 and leaves
+    # zero windows at 64 and 128
+    @example(case=(1023, "mf-dhv", np.array([4, 8, 64, 128]), 600, [], 0))
+    # 31 and 33 divide N = 1023, so their last mf-dfa window ends at N;
+    # the prefix and the gap zero 101 of scale 4's 255 windows
+    @example(case=(1023, "mf-dfa", np.array([4, 31, 33, 255]), 200, [(0.5, 0.2)], 0))
+    def test_property_against_scalar_oracle(self, case):
+        n, method, scales, flat, gaps, seed = case
+        series = stretchy_series(n, flat, gaps, seed)
+        self.assert_matches_oracle(series, MfaConfig(method=method, scales=scales))
 
     @pytest.mark.parametrize("method", ["mf-dhv", "mf-dfa"])
     def test_zero_window_series_exercises_both_rules(self, method):
@@ -311,13 +373,18 @@ class TestTableAndFitsAgainstOracle:
 SCALE_INVARIANCE_BASE = synth_fgn(1024, 0.7, seed=11)
 
 
+# c is log-uniform over [1e-100, 1e100]: the table is built in the log
+# domain, so (sigma^2)^(q/2) at |q| = 10 neither overflows nor underflows
 @settings(max_examples=30, deadline=None)
-@given(c=st.floats(min_value=1e-3, max_value=1e3), method=st.sampled_from(METHODS))
-def test_hurst_invariant_under_scaling(c, method):
+@given(exponent=st.floats(min_value=-100, max_value=100), method=st.sampled_from(METHODS))
+@example(exponent=-100.0, method="mf-dhv")
+@example(exponent=100.0, method="mf-dfa")
+def test_hurst_invariant_under_scaling(exponent, method):
     cfg = MfaConfig(method=method)
     base = hurst_profile(SCALE_INVARIANCE_BASE, cfg)
-    scaled = hurst_profile(Series(c * SCALE_INVARIANCE_BASE.values), cfg)
+    scaled = hurst_profile(Series(10.0**exponent * SCALE_INVARIANCE_BASE.values), cfg)
     assert np.all(np.isfinite(base.hurst))
+    assert np.array_equal(np.isnan(scaled.hurst), np.isnan(base.hurst))
     assert_allclose(scaled.hurst, base.hurst, rtol=0, atol=1e-9)
 
 
@@ -457,6 +524,14 @@ class TestHurstProfile:
         assert len(payload["H"]) == 3
         assert len(payload["logF"]) == 3
         assert len(payload["logF"][0]) == len(payload["scales"])
+        assert payload["failed_fits"] == 0
+
+    def test_json_counts_failed_fits(self):
+        # three scales are fewer than MIN_FIT_SCALES, so every q fails
+        cfg = MfaConfig(method="mf-dfa", q_grid=np.array([-2.0, 2.0]), scales=np.array([16, 32, 64]))
+        payload = json.loads(hurst_profile(synth_gaussian_noise(256, 0), cfg).to_json())
+        assert payload["H"] == [None, None]
+        assert payload["failed_fits"] == 2
 
     def test_fs_mfa_equals_dhv_after_denoise(self):
         # the composed method is exactly: denoise, then the volatility

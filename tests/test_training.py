@@ -350,6 +350,27 @@ class TestDocumentLength:
         assert calls == []
 
 
+    def test_train_and_evaluate_check_explicit_scales(self, monkeypatch):
+        model_cfg = small_model(mfa=MfaConfig(method="mf-dfa", scales=[4, 8]))
+        rng = np.random.default_rng(2)
+
+        def dataset(width):
+            docs = [EmbeddingMatrix(rng.standard_normal((8, width))) for _ in range(3)]
+            return LabeledDataset(items=[(d, i % 3) for i, d in enumerate(docs)], n_classes=3)
+
+        fits = dataset(32)
+        params, _ = train(fits, TrainConfig(epochs=1, seed=0), model_cfg)
+        assert set(evaluate(fits, model_cfg, params)) == {"accuracy", "macro_f1"}
+
+        monkeypatch.setattr(training, "hurst_features", lambda *a: pytest.fail("features ran"))
+        narrow = dataset(31)
+        message = r"width N = 31; mfa.scales up to 8 need N >= 4\*max\(mfa.scales\) = 32"
+        with pytest.raises(ValueError, match=message):
+            train(narrow, TrainConfig(epochs=1, seed=0), model_cfg)
+        with pytest.raises(ValueError, match=message):
+            evaluate(narrow, model_cfg, params)
+
+
 class TestEvaluate:
     def test_metrics_keys_and_range(self):
         ds = small_corpus(docs=12)
