@@ -2,8 +2,12 @@
 
 Each DiffArray node records a tuple of parents and one vector-Jacobian
 product: vjp(g) returns one gradient per parent, in parent order.
-backward() runs a topological sweep, calls each node's vjp once and
-accumulates the results into the parents. Recurrent and convolution
+Every node also takes a creation serial, and since an op builds its node
+after its parents exist, creation order is a topological order.
+backward() therefore needs no graph search: it visits the reached nodes
+in reverse creation order, calls each node's vjp once and accumulates
+the results into the parents (the reverse sweep of Griewank & Walther,
+Evaluating Derivatives, 2nd ed., ch. 3). Recurrent and convolution
 layers are fused ops with hand-written backward passes so graph
 bookkeeping stays off the per-timestep path. In the recurrent op the
 Python loop over time steps carries only the recurrence: the input
@@ -11,6 +15,9 @@ projection and the weight and input gradients are whole-sequence
 matrix products outside it.
 """
 from __future__ import annotations
+
+import heapq
+import itertools
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,6 +49,9 @@ __all__ = [
 ]
 
 
+_SERIALS = itertools.count()  # creation order; parents come before consumers
+
+
 class DiffArray:
     """A value in the computation graph with a gradient slot.
 
@@ -49,13 +59,14 @@ class DiffArray:
     to a tuple holding one gradient per parent, in the same order.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "_parents", "_vjp", "_serial")
 
     def __init__(self, data, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self._parents = parents
         self._vjp = vjp
+        self._serial = next(_SERIALS)
 
     @property
     def shape(self):
@@ -65,30 +76,25 @@ class DiffArray:
         return f"DiffArray(shape={self.data.shape})"
 
     def backward(self):
-        """Accumulate gradients of this scalar into every ancestor."""
+        """Accumulate gradients of this scalar into every ancestor.
+
+        Call it once per graph: grad None marks a node not yet reached,
+        so non-leaf nodes must start without one. Leaf gradients add to
+        what they hold (ModelParams.zero_grads clears them).
+        """
         if self.data.ndim != 0 and self.data.size != 1:
             raise ValueError("backward() starts from a scalar value")
-        topo: list[DiffArray] = []
-        seen: set[int] = set()
-        stack: list[tuple[DiffArray, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node.grad is None or not node._parents:
-                continue
+        heap = [(-self._serial, self)] if self._parents else []
+        while heap:
+            node = heapq.heappop(heap)[1]
             for parent, g in zip(node._parents, node._vjp(node.grad)):
-                parent.grad = g if parent.grad is None else parent.grad + g
+                if parent.grad is None:
+                    parent.grad = g
+                    if parent._parents:
+                        heapq.heappush(heap, (-parent._serial, parent))
+                else:
+                    parent.grad = parent.grad + g
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -383,25 +389,18 @@ def conv1d(
 
 
 def maxpool(t: DiffArray, size: int = 2, stride: int = 2) -> DiffArray:
-    """Max-pool along the length axis of an (L, C) sequence, floor mode."""
+    """Max-pool along the length axis of an (L, C) sequence, floor mode.
+
+    The first maximum of each block takes the gradient (reduce_max).
+    """
     if size != stride:
         raise ValueError("only size == stride pooling is supported")
     ld, c = t.data.shape
     lo = ld // size
     if lo < 1:
         raise ValueError(f"sequence length {ld} shorter than pool size {size}")
-    blocks = t.data[: lo * size].reshape(lo, size, c)
-    idx = np.expand_dims(np.argmax(blocks, axis=1), 1)
-    out = np.take_along_axis(blocks, idx, axis=1).squeeze(1)
-
-    def vjp(g):
-        full = np.zeros_like(blocks)
-        np.put_along_axis(full, idx, np.expand_dims(g, 1), axis=1)
-        dx = np.zeros_like(t.data)
-        dx[: lo * size] = full.reshape(lo * size, c)
-        return (dx,)
-
-    return DiffArray(out, (t,), vjp)
+    blocks = reshape(narrow(t, 0, 0, lo * size), (lo, size, c))
+    return reduce_max(blocks, axis=1)
 
 
 def grad_check(op_handle, point: list[DiffArray], h: float = 1e-5, skip=None) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .activations import KINDS, ActivationSpec
 from .fourier_denoise import denoise, diagnostics_json
-from .multifractal import METHODS, MfaConfig, hurst_profile
+from .multifractal import METHODS, MfaConfig, hurst_profile, log_spaced_scales
 from .neuralnet import ModelConfig, save_checkpoint
 from .series import (
     EmbeddingMatrix,
@@ -62,8 +62,7 @@ def _parse_scales(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(
             f"bad scale range {text!r}: need 4 <= min <= max and count >= 1"
         )
-    raw = np.exp(np.linspace(np.log(lo), np.log(hi), count))
-    return np.unique(np.round(raw).astype(np.int64))
+    return log_spaced_scales(lo, hi, count)
 
 
 def _parse_repeats(text: str) -> int:
@@ -368,7 +367,6 @@ def _add_train_flags(parser):
     parser.add_argument("--lr", type=float, default=None, dest="lr_weights")
     parser.add_argument("--lr-act", type=float, default=None, dest="lr_activation")
     parser.add_argument("--seed", type=int, default=None, help="also seeds the synthetic corpus")
-    parser.add_argument("--repeats", type=_parse_repeats, default=1)
 
 
 def _add_corpus_flags(parser):
@@ -420,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_train)
     _add_mfa_flags(p_train)
     _add_train_flags(p_train)
+    p_train.add_argument("--repeats", type=_parse_repeats, default=1)
     p_train.add_argument("--out", default=".")
     p_train.set_defaults(fn=cmd_train_eval)
 

@@ -32,6 +32,7 @@ __all__ = [
     "hurst_profile",
     "default_q_grid",
     "default_scales",
+    "log_spaced_scales",
 ]
 
 METHODS = ("fs-mfa", "mf-dhv", "mf-dfa")
@@ -47,13 +48,18 @@ def default_q_grid() -> np.ndarray:
     return np.linspace(-10.0, 10.0, 41)
 
 
+def log_spaced_scales(lo: int, hi: int, count: int) -> np.ndarray:
+    """count log-spaced points in [lo, hi], rounded to integers and deduplicated."""
+    raw = np.exp(np.linspace(np.log(lo), np.log(hi), count))
+    return np.unique(np.round(raw).astype(np.int64))
+
+
 def default_scales(n: int, lo: int = 16, count: int = 20) -> np.ndarray:
     """Log-spaced integer window sizes in [lo, n//4], deduplicated."""
     hi = n // 4
     if hi < lo:
         raise ValueError(f"series too short for scale range [{lo}, N/4]: N = {n}")
-    raw = np.exp(np.linspace(np.log(lo), np.log(hi), count))
-    scales = np.unique(np.round(raw).astype(np.int64))
+    scales = log_spaced_scales(lo, hi, count)
     return scales[scales >= 4]
 
 

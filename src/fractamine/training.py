@@ -27,14 +27,17 @@ __all__ = [
     "macro_f1_score",
 ]
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015,
+# arXiv 1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     lr_weights: float = 3e-4
     lr_activation: float = 5e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 20
     seed: int = 0
 
@@ -65,7 +68,6 @@ class _Adam:
     """
 
     def __init__(self, params: ModelParams, cfg: TrainConfig):
-        self.cfg = cfg
         self.step_count = 0
         self.tensors = list(params.tensors.values())
         ends = np.cumsum([t.data.size for t in self.tensors]).tolist()
@@ -84,9 +86,8 @@ class _Adam:
 
     def step(self):
         self.step_count += 1
-        c = self.cfg
-        bc1 = 1.0 - c.adam_beta1**self.step_count
-        bc2 = 1.0 - c.adam_beta2**self.step_count
+        bc1 = 1.0 - ADAM_BETA1**self.step_count
+        bc2 = 1.0 - ADAM_BETA2**self.step_count
         runs: list[list[int]] = []  # [start, stop) of consecutive tensors with a grad
         for tensor, (start, stop) in zip(self.tensors, self.spans):
             if tensor.grad is None:
@@ -100,17 +101,17 @@ class _Adam:
             part = slice(start, stop)
             g, m, v = self.grad[part], self.m[part], self.v[part]
             delta, denom = (w[part] for w in self._work)
-            m *= c.adam_beta1
-            m += np.multiply(g, 1.0 - c.adam_beta1, out=delta)
-            v *= c.adam_beta2
-            np.multiply(g, 1.0 - c.adam_beta2, out=delta)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=delta)
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=delta)
             delta *= g
             v += delta
             # data -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
             np.divide(m, bc1, out=delta)
             delta *= self.lr[part]
             np.sqrt(np.divide(v, bc2, out=denom), out=denom)
-            denom += c.adam_eps
+            denom += ADAM_EPS
             delta /= denom
             self.data[part] -= delta
 
@@ -140,12 +141,6 @@ def _check_lengths(dataset: LabeledDataset, model_cfg: ModelConfig):
                 f"document {idx} has embedding width N = {doc.dim}; mfa.scales up to "
                 f"{scales[-1]} need N >= 4*max(mfa.scales) = {4 * scales[-1]}"
             )
-
-
-def _instance_loss_and_logits(doc, target, model_cfg, params, fv):
-    logits = deffsi_forward(doc, model_cfg, params, fv=fv)
-    loss = ad.cross_entropy(logits, target)
-    return loss, logits
 
 
 def _targets(dataset: LabeledDataset, idx: int):
@@ -188,7 +183,8 @@ def train(
             doc, _ = dataset.items[idx]
             target = _targets(dataset, int(idx))
             params.zero_grads()
-            loss, logits = _instance_loss_and_logits(doc, target, model_cfg, params, features[idx])
+            logits = deffsi_forward(doc, model_cfg, params, fv=features[idx])
+            loss = ad.cross_entropy(logits, target)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingDiverged(
@@ -199,7 +195,7 @@ def train(
             losses[pos] = value
             pred = np.argmax(logits.data, axis=-1)
             hits += int(np.sum(pred == target))
-            total += pred.size if hasattr(pred, "size") else 1
+            total += pred.size
         history.append(
             {"epoch": epoch, "loss": float(losses.mean()), "accuracy": hits / total}
         )
@@ -221,13 +217,8 @@ def evaluate(
     for idx, (doc, _) in enumerate(dataset.items):
         target = _targets(dataset, idx)
         logits = deffsi_forward(doc, model_cfg, params, fv=features[idx])
-        pred = np.argmax(logits.data, axis=-1)
-        if np.ndim(pred) == 0:
-            y_true.append(int(target))
-            y_pred.append(int(pred))
-        else:
-            y_true.extend(int(v) for v in target)
-            y_pred.extend(int(v) for v in pred)
+        y_true.extend(np.ravel(target).tolist())
+        y_pred.extend(np.ravel(np.argmax(logits.data, axis=-1)).tolist())
     classes = model_cfg.n_classes
     return {
         "accuracy": accuracy_score(y_true, y_pred),
@@ -258,15 +249,13 @@ def macro_f1_score(y_true, y_pred, n_classes: int) -> float:
 
 
 def split_dataset(
-    dataset: LabeledDataset, seed: int, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    dataset: LabeledDataset, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
-    """Seeded train/validation/test split preserving item order within parts."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("split ratios must sum to 1")
+    """Seeded 8:1:1 train/validation/test split preserving item order within parts."""
     n = len(dataset)
     order = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(ratios[0] * n))
-    n_val = int(round(ratios[1] * n))
+    n_train = int(round(0.8 * n))
+    n_val = int(round(0.1 * n))
     parts = (order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :])
 
     def build(indices) -> LabeledDataset:

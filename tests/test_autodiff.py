@@ -1,10 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import fractamine.autodiff as ad
 from fractamine.activations import KINDS, ActivationSpec
 from fractamine.autodiff import DiffArray, grad_check
+from fractamine.multifractal import MfaConfig
+from fractamine.neuralnet import ModelConfig, deffsi_forward, hurst_features, init_params
+from fractamine.series import synth_embedded_corpus
 
 
 def leaf(values):
@@ -81,6 +88,151 @@ def lstm_loop_oracle(x, wx, wh, b, grad_out, reverse=False):
         dx = dx[::-1]
         hidden = hidden[::-1]
     return hidden, dx, dwx, dwh, db
+
+
+def dfs_backward_oracle(root):
+    """The sweep that backward() replaced: a two-state depth-first search
+    builds a topological order on every call, and the nodes are visited
+    in its reverse. Returns the nodes in visiting order."""
+    topo = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        if node.grad is None or not node._parents:
+            continue
+        for parent, g in zip(node._parents, node._vjp(node.grad)):
+            parent.grad = g if parent.grad is None else parent.grad + g
+    return topo[::-1]
+
+
+def maxpool_oracle(t, size=2, stride=2):
+    """The single maxpool node that the narrow/reshape/reduce_max
+    composition replaced."""
+    if size != stride:
+        raise ValueError("only size == stride pooling is supported")
+    ld, c = t.data.shape
+    lo = ld // size
+    blocks = t.data[: lo * size].reshape(lo, size, c)
+    idx = np.expand_dims(np.argmax(blocks, axis=1), 1)
+    out = np.take_along_axis(blocks, idx, axis=1).squeeze(1)
+
+    def vjp(g):
+        full = np.zeros_like(blocks)
+        np.put_along_axis(full, idx, np.expand_dims(g, 1), axis=1)
+        dx = np.zeros_like(t.data)
+        dx[: lo * size] = full.reshape(lo * size, c)
+        return (dx,)
+
+    return DiffArray(out, (t,), vjp)
+
+
+def backprop(out, grad_out):
+    """Sweep from out as if the loss were sum(grad_out * out)."""
+    DiffArray(0.0, (out,), lambda g: (grad_out,)).backward()
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+DAG_OPS = ("add", "mul", "tanh", "matmul", "concat")
+
+
+def build_dag(values, steps):
+    """Leaves holding values, then one node per (op, parent picks) step.
+
+    Each pick selects an existing node, so parents are shared freely and
+    a node may take the same parent twice. "concat" is the block product
+    [a b] @ [c; d]. Every node is 3x3; the root is the mean of the last.
+    """
+    leaves = [leaf(v) for v in values]
+    nodes = list(leaves)
+    for op, picks in steps:
+        a, b, c, d = (nodes[i % len(nodes)] for i in picks)
+        if op == "add":
+            node = ad.add(a, b)
+        elif op == "mul":
+            node = ad.mul(a, b)
+        elif op == "tanh":
+            node = ad.tanh(a)
+        elif op == "matmul":
+            node = ad.matmul(a, b)
+        else:
+            node = ad.matmul(ad.concat([a, b], axis=1), ad.concat([c, d], axis=0))
+        nodes.append(node)
+    return leaves, ad.mean_all(nodes[-1])
+
+
+class TestReverseSweep:
+    """backward() against the depth-first sweep it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_leaves=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(
+            st.tuples(st.sampled_from(DAG_OPS), st.tuples(*[st.integers(0, 1000)] * 4)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_random_dags_match_the_dfs_sweep(self, n_leaves, seed, steps):
+        # Positive leaves keep every value and gradient positive, so a
+        # reordered sum of three or more contributions has a relative
+        # error bound; with mixed signs cancellation leaves it none.
+        values = np.random.default_rng(seed).uniform(0.25, 1.0, (n_leaves, 3, 3))
+        leaves, root = build_dag(values, steps)
+        root.backward()
+        oracle_leaves, oracle_root = build_dag(values, steps)
+        visited = dfs_backward_oracle(oracle_root)
+        fan_in = Counter(p._serial for node in visited for p in node._parents)
+        for got, want in zip(leaves, oracle_leaves):
+            if want.grad is None:
+                assert got.grad is None
+            elif max(fan_in.values()) <= 2:
+                assert same_bits(got.grad, want.grad)
+            else:
+                assert_allclose(got.grad, want.grad, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("task", ["classification", "tagging"])
+    def test_criterion_09_network_gradients_bit_identical(self, task):
+        cfg = ModelConfig(
+            n_classes=3,
+            hidden=16,
+            filters=8,
+            blocks=1,
+            conv_width=2,
+            dense_width=16,
+            attn_dim=4,
+            task=task,
+            mfa=MfaConfig(method="mf-dfa", q_grid=np.linspace(-4, 4, 5)),
+        )
+        doc, label = synth_embedded_corpus(3, 3, 12, 64, 4.0, seed=5).items[0]
+        target = np.arange(12) % 3 if task == "tagging" else label
+        params = init_params(cfg, embed_dim=64, seed=5)
+        fv = hurst_features(doc, cfg)
+        grads = []
+        for sweep in (DiffArray.backward, dfs_backward_oracle):
+            params.zero_grads()
+            sweep(ad.cross_entropy(deffsi_forward(doc, cfg, params, fv=fv), target))
+            grads.append({name: t.grad for name, t in params.tensors.items()})
+        got, want = grads
+        assert all(g is not None for g in want.values())
+        for name in want:
+            assert same_bits(got[name], want[name]), name
 
 
 class TestBackward:
@@ -425,6 +577,26 @@ class TestConvPool:
     def test_maxpool_requires_matching_stride(self):
         with pytest.raises(ValueError):
             ad.maxpool(leaf(RNG.standard_normal((8, 2))), 2, 3)
+
+    @pytest.mark.parametrize("length", [3, 7, 9, 12])
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_maxpool_matches_single_node_oracle(self, length, ties, size):
+        rng = np.random.default_rng(length * 10 + size)
+        # values drawn from {0, 1, 2} tie inside most blocks
+        x = rng.integers(0, 3, (length, 4)).astype(float) if ties else rng.standard_normal((length, 4))
+        grad_out = rng.standard_normal((length // size, 4))
+        got_x, want_x = leaf(x), leaf(x)
+        got = ad.maxpool(got_x, size, size)
+        want = maxpool_oracle(want_x, size, size)
+        assert same_bits(got.data, want.data)
+        backprop(got, grad_out)
+        backprop(want, grad_out)
+        assert same_bits(got_x.grad, want_x.grad)
+
+    def test_maxpool_shorter_than_pool_refused(self):
+        with pytest.raises(ValueError, match="shorter than pool size"):
+            ad.maxpool(leaf(RNG.standard_normal((2, 3))), 3, 3)
 
 
 class TestGradCheckHarness:

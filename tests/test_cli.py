@@ -52,6 +52,9 @@ class TestParsing:
         )
         assert code == 2
 
+    def test_scales_flag_uses_the_default_grid(self):
+        assert np.array_equal(cli._parse_scales("16:2048:20"), mf.default_scales(8192))
+
     def test_missing_input_file(self, tmp_path):
         code = run(["analyze", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert code == 2
@@ -398,6 +401,14 @@ class TestCompare:
             "data": "synthetic", "docs": 15, "classes": 3, "tokens": 8, "dim": 64, "separation": 4.0,
         }
         assert config["train"]["seed"] == 3
+
+    def test_repeats_refused(self, tmp_path, capsys, monkeypatch):
+        # compare runs each variant once; --repeats belongs to train-eval
+        monkeypatch.setattr(cli, "_run_once", lambda *a: pytest.fail("a variant ran"))
+        out = tmp_path / "cmp"
+        assert run(self.compare_args("mfa", out) + ["--repeats", "2"]) == 2
+        assert "--repeats" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["activations", "mfa"])
     def test_variants_keep_every_base_field(self, tmp_path, monkeypatch, mode):

@@ -50,20 +50,21 @@ class PerTensorAdam:
     def step(self, params):
         self.step_count += 1
         c = self.cfg
-        bc1 = 1.0 - c.adam_beta1**self.step_count
-        bc2 = 1.0 - c.adam_beta2**self.step_count
+        beta1, beta2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
+        bc1 = 1.0 - beta1**self.step_count
+        bc2 = 1.0 - beta2**self.step_count
         for name, tensor in params.tensors.items():
             if tensor.grad is None:
                 continue
             g = tensor.grad
             m = self.m[name]
             v = self.v[name]
-            m *= c.adam_beta1
-            m += (1.0 - c.adam_beta1) * g
-            v *= c.adam_beta2
-            v += (1.0 - c.adam_beta2) * g * g
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
             lr = c.lr_activation if name.startswith("act.") else c.lr_weights
-            tensor.data = tensor.data - lr * (m / bc1) / (np.sqrt(v / bc2) + c.adam_eps)
+            tensor.data = tensor.data - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 def flat_parts(optimizer, params, flat):
