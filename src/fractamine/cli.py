@@ -4,9 +4,10 @@ Subcommands: analyze (denoise diagnostics and Hurst profile of a
 series file), synth (oracle data generators), train-eval (train the
 classifier on a corpus and report held-out metrics), compare (the
 activation-zoo and multifractal-method harnesses). Every run writes a
-manifest echoing its full effective configuration, and every JSON
-output carries format_version. Exit codes: 0 success, 1 internal
-error, 2 usage or input error.
+manifest echoing its full effective configuration and the fractamine,
+Python and numpy versions that ran it, and every JSON output carries
+format_version. Exit codes: 0 success, 1 internal error, 2 usage or
+input error.
 """
 from __future__ import annotations
 
@@ -14,12 +15,14 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import traceback
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 
+from . import __version__
 from .activations import KINDS, ActivationSpec
 from .fourier_denoise import denoise, diagnostics_json
 from .multifractal import METHODS, MfaConfig, hurst_profile, log_spaced_scales
@@ -82,7 +85,15 @@ def _write_json(path: str, payload: dict):
 
 
 def _manifest(out_dir: str, command: str, config: dict):
-    _write_json(os.path.join(out_dir, "manifest.json"), {"command": command, "config": config})
+    versions = {
+        "fractamine": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    _write_json(
+        os.path.join(out_dir, "manifest.json"),
+        {"command": command, "versions": versions, "config": config},
+    )
 
 
 def _ensure_out(path: str) -> str:

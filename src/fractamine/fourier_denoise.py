@@ -10,6 +10,7 @@ along the energy-descending ranking.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,17 +104,22 @@ def _trig_rows(out: np.ndarray, omega: float, harmonics: np.ndarray) -> np.ndarr
     return out
 
 
-def _degenerate_terms(gram: np.ndarray, max_terms: int) -> list[int]:
+def _degenerate_terms(gram: np.ndarray, max_terms: int, tau: float) -> list[int]:
     """Harmonics whose columns vanish or are collinear with another column.
 
-    Column norms and pairwise cosines come straight from the Gram matrix.
-    The constant column (index 0) names no harmonic.
+    A column vanishes when its squared norm G[i, i] is at most tau, the
+    resolution of G in the rank rule (see fit_fourier): G is summed from
+    power sums, not from the columns, so a smaller diagonal entry is
+    rounding, and so are the cosines it would give. Pairwise cosines of
+    the other columns come straight from G. The constant column (index
+    0) names no harmonic.
     """
-    norms = np.sqrt(np.diag(gram))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cosines = np.abs(gram) / np.outer(norms, norms)
+    sq = np.diag(gram)
+    vanish = sq <= tau
+    norms = np.sqrt(np.where(vanish, np.inf, sq))
+    cosines = np.abs(gram) / np.outer(norms, norms)
     np.fill_diagonal(cosines, 0.0)
-    bad = np.flatnonzero((norms < 1e-9) | np.any(cosines > 1.0 - 1e-9, axis=1))
+    bad = np.flatnonzero(vanish | np.any(cosines > 1.0 - 1e-9, axis=1))
     return sorted({int(col - 1) % max_terms + 1 for col in bad if col > 0})
 
 
@@ -123,39 +129,86 @@ def _degenerate_terms(gram: np.ndarray, max_terms: int) -> list[int]:
 _GRAM_RESOLUTION = 10.0
 
 
-# Samples per row block of the design in fit_fourier. It bounds the
-# fit's working memory at one (2m+1) x 4096 block, 4.2 MB at m = 64,
-# whatever N is.
-_FIT_BLOCK = 4096
+def _phases(omega: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(omega*q) and sin(omega*q) for an integer array q.
+
+    The product omega*q rounds to arg with an error r up to
+    eps*|omega*q|/2, which cos and sin alone would pass on. Splitting
+    omega into a 26-bit head and a tail (Veltkamp) makes head*q and
+    tail*q exact for q below 2**26, so r = (head*q - arg) + tail*q is
+    exact (Dekker's product), and cos(arg + r) = cos(arg) - r*sin(arg),
+    sin(arg + r) = sin(arg) + r*cos(arg) up to r**2/2.
+    """
+    t = omega * 134217729.0  # 2**27 + 1
+    head = t - (t - omega)
+    q = q.astype(np.float64)
+    arg = omega * q
+    r = (head * q - arg) + (omega - head) * q
+    c, s = np.cos(arg), np.sin(arg)
+    return c - r * s, s + r * c
 
 
-def _gram_blocked(y: np.ndarray, omega: float, max_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """G = X^T X and b = X^T y of the design, one row block at a time.
+def _power_sums(y: np.ndarray, omega: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """C_v(j) and S_v(j), the sums of v_k cos(j*omega*k) and v_k sin(j*omega*k).
 
-    X has the rows [1, cos(u*omega*k), sin(u*omega*k)] for u = 1..m at
-    k = 1..N; each block holds it transposed, one contiguous row per
-    basis function. Within a block, cos and sin of harmonic u are the
-    real and imaginary parts of z**u, z = exp(i*omega*k), built by the
-    recurrence z**u = z**(u-1) * z. Its rounding error grows to about
-    m*eps, within the argument rounding of cos(u*omega*k) itself.
+    k runs over 1..N and j over 0..count-1, for v = 1 (row 0 of each
+    (2, count) result) and v = y (row 1). They are the real and
+    imaginary parts of P_v(j) = sum_k v_k exp(i*j*omega*k). With
+    L = isqrt(N), each position is written as k = 1 + a*L + l (l < L)
+    and v is zero-padded to J*L rows, so
+
+        P(j) = sum_l exp(i*j*omega*(l+1)) * sum_a v[a*L+l] * exp(i*j*omega*L*a).
+
+    The inner sums are one real (count x J) @ (J x L) product per real
+    and imaginary part, the outer sum one elementwise product reduced
+    over l, and only (J + L) * count phases are evaluated, each at an
+    integer multiple of omega (_phases).
     """
     n = y.size
+    length = math.isqrt(n)
+    rows = -(-n // length)
+    v = np.zeros((2, rows * length))
+    v[0, :n] = 1.0
+    v[1, :n] = y
+    v = v.reshape(2, rows, length)
+    j = np.arange(count)
+    cos_outer, sin_outer = _phases(omega, np.outer(j, length * np.arange(rows)))
+    c, s = _phases(omega, np.outer(j, np.arange(1, length + 1)))
+    re, im = cos_outer @ v, sin_outer @ v
+    dot = "jl,vjl->vj"
+    return (
+        np.einsum(dot, c, re) - np.einsum(dot, s, im),
+        np.einsum(dot, c, im) + np.einsum(dot, s, re),
+    )
+
+
+def _normal_equations(y: np.ndarray, omega: float, max_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """G = X^T X and b = X^T y of the design, from power sums alone.
+
+    X has the rows [1, cos(u*omega*k), sin(u*omega*k)] for u = 1..m at
+    k = 1..N. With C(j) = C_1(j) and S(j) = S_1(j) (_power_sums), the
+    product-to-sum identities give every entry of G from C and S at
+    j = |u-v| and u+v:
+        cos_u cos_v = (C(u-v) + C(u+v)) / 2,
+        sin_u sin_v = (C(u-v) - C(u+v)) / 2,
+        cos_u sin_v = (S(u+v) - S(u-v)) / 2,
+    and the constant row is [N, C(u), S(u)]. b is [C_y(0), C_y(u),
+    S_y(u)]. Neither X nor any N-long trigonometric row is formed.
+    """
     m = max_terms
-    gram = np.zeros((2 * m + 1, 2 * m + 1))
-    b = np.zeros(2 * m + 1)
-    block = np.empty((2 * m + 1, min(n, _FIT_BLOCK)))
-    block[0] = 1.0
-    for start in range(0, n, _FIT_BLOCK):
-        stop = min(start + _FIT_BLOCK, n)
-        xt = block[:, : stop - start]
-        z = np.exp(1j * omega * np.arange(start + 1, stop + 1, dtype=np.float64))
-        p = np.ones_like(z)
-        for u in range(1, m + 1):
-            p *= z
-            xt[u] = p.real
-            xt[m + u] = p.imag
-        gram += xt @ xt.T
-        b += xt @ y[start:stop]
+    (c, cy), (s, sy) = _power_sums(y, omega, 2 * m + 1)
+    u = np.arange(1, m + 1)
+    diff = u[:, None] - u
+    lag, lead = np.abs(diff), u[:, None] + u
+    cos_sin = (s[lead] - np.sign(diff) * s[lag]) / 2.0
+    gram = np.empty((2 * m + 1, 2 * m + 1))
+    gram[0, 0] = y.size
+    gram[0, 1:] = gram[1:, 0] = np.concatenate([c[u], s[u]])
+    gram[1 : m + 1, 1 : m + 1] = (c[lag] + c[lead]) / 2.0
+    gram[m + 1 :, m + 1 :] = (c[lag] - c[lead]) / 2.0
+    gram[1 : m + 1, m + 1 :] = cos_sin
+    gram[m + 1 :, 1 : m + 1] = cos_sin.T
+    b = np.concatenate([cy[: m + 1], sy[u]])
     return gram, b
 
 
@@ -168,11 +221,14 @@ def fit_fourier(s: Series, max_terms: int, omega: float | None = None) -> Fourie
     offending terms rather than returning an unidentifiable fit.
 
     The fit solves the normal equations. The design X (N x (2m+1),
-    m = max_terms) is never held whole: its Gram matrix G = X^T X, at
-    most 129 x 129, and b = X^T y are summed over row blocks of
-    _FIT_BLOCK samples (_gram_blocked). The rank test is one Cholesky
-    factorization, the solve one LU solve, coef = solve(G, b); no
-    eigenvalue is computed.
+    m = max_terms) is never formed: its Gram matrix G = X^T X, at most
+    129 x 129, and b = X^T y follow from the 2m+1 power sums
+    sum_k v_k exp(i*j*omega*k) of v = 1 and v = y (_normal_equations),
+    as in Fourier-detrended fluctuation analysis (Chianca, Ticona and
+    Penna 2005). Building them evaluates O(sqrt(N) * m) phases, for any
+    omega, and the largest temporary is a zero-padded copy of 1 and y.
+    The rank test is one Cholesky factorization, the solve one LU solve,
+    coef = solve(G, b); no eigenvalue is computed.
 
     Rank rule: with tau = ||G||_inf * (2m+1) * eps * 10, the design
     counts as rank-deficient when the Cholesky factorization of
@@ -198,13 +254,13 @@ def fit_fourier(s: Series, max_terms: int, omega: float | None = None) -> Fourie
         raise ValueError(f"need N >= 2*max_terms+1 = {2 * max_terms + 1}, got N = {n}")
     if omega is None:
         omega = angular_frequency(s)
-    gram, b = _gram_blocked(s.values, omega, max_terms)
+    gram, b = _normal_equations(s.values, omega, max_terms)
     size = gram.shape[0]
     tau = np.abs(gram).sum(axis=1).max() * size * np.finfo(np.float64).eps * _GRAM_RESOLUTION
     try:
         np.linalg.cholesky(gram - tau * np.eye(size))
     except np.linalg.LinAlgError:
-        raise DegenerateBasisError(_degenerate_terms(gram, max_terms)) from None
+        raise DegenerateBasisError(_degenerate_terms(gram, max_terms, tau)) from None
     coef = np.linalg.solve(gram, b)
     eta0 = float(coef[0])
     alpha = coef[1 : max_terms + 1].copy()

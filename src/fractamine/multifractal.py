@@ -25,7 +25,6 @@ __all__ = [
     "profile_series",
     "historical_volatility",
     "weighted_trend",
-    "detrend",
     "window_variances",
     "fluctuation",
     "polynomial_detrend_variances",
@@ -230,11 +229,10 @@ def weighted_trend(y: Series, theta: Series, s: int | np.ndarray) -> Series | np
         raise ValueError("volatilities must be nonnegative")
     pos = np.arange(n)[:, None]
     cumsum = np.concatenate([[0.0], np.cumsum(th)])
-    lag = pos - scales
-    np.maximum(lag, 0, out=lag)
-    w_prev = cumsum[lag]
-    del lag
-    np.subtract(cumsum[:-1, None], w_prev, out=w_prev)
+    w_prev = np.empty((n, scales.size))  # cumsum[i] - cumsum[max(i - s, 0)]
+    for col, sc in zip(w_prev.T, scales):
+        col[:sc] = cumsum[:sc]
+        np.subtract(cumsum[sc:n], cumsum[: n - sc], out=col[sc:])
     total = w_prev + th[:, None]
     carry = (pos < 2 * scales - 1) | ~(total > 0)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where carried
@@ -259,16 +257,6 @@ def weighted_trend(y: Series, theta: Series, s: int | np.ndarray) -> Series | np
     for i in range(end, n):
         c[i] += a[i] * c[i - 1]
     return Series(c[:, 0]) if np.ndim(s) == 0 else c
-
-
-def detrend(y: Series, trend: Series, s: int) -> Series:
-    """Residual trend - Y on the valid range [2s, N], length N-2s+1."""
-    n = len(y)
-    if len(trend) != n:
-        raise ValueError("y and trend lengths differ")
-    if n < 2 * s:
-        raise ValueError(f"need N >= 2s = {2 * s}, got {n}")
-    return Series(trend.values[2 * s - 1 :] - y.values[2 * s - 1 :])
 
 
 def window_variances(d: Series, s: int) -> np.ndarray:
@@ -322,12 +310,13 @@ def polynomial_detrend_variances(y: Series, s: int, order: int) -> np.ndarray:
 def _residual_variances(
     y: Series, trends: np.ndarray, scales: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """window_variances(detrend(y, trend, s), s) of every scale, concatenated.
+    """window_variances of every scale's residual trend - Y, concatenated.
 
-    The squared residual trend - Y of scale j fills row j of one (S, N)
+    The residual of scale s is valid from position 2s (1-based) on. The
+    squared residual trend - Y of scale j fills row j of one (S, N)
     buffer, followed by one spare 0. Window k of scale s covers positions
-    2s-1+k*s .. 2s-2+(k+1)*s of its row, the rows detrend and
-    window_variances take, and counts[j] windows fit. One np.add.reduceat
+    2s-1+k*s .. 2s-2+(k+1)*s of its row (0-based), the rows
+    window_variances takes, and counts[j] windows fit. One np.add.reduceat
     sums every window of every scale: its cuts are the window starts and,
     per scale, the end of the last window, whose segment (the dropped
     tail and the next row's head) is discarded. The spare 0 keeps that

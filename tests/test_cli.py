@@ -2,11 +2,13 @@ import argparse
 import functools
 import json
 import os
+import platform
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
+import fractamine
 import fractamine.cli as cli
 import fractamine.multifractal as mf
 import fractamine.training as training
@@ -27,6 +29,23 @@ from fractamine.training import TrainConfig
 
 def run(argv):
     return main(argv)
+
+
+def test_manifests_record_the_versions(tmp_path):
+    series = tmp_path / "data" / "series.csv"
+    assert run(["synth", "fgn", "--n", "1024", "--seed", "2", "--out", str(series.parent)]) == 0
+    runs = {
+        "an": ["analyze", "--input", str(series), "--method", "mf-dfa"],
+        "tr": ["train-eval", "--docs", "12", "--epochs", "1"],
+    }
+    for out, argv in runs.items():
+        assert run([*argv, "--out", str(tmp_path / out)]) == 0
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert manifest["versions"] == {
+            "fractamine": fractamine.__version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        }
 
 
 class TestParsing:

@@ -17,6 +17,7 @@ from fractamine.fourier_denoise import (
     fit_fourier,
     reconstruct,
     select_order,
+    _normal_equations,
 )
 from fractamine.series import Series, synth_fgn
 
@@ -94,6 +95,15 @@ class TestFitFourier:
         with pytest.raises(DegenerateBasisError) as err:
             fit_fourier(s, max_terms=20)
         assert 20 in err.value.terms
+
+    @pytest.mark.parametrize("n,t", [(1462, 4.0), (2918, 4 * (1 + 1e-13))], ids=["exact", "detuned"])
+    def test_vanishing_column_named_alone(self, n, t):
+        # at omega = 2*pi/4 the sin column of harmonic 2 is zero (or, detuned,
+        # below the resolution of G); harmonic 1 is sound and is not named
+        y = Series(np.random.default_rng(n).standard_normal(n))
+        with pytest.raises(DegenerateBasisError) as err:
+            fit_fourier(y, max_terms=2, omega=2 * np.pi / t)
+        assert err.value.terms == [2]
 
     def test_near_collinear_pair_raises(self):
         # harmonics 3 and 4 alias at omega = 2*pi/7; a 1e-10 detuning leaves
@@ -180,9 +190,43 @@ def test_fit_matches_lstsq_oracle(design, seed):
     assert_allclose(model.beta, coef[m + 1 :], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "n,omega,m",
+    [
+        (1000, 2 * np.pi / 37, 16),  # N not a perfect square: the power sums pad
+        (17, 2 * np.pi / 5, 8),  # N = 2m+1
+        (500, 2 * np.pi / 21, 10),  # T = 2m+1: u+v reaches T-1
+        (777, 2 * np.pi / 777, 64),  # the fallback omega = 2*pi/N
+        (4096, 0.7345, 5),  # a general omega, N a perfect square
+    ],
+    ids=["padded", "n-is-2m+1", "t-is-2m+1", "fallback-omega", "general-omega"],
+)
+def test_normal_equations_match_direct_sums(n, omega, m):
+    y = np.random.default_rng(n).standard_normal(n)
+    X = oracle_design(omega, n, m)
+    gram, b = _normal_equations(y, omega, m)
+    # an index or sign slip moves an entry by O(N) or O(|y|_1)
+    assert_allclose(gram, X.T @ X, rtol=0, atol=1e-12 * n)
+    assert_allclose(b, X.T @ y, rtol=0, atol=1e-12 * np.abs(y).sum())
+    assert np.array_equal(gram, gram.T)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is not wider than float64")
+def test_normal_equations_within_rounding_of_extended_precision():
+    # the phases j*omega*k reach 1.6e4 here, so rounding omega*q alone,
+    # uncorrected, would move G by about 5e-14 N and b by 1e-14 |y|_1
+    n, m, omega = 4097, 64, 2 * np.pi / 129
+    y = np.random.default_rng(1).standard_normal(n)
+    arg = np.longdouble(omega) * np.outer(np.arange(1, m + 1), np.arange(1, n + 1))
+    X = np.vstack([np.ones((1, n), dtype=np.longdouble), np.cos(arg), np.sin(arg)])
+    gram, b = _normal_equations(y, omega, m)
+    assert np.abs(gram - X @ X.T).max() <= 1e-15 * n
+    assert np.abs(b - X @ y).max() <= 1e-15 * np.abs(y).sum()
+
+
 @pytest.mark.parametrize("n,t,m", [(4097, 129, 64), (12289, 3001, 64), (9000, 9000, 3)])
 def test_blocked_fit_matches_lstsq_oracle(n, t, m):
-    # several row blocks, the last one partial
+    # long series at N = 64**2 + 1 and two other non-squares, m up to 64
     omega = 2 * np.pi / t
     y = synth_fgn(n, 0.7, seed=n).values
     model = fit_fourier(Series(y), max_terms=m, omega=omega)

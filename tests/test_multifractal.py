@@ -14,7 +14,6 @@ from fractamine.multifractal import (
     MfaConfig,
     default_q_grid,
     default_scales,
-    detrend,
     fluctuation,
     historical_volatility,
     hurst_profile,
@@ -43,6 +42,16 @@ def weighted_trend_loop(y: Series, theta: Series, s: int) -> np.ndarray:
             prev = (w_prev * prev + w_cur * yv[i]) / total
         trend[i] = prev
     return trend
+
+
+def detrend(y: Series, trend: Series, s: int) -> Series:
+    """Residual trend - Y on the valid range [2s, N], length N-2s+1."""
+    n = len(y)
+    if len(trend) != n:
+        raise ValueError("y and trend lengths differ")
+    if n < 2 * s:
+        raise ValueError(f"need N >= 2s = {2 * s}, got {n}")
+    return Series(trend.values[2 * s - 1 :] - y.values[2 * s - 1 :])
 
 
 def oracle_profile(s: Series, cfg: MfaConfig):
