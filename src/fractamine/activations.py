@@ -85,13 +85,6 @@ class ActivationSpec:
             raise ValueError("kdac requires mu > 0")
         object.__setattr__(self, "params", merged)
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "ActivationSpec":
-        return cls(kind=payload["kind"], params=dict(payload.get("params", {})))
-
 
 def _sigmoid(x):
     # exp(-logaddexp(0, -x)) = 1/(1+e^-x), overflow-free on both tails

@@ -18,15 +18,15 @@ import os
 import platform
 import sys
 import traceback
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import __version__
 from .activations import KINDS, ActivationSpec
-from .fourier_denoise import denoise, diagnostics_json
+from .fourier_denoise import denoise, diagnostics
 from .multifractal import METHODS, MfaConfig, hurst_profile, log_spaced_scales
-from .neuralnet import ModelConfig, save_checkpoint
+from .neuralnet import ModelConfig, config_json, save_checkpoint
 from .series import (
     EmbeddingMatrix,
     LabeledDataset,
@@ -81,7 +81,7 @@ def _parse_repeats(text: str) -> int:
 def _write_json(path: str, payload: dict):
     payload = {"format_version": FORMAT_VERSION, **payload}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        fh.write(json.dumps(payload, indent=2))
 
 
 def _manifest(out_dir: str, command: str, config: dict):
@@ -129,12 +129,10 @@ def cmd_analyze(args) -> int:
     if do_denoise:
         # fs-mfa has denoised the series already
         denoised, model, r = profile.denoised or denoise(series)
-        with open(os.path.join(out_dir, "denoise.json"), "w") as fh:
-            fh.write(diagnostics_json(model, r))
+        _write_json(os.path.join(out_dir, "denoise.json"), diagnostics(model, r))
         _write_series_csv(os.path.join(out_dir, "denoised.csv"), denoised)
 
-    with open(os.path.join(out_dir, "hurst.json"), "w") as fh:
-        fh.write(profile.to_json())
+    _write_json(os.path.join(out_dir, "hurst.json"), profile.to_json_dict())
 
     _manifest(
         out_dir,
@@ -142,7 +140,7 @@ def cmd_analyze(args) -> int:
         {
             "input": args.input,
             "format": args.format,
-            **cfg.to_json_dict(),
+            **config_json(cfg),
             "denoise_diagnostics": bool(do_denoise),
         },
     )
@@ -278,8 +276,8 @@ def cmd_train_eval(args) -> int:
         out_dir,
         "train-eval",
         {
-            "model": model_cfg.to_json_dict(),
-            "train": asdict(train_cfg),
+            "model": config_json(model_cfg),
+            "train": config_json(train_cfg),
             "repeats": args.repeats,
             **_data_record(args),
         },
@@ -298,7 +296,7 @@ def cmd_compare(args) -> int:
     out_dir = _ensure_out(args.out)
     base_model = _model_config_from_flags(args, dataset.n_classes)
 
-    base_payload = base_model.to_json_dict()
+    base_payload = config_json(base_model)
     if args.mode == "activations":
         del base_payload["activation"]  # the varied axis
         variants = [(kind, replace(base_model, activation=ActivationSpec(kind))) for kind in KINDS]
@@ -313,7 +311,7 @@ def cmd_compare(args) -> int:
     else:
         raise ValueError(f"unknown compare mode {args.mode!r}")
 
-    shared_hash = _config_hash({"base": base_payload, "train": asdict(train_cfg)})
+    shared_hash = _config_hash({"base": base_payload, "train": config_json(train_cfg)})
 
     def run_variant(pair):
         label, model_cfg = pair
@@ -348,7 +346,7 @@ def cmd_compare(args) -> int:
         {
             "mode": args.mode,
             "base": base_payload,
-            "train": asdict(train_cfg),
+            "train": config_json(train_cfg),
             "config_hash": shared_hash,
             **_data_record(args),
         },

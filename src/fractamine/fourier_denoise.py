@@ -9,7 +9,6 @@ along the energy-descending ranking.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -346,14 +345,13 @@ def denoise(s: Series) -> tuple[Series, FourierModel, int]:
     return reconstruct(model, r), model, r
 
 
-def diagnostics_json(model: FourierModel, r: int) -> str:
-    """Serialize denoise diagnostics for the CLI layer."""
+def diagnostics(model: FourierModel, r: int) -> dict:
+    """The denoise.json payload: omega, the selected order, the per-term
+    entropy gains and energies; the CLI's writer adds format_version."""
     _, gains = _entropy_gains(model.energy)
-    payload = {
-        "format_version": 1,
+    return {
         "omega": model.omega,
         "r_selected": int(r),
         "entropy_table": [float(g) for g in gains],
         "energy": [float(p) for p in model.energy],
     }
-    return json.dumps(payload, indent=2)

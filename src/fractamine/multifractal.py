@@ -8,7 +8,6 @@ profile as the baseline.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -89,25 +88,6 @@ class MfaConfig:
         if self.dfa_poly_order < 0:
             raise ValueError("dfa_poly_order must be nonnegative")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "q_grid": [float(q) for q in self.q_grid],
-            "scales": None if self.scales is None else [int(s) for s in self.scales],
-            "vol_window": self.vol_window,
-            "dfa_poly_order": self.dfa_poly_order,
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "MfaConfig":
-        return cls(
-            method=payload["method"],
-            q_grid=np.asarray(payload["q_grid"]),
-            scales=None if payload["scales"] is None else np.asarray(payload["scales"]),
-            vol_window=payload["vol_window"],
-            dfa_poly_order=payload["dfa_poly_order"],
-        )
-
 
 @dataclass(frozen=True)
 class FluctuationTable:
@@ -124,7 +104,11 @@ class FluctuationTable:
 
 @dataclass(frozen=True)
 class HurstProfile:
-    """Per-q slope fits of ln F_q(s) on ln s, with the source table."""
+    """Per-q slope fits of ln F_q(s) on ln s, with the source table.
+
+    to_json_dict() gives the hurst.json payload, non-finite values as
+    None; the CLI's writer adds format_version.
+    """
 
     method: str
     q_grid: np.ndarray
@@ -137,15 +121,14 @@ class HurstProfile:
     # fs-mfa only: the (series, model, r) that denoise returned
     denoised: tuple[Series, FourierModel, int] | None = None
 
-    def to_json(self) -> str:
+    def to_json_dict(self) -> dict:
         with np.errstate(divide="ignore", invalid="ignore"):
             logf = np.where(self.table.values > 0, np.log(self.table.values), np.nan)
 
         def listify(arr):
             return [None if not np.isfinite(v) else float(v) for v in arr]
 
-        payload = {
-            "format_version": 1,
+        return {
             "method": self.method,
             "q": [float(q) for q in self.q_grid],
             "H": listify(self.hurst),
@@ -155,7 +138,6 @@ class HurstProfile:
             "degenerate_scales": [int(s) for s in self.degenerate_scales],
             "failed_fits": int(np.sum(~np.isfinite(self.hurst))),
         }
-        return json.dumps(payload, indent=2)
 
 
 def profile_series(s: Series) -> Series:

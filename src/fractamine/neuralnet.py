@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .series import EmbeddingMatrix, mean_embedding
 __all__ = [
     "ModelConfig",
     "ModelParams",
+    "config_json",
     "birnn_forward",
     "gate_fuse",
     "scnn_forward",
@@ -81,23 +82,29 @@ class ModelConfig:
             need = 2 * need + shrink
         return need
 
-    def to_json_dict(self) -> dict:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        for name in _NESTED_CONFIGS:
-            payload[name] = payload[name].to_json_dict()
-        return payload
-
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ModelConfig":
-        """Every field is required; a missing key raises KeyError."""
-        values = {f.name: payload[f.name] for f in fields(cls)}
-        for name, config_type in _NESTED_CONFIGS.items():
-            values[name] = config_type.from_json_dict(values[name])
+        """Read config_json's form back; every field, nested ones included,
+        is required, and a missing key raises KeyError naming it."""
+        values = _field_values(cls, payload)
+        values["activation"] = ActivationSpec(**_field_values(ActivationSpec, values["activation"]))
+        values["mfa"] = MfaConfig(**_field_values(MfaConfig, values["mfa"]))
         return cls(**values)
 
 
-# fields of ModelConfig that serialize through their own to/from_json_dict
-_NESTED_CONFIGS = {"activation": ActivationSpec, "mfa": MfaConfig}
+def _field_values(config_type, payload: dict) -> dict:
+    return {f.name: payload[f.name] for f in fields(config_type)}
+
+
+def _json_fields(pairs) -> dict:
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value for name, value in pairs}
+
+
+def config_json(config) -> dict:
+    """The JSON form of a config dataclass: its fields in order, nested
+    configs as dicts and arrays as lists. ModelConfig.from_json_dict
+    reads it back."""
+    return asdict(config, dict_factory=_json_fields)
 
 
 @dataclass
@@ -378,7 +385,7 @@ def save_checkpoint(params: ModelParams, prefix: str) -> tuple[str, str]:
     blob = np.concatenate(chunks).tobytes()
     header = {
         "format_version": 1,
-        "config": params.config.to_json_dict(),
+        "config": config_json(params.config),
         "embed_dim": params.embed_dim,
         "total_values": offset,
         "blob_sha256": hashlib.sha256(blob).hexdigest(),

@@ -74,7 +74,8 @@ class EmbeddingMatrix:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Documents with integer class labels in [0, n_classes)."""
+    """Documents with integer class labels in [0, n_classes), all of one
+    embedding width."""
 
     items: list[tuple[EmbeddingMatrix, int]]
     n_classes: int
@@ -86,6 +87,9 @@ class LabeledDataset:
         for idx, (doc, label) in enumerate(self.items):
             if not isinstance(doc, EmbeddingMatrix):
                 raise TypeError(f"item {idx} is not an EmbeddingMatrix")
+            width = self.items[0][0].dim
+            if doc.dim != width:
+                raise ValueError(f"item {idx} has embedding width {doc.dim}, item 0 has {width}")
             if not 0 <= label < self.n_classes:
                 raise ValueError(f"item {idx} label {label} outside [0, {self.n_classes})")
         if self.tag_sequences is not None:

@@ -120,12 +120,13 @@ def _precompute_features(dataset: LabeledDataset, model_cfg: ModelConfig) -> lis
     return [hurst_features(doc, model_cfg) for doc, _ in dataset.items]
 
 
-def _check_lengths(dataset: LabeledDataset, model_cfg: ModelConfig):
+def _check_lengths(dataset: LabeledDataset, model_cfg: ModelConfig, params: ModelParams | None):
     """Refuse, before any forward pass, a document the model cannot take.
 
     Explicit mfa.scales must fit the embedding width N of every
     document, N >= 4*max(scales); hurst_features would otherwise give
-    every document the all-0.5 fallback vector.
+    every document the all-0.5 fallback vector. Given params, every
+    document must have the embedding width they were built for.
     """
     need = model_cfg.min_tokens()
     scales = model_cfg.mfa.scales
@@ -141,6 +142,11 @@ def _check_lengths(dataset: LabeledDataset, model_cfg: ModelConfig):
                 f"document {idx} has embedding width N = {doc.dim}; mfa.scales up to "
                 f"{scales[-1]} need N >= 4*max(mfa.scales) = {4 * scales[-1]}"
             )
+        if params is not None and doc.dim != params.embed_dim:
+            raise ValueError(
+                f"document {idx} has embedding width {doc.dim}; the model parameters "
+                f"were built for width {params.embed_dim}"
+            )
 
 
 def _targets(dataset: LabeledDataset, idx: int):
@@ -154,7 +160,6 @@ def train(
     cfg: TrainConfig,
     model_cfg: ModelConfig,
     params: ModelParams | None = None,
-    features: list[np.ndarray] | None = None,
 ) -> tuple[ModelParams, list[dict]]:
     """Run the full loop; returns params and per-epoch history.
 
@@ -164,12 +169,11 @@ def train(
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    _check_lengths(dataset, model_cfg)
+    _check_lengths(dataset, model_cfg, params)
     if params is None:
         embed_dim = dataset.items[0][0].dim
         params = init_params(model_cfg, embed_dim, seed=cfg.seed)
-    if features is None:
-        features = _precompute_features(dataset, model_cfg)
+    features = _precompute_features(dataset, model_cfg)
 
     rng = np.random.default_rng(cfg.seed)
     optimizer = _Adam(params, cfg)
@@ -202,16 +206,10 @@ def train(
     return params, history
 
 
-def evaluate(
-    dataset: LabeledDataset,
-    model_cfg: ModelConfig,
-    params: ModelParams,
-    features: list[np.ndarray] | None = None,
-) -> dict:
+def evaluate(dataset: LabeledDataset, model_cfg: ModelConfig, params: ModelParams) -> dict:
     """Accuracy and macro-F1 on a dataset with fixed parameters."""
-    _check_lengths(dataset, model_cfg)
-    if features is None:
-        features = _precompute_features(dataset, model_cfg)
+    _check_lengths(dataset, model_cfg, params)
+    features = _precompute_features(dataset, model_cfg)
     y_true: list[int] = []
     y_pred: list[int] = []
     for idx, (doc, _) in enumerate(dataset.items):

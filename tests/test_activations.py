@@ -11,6 +11,7 @@ from fractamine.activations import (
     sital,
     sital_derivative,
 )
+from fractamine.neuralnet import config_json
 
 
 def finite_difference(spec, x, h=1e-6):
@@ -42,7 +43,7 @@ class TestSpec:
 
     def test_json_round_trip(self):
         spec = ActivationSpec("kdac", {"mu": 0.02})
-        again = ActivationSpec.from_json_dict(spec.to_json_dict())
+        again = ActivationSpec(**config_json(spec))
         assert again.kind == spec.kind
         assert again.params == spec.params
 

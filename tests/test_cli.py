@@ -3,7 +3,7 @@ import functools
 import json
 import os
 import platform
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,9 +14,9 @@ import fractamine.multifractal as mf
 import fractamine.training as training
 from fractamine.activations import KINDS, ActivationSpec
 from fractamine.cli import build_parser, corpus_to_json_dict, load_corpus, main
-from fractamine.fourier_denoise import denoise, diagnostics_json
+from fractamine.fourier_denoise import denoise, diagnostics
 from fractamine.multifractal import MfaConfig
-from fractamine.neuralnet import ModelConfig
+from fractamine.neuralnet import ModelConfig, config_json
 from fractamine.series import (
     load_series,
     synth_binomial_cascade,
@@ -208,7 +208,7 @@ class TestAnalyze:
         assert manifest["config"] == {
             "input": fgn_csv,
             "format": "csv",
-            **MfaConfig(method="mf-dfa", q_grid=[-2.0, 0.0, 2.0]).to_json_dict(),
+            **config_json(MfaConfig(method="mf-dfa", q_grid=[-2.0, 0.0, 2.0])),
             "denoise_diagnostics": False,
         }
         # mf-dfa does not denoise, so no diagnostics by default
@@ -248,7 +248,8 @@ class TestAnalyze:
         assert run(["analyze", "--input", fgn_csv, "--method", method, *flags, "--out", str(out)]) == 0
         assert len(calls) == 1
         denoised, model, r = denoise(load_series(fgn_csv))
-        assert (out / "denoise.json").read_text() == diagnostics_json(model, r)
+        expected_json = json.dumps({"format_version": 1, **diagnostics(model, r)}, indent=2)
+        assert (out / "denoise.json").read_text() == expected_json
         expected = tmp_path / "expected.csv"
         np.savetxt(expected, denoised.values, fmt="%.17g")
         assert (out / "denoised.csv").read_bytes() == expected.read_bytes()
@@ -306,8 +307,8 @@ class TestTrainEval:
         out = tmp_path / "tr"
         assert run(["train-eval", "--docs", "12", "--epochs", "1", "--out", str(out)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
-        assert config["model"] == ModelConfig(n_classes=3).to_json_dict()
-        assert config["train"] == asdict(TrainConfig(epochs=1, seed=0))
+        assert config["model"] == config_json(ModelConfig(n_classes=3))
+        assert config["train"] == config_json(TrainConfig(epochs=1, seed=0))
 
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_repeats_below_one_refused_before_any_file(self, tmp_path, capsys, monkeypatch, repeats):
@@ -349,6 +350,16 @@ class TestTrainEval:
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert config["data"] == str(corpus)
         assert not {"docs", "classes", "tokens", "dim", "separation"} & set(config)
+
+    def test_mixed_embedding_widths_refused_before_features(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(training, "hurst_features", lambda *a: pytest.fail("features ran"))
+        payload = corpus_to_json_dict(synth_embedded_corpus(20, 3, 8, 64, 4.0, seed=5))
+        payload["documents"][13]["tokens"] = np.zeros((8, 48)).tolist()
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps(payload))
+        argv = ["train-eval", "--input", str(corpus), "--epochs", "1", "--out", str(tmp_path / "tr")]
+        assert run(argv) == 2
+        assert "item 13 has embedding width 48, item 0 has 64" in capsys.readouterr().err
 
     @pytest.mark.parametrize("docs,empty", [(7, "test"), (3, "val")])
     def test_empty_split_fails_before_training(self, tmp_path, capsys, monkeypatch, docs, empty):
@@ -452,7 +463,7 @@ class TestCompare:
             assert cfg.mfa.vol_window == 8
         if mode == "activations":
             assert [c.activation for c in seen] == [ActivationSpec(k) for k in KINDS]
-            assert all(c.mfa.to_json_dict() == base_mfa.to_json_dict() for c in seen)
+            assert all(config_json(c.mfa) == config_json(base_mfa) for c in seen)
         else:
             assert [c.mfa.method for c in seen] == list(mf.METHODS)
             assert all(c.activation == ActivationSpec("kdac") for c in seen)
@@ -470,6 +481,27 @@ class TestReadmeCommands:
         ):
             out = tmp_path / "-".join(argv[:3])
             assert run([*argv, "--out", str(out)]) == 0, argv
+
+
+class TestArtifacts:
+    def test_every_json_file_leads_with_format_version(self, tmp_path):
+        series, corpus = tmp_path / "fgn" / "series.csv", tmp_path / "corpus" / "corpus.json"
+        small = ["--epochs", "1", "--hidden", "4", "--filters", "3", "--seed", "2"]
+        for argv in (
+            ["synth", "fgn", "--n", "2048", "--seed", "4", "--out", str(series.parent)],
+            ["analyze", "--input", str(series), "--method", "fs-mfa", "--out", str(tmp_path / "an")],
+            ["synth", "corpus", "--docs", "12", "--tokens", "8", "--out", str(corpus.parent)],
+            ["train-eval", "--input", str(corpus), *small, "--out", str(tmp_path / "tr")],
+            ["compare", "--mode", "mfa", "--docs", "12", *small, "--out", str(tmp_path / "cmp")],
+        ):
+            assert run(argv) == 0, argv
+        written = sorted(tmp_path.rglob("*.json"))
+        assert {p.name for p in written} == {
+            "manifest.json", "hurst.json", "denoise.json", "corpus.json",
+            "metrics.json", "history.json", "checkpoint.json", "compare.json",
+        }
+        for path in written:
+            assert next(iter(json.loads(path.read_text()))) == "format_version", path
 
 
 class TestCorpusIO:

@@ -13,7 +13,7 @@ from fractamine.fourier_denoise import (
     angular_frequency,
     count_sign_changes,
     denoise,
-    diagnostics_json,
+    diagnostics,
     fit_fourier,
     reconstruct,
     select_order,
@@ -364,8 +364,7 @@ class TestDiagnostics:
     def test_json_schema(self):
         s, _ = periodic_signal()
         den, model, r = denoise(s)
-        payload = json.loads(diagnostics_json(model, r))
-        assert payload["format_version"] == 1
+        payload = json.loads(json.dumps(diagnostics(model, r)))
         assert payload["r_selected"] == r
         assert_allclose(payload["omega"], model.omega)
         assert len(payload["energy"]) == model.max_terms

@@ -526,8 +526,7 @@ class TestHurstProfile:
     def test_json_round_trip_schema(self):
         s = synth_gaussian_noise(1024, 1)
         cfg = MfaConfig(method="mf-dfa", q_grid=np.array([-2.0, 0.0, 2.0]))
-        payload = json.loads(hurst_profile(s, cfg).to_json())
-        assert payload["format_version"] == 1
+        payload = json.loads(json.dumps(hurst_profile(s, cfg).to_json_dict()))
         assert payload["method"] == "mf-dfa"
         assert payload["q"] == [-2.0, 0.0, 2.0]
         assert len(payload["H"]) == 3
@@ -538,7 +537,7 @@ class TestHurstProfile:
     def test_json_counts_failed_fits(self):
         # three scales are fewer than MIN_FIT_SCALES, so every q fails
         cfg = MfaConfig(method="mf-dfa", q_grid=np.array([-2.0, 2.0]), scales=np.array([16, 32, 64]))
-        payload = json.loads(hurst_profile(synth_gaussian_noise(256, 0), cfg).to_json())
+        payload = json.loads(json.dumps(hurst_profile(synth_gaussian_noise(256, 0), cfg).to_json_dict()))
         assert payload["H"] == [None, None]
         assert payload["failed_fits"] == 2
 

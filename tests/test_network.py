@@ -2,6 +2,7 @@ import gc
 import json
 import sys
 import warnings
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from numpy.testing import assert_allclose
 
 import fractamine.autodiff as ad
 import fractamine.neuralnet as neuralnet
-from fractamine.activations import ActivationSpec
+from fractamine.activations import KINDS, ActivationSpec
 from fractamine.autodiff import DiffArray
-from fractamine.multifractal import MfaConfig
+from fractamine.multifractal import METHODS, MfaConfig
 from fractamine.neuralnet import (
     ModelConfig,
     attention_fv,
     birnn_forward,
+    config_json,
     deffsi_forward,
     final_channels,
     gate_fuse,
@@ -27,6 +29,7 @@ from fractamine.neuralnet import (
     scnn_forward,
 )
 from fractamine.series import EmbeddingMatrix
+from fractamine.training import TrainConfig
 
 RNG = np.random.default_rng(11)
 
@@ -76,16 +79,53 @@ class TestConfig:
 
     def test_json_round_trip(self):
         cfg = micro_config()
-        again = ModelConfig.from_json_dict(cfg.to_json_dict())
-        assert again.to_json_dict() == cfg.to_json_dict()
+        again = ModelConfig.from_json_dict(config_json(cfg))
+        assert config_json(again) == config_json(cfg)
 
-    @pytest.mark.parametrize("key", list(ModelConfig().to_json_dict()))
+    @pytest.mark.parametrize("key", list(config_json(ModelConfig())))
     def test_from_json_requires_every_key(self, key):
         # a checkpoint header missing a field must not load with a default
-        payload = micro_config().to_json_dict()
+        payload = config_json(micro_config())
         del payload[key]
         with pytest.raises(KeyError):
             ModelConfig.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "nested, key",
+        [("activation", f.name) for f in fields(ActivationSpec)]
+        + [("mfa", f.name) for f in fields(MfaConfig)],
+    )
+    def test_from_json_requires_every_nested_key(self, nested, key):
+        payload = config_json(micro_config())
+        del payload[nested][key]
+        with pytest.raises(KeyError, match=key):
+            ModelConfig.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "config",
+        [ActivationSpec("kdac"), MfaConfig(), micro_config(), TrainConfig()],
+        ids=lambda config: type(config).__name__,
+    )
+    def test_config_json_keys_are_the_fields(self, config):
+        # no field is left out or renamed, at any nesting level
+        def check(payload, cfg):
+            assert list(payload) == [f.name for f in fields(cfg)]
+            for f in fields(cfg):
+                if is_dataclass(getattr(cfg, f.name)):
+                    check(payload[f.name], getattr(cfg, f.name))
+
+        check(json.loads(json.dumps(config_json(config))), config)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_json_round_trip_every_kind_and_method(self, kind, method):
+        mfa = MfaConfig(
+            method=method, q_grid=np.linspace(-3, 3, 7), scales=[4, 8, 16], vol_window=5, dfa_poly_order=2
+        )
+        text = json.dumps(config_json(micro_config(activation=ActivationSpec(kind), mfa=mfa)))
+        again = ModelConfig.from_json_dict(json.loads(text))
+        assert json.dumps(config_json(again)) == text
+        assert again.mfa.scales.dtype == np.int64
 
     def test_checkpoint_json_pinned(self):
         # the config JSON a checkpoint header carries; the string is the
@@ -104,9 +144,9 @@ class TestConfig:
             '"params": {"beta1": 1.0, "beta2": 0.1, "mu": 0.01}}, "mfa": {"method": "mf-dhv", '
             '"q_grid": [-1.5, 0.0, 2.0], "scales": [8, 16, 32], "vol_window": 8, "dfa_poly_order": 2}}'
         )
-        assert json.dumps(cfg.to_json_dict()) == pinned
+        assert json.dumps(config_json(cfg)) == pinned
         again = ModelConfig.from_json_dict(json.loads(pinned))
-        assert json.dumps(again.to_json_dict()) == pinned
+        assert json.dumps(config_json(again)) == pinned
         assert again.mfa.scales.dtype == np.int64
 
     def test_final_channels(self):

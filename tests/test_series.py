@@ -71,6 +71,11 @@ class TestLabeledDataset:
                 items=[(doc, 0)], n_classes=2, tag_sequences=[np.array([0, 1])]
             )
 
+    def test_mixed_embedding_widths_refused(self):
+        docs = [EmbeddingMatrix(np.zeros((2, width))) for width in (4, 4, 3)]
+        with pytest.raises(ValueError, match="item 2 has embedding width 3, item 0 has 4"):
+            LabeledDataset(items=[(doc, 0) for doc in docs], n_classes=1)
+
     def test_valid_tagging_dataset(self):
         doc = EmbeddingMatrix(np.zeros((3, 2)))
         ds = LabeledDataset(

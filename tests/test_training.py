@@ -371,6 +371,19 @@ class TestDocumentLength:
         with pytest.raises(ValueError, match=message):
             evaluate(narrow, model_cfg, params)
 
+    def test_train_and_evaluate_check_the_params_width(self, monkeypatch):
+        model_cfg = small_model()
+        params = init_params(model_cfg, embed_dim=16, seed=0)
+        rng = np.random.default_rng(3)
+        docs = [EmbeddingMatrix(rng.standard_normal((8, 12))) for _ in range(3)]
+        narrow = LabeledDataset(items=[(d, i % 3) for i, d in enumerate(docs)], n_classes=3)
+        monkeypatch.setattr(training, "hurst_features", lambda *a: pytest.fail("features ran"))
+        message = "document 0 has embedding width 12; the model parameters were built for width 16"
+        with pytest.raises(ValueError, match=message):
+            train(narrow, TrainConfig(epochs=1, seed=0), model_cfg, params=params)
+        with pytest.raises(ValueError, match=message):
+            evaluate(narrow, model_cfg, params)
+
 
 class TestEvaluate:
     def test_metrics_keys_and_range(self):
