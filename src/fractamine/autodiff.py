@@ -12,7 +12,8 @@ layers are fused ops with hand-written backward passes so graph
 bookkeeping stays off the per-timestep path. In the recurrent op the
 Python loop over time steps carries only the recurrence: the input
 projection and the weight and input gradients are whole-sequence
-matrix products outside it.
+matrix products outside it. The fused kernels use only GEMMs, slices
+and ufuncs, not numpy's Python-level helpers.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import heapq
 import itertools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .activations import ActivationSpec, apply as act_apply, apply_derivative as act_derivative
 from .activations import _sital_param_partials, sital as sital_fn, sital_derivative
@@ -98,7 +98,13 @@ class DiffArray:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum-reduce a broadcast gradient back to the parent shape."""
+    """Sum-reduce a broadcast gradient back to the parent shape.
+
+    A gradient of that shape is returned as is, so nodes may share an
+    array; no VJP writes into a gradient in place.
+    """
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -192,12 +198,12 @@ def narrow(t: DiffArray, axis: int, start: int, length: int) -> DiffArray:
 
 
 def concat(parts: list[DiffArray], axis: int) -> DiffArray:
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum(sizes)[:-1]
+    bounds = list(itertools.accumulate((p.data.shape[axis] for p in parts), initial=0))
+    lead = (slice(None),) * (axis % parts[0].data.ndim)
     return DiffArray(
         np.concatenate([p.data for p in parts], axis=axis),
         tuple(parts),
-        lambda g: tuple(np.split(g, offsets, axis)),
+        lambda g: tuple(g[lead + (slice(a, b),)] for a, b in zip(bounds, bounds[1:])),
     )
 
 
@@ -208,15 +214,17 @@ def reshape(t: DiffArray, shape: tuple) -> DiffArray:
 
 def reduce_max(t: DiffArray, axis: int) -> DiffArray:
     """Max along one axis; gradient flows to the first max position."""
-    idx = np.expand_dims(np.argmax(t.data, axis=axis), axis)
-    out = np.take_along_axis(t.data, idx, axis=axis).squeeze(axis)
+    idx = np.argmax(t.data, axis=axis)
+    where = list(np.indices(idx.shape, sparse=True))
+    where.insert(axis % t.data.ndim, idx)
+    where = tuple(where)
 
     def vjp(g):
         full = np.zeros_like(t.data)
-        np.put_along_axis(full, idx, np.expand_dims(g, axis), axis=axis)
+        full[where] = g
         return (full,)
 
-    return DiffArray(out, (t,), vjp)
+    return DiffArray(t.data[where], (t,), vjp)
 
 
 def mean_all(t: DiffArray) -> DiffArray:
@@ -316,15 +324,11 @@ def lstm_layer(
         i_g, f_g, g_g, o_g = (gates[:, k * h : (k + 1) * h] for k in range(4))
         c_old = np.concatenate([np.zeros((1, h)), cells[:-1]])
         # dz[t] = [dc, dc, dc, dh] * factors[t], per gate block
-        factors = np.stack(
-            [
-                g_g * (i_g * (1.0 - i_g)),
-                c_old * (f_g * (1.0 - f_g)),
-                i_g * (1.0 - g_g * g_g),
-                tanh_c * (o_g * (1.0 - o_g)),
-            ],
-            axis=1,
-        )
+        factors = np.empty((n, 4, h))
+        np.multiply(g_g, i_g * (1.0 - i_g), out=factors[:, 0])
+        np.multiply(c_old, f_g * (1.0 - f_g), out=factors[:, 1])
+        np.multiply(i_g, 1.0 - g_g * g_g, out=factors[:, 2])
+        np.multiply(tanh_c, o_g * (1.0 - o_g), out=factors[:, 3])
         dc_dh = o_g * (1.0 - tanh_c * tanh_c)
         dz = np.empty((n, 4, h))
         dz_rows = dz.reshape(n, h4)
@@ -359,8 +363,14 @@ def conv1d(
     kernels has shape (width, C, F). Valid mode shortens the sequence
     to L-width+1; same_length zero-pads so per-position outputs survive
     for the tagging variant.
+
+    Row t of `stacked` (Lo, width*C) is the window x[t : t+width] laid
+    end to end, so the forward pass is one GEMM. The kernel gradient
+    multiplies a channel-major copy of it (stacked.T @ g sums in another
+    order). Output and gradients are bit-identical to a contraction over
+    a sliding-window view for C >= 2, and within a few ulps for C = 1.
     """
-    w, c_in, _ = kernels.data.shape
+    w, c_in, n_f = kernels.data.shape
     xd = x.data
     pad_left = 0
     if same_length:
@@ -371,18 +381,19 @@ def conv1d(
         raise ValueError(f"sequence length {x.data.shape[0]} shorter than kernel width {w}")
     if xd.shape[1] != c_in:
         raise ValueError(f"channel mismatch: input {xd.shape[1]}, kernels expect {c_in}")
-    windows = sliding_window_view(xd, w, axis=0)  # (Lo, C, w)
-    out = np.tensordot(windows, kernels.data, axes=((2, 1), (0, 1))) + bias.data
+    lo = xd.shape[0] - w + 1
+    stacked = np.concatenate([xd[dw : dw + lo] for dw in range(w)], axis=1)  # (Lo, w*C)
+    out = stacked @ kernels.data.reshape(w * c_in, n_f) + bias.data
 
     def vjp(g):
-        spread = np.tensordot(g, kernels.data, axes=((1,), (2,)))  # (Lo, w, C)
+        spread = (g @ kernels.data.transpose(2, 0, 1).reshape(n_f, w * c_in)).reshape(lo, w, c_in)
         dx = np.zeros_like(xd)
-        lo = g.shape[0]
         for dw in range(w):
             dx[dw : dw + lo] += spread[:, dw, :]
         if same_length:
             dx = dx[pad_left : pad_left + x.data.shape[0]]
-        dk = np.tensordot(windows, g, axes=((0,), (0,)))  # (C, w, F)
+        rows = stacked.reshape(lo, w, c_in).transpose(2, 1, 0).reshape(c_in * w, lo)
+        dk = (rows @ g).reshape(c_in, w, n_f)
         return dx, dk.transpose(1, 0, 2), g.sum(axis=0)
 
     return DiffArray(out, (x, kernels, bias), vjp)

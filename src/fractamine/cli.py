@@ -166,6 +166,10 @@ def corpus_to_json_dict(dataset: LabeledDataset) -> dict:
 def load_corpus(path: str) -> LabeledDataset:
     with open(path) as fh:
         payload = json.load(fh)
+    # a corpus written by hand may leave the version out
+    version = payload.get("format_version", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported corpus format_version {version}")
     if "documents" not in payload:
         raise ValueError(f"{path}: corpus JSON needs a 'documents' array")
     docs = payload["documents"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
 import fractamine.autodiff as ad
@@ -12,6 +13,7 @@ from fractamine.autodiff import DiffArray, grad_check
 from fractamine.multifractal import MfaConfig
 from fractamine.neuralnet import ModelConfig, deffsi_forward, hurst_features, init_params
 from fractamine.series import synth_embedded_corpus
+from fractamine.training import TrainConfig, train
 
 
 def leaf(values):
@@ -137,6 +139,66 @@ def maxpool_oracle(t, size=2, stride=2):
         return (dx,)
 
     return DiffArray(out, (t,), vjp)
+
+
+def conv1d_window_oracle(x, kernels, bias, same_length=False):
+    """The conv1d that the stacked-row GEMM replaced: tensordot over a
+    sliding-window view of the (padded) sequence, forward and VJP."""
+    w = kernels.data.shape[0]
+    xd = x.data
+    pad_left = 0
+    if same_length:
+        pad_left = (w - 1) // 2
+        xd = np.pad(xd, ((pad_left, w - 1 - pad_left), (0, 0)))
+    windows = sliding_window_view(xd, w, axis=0)  # (Lo, C, w)
+    out = np.tensordot(windows, kernels.data, axes=((2, 1), (0, 1))) + bias.data
+
+    def vjp(g):
+        spread = np.tensordot(g, kernels.data, axes=((1,), (2,)))  # (Lo, w, C)
+        dx = np.zeros_like(xd)
+        lo = g.shape[0]
+        for dw in range(w):
+            dx[dw : dw + lo] += spread[:, dw, :]
+        if same_length:
+            dx = dx[pad_left : pad_left + x.data.shape[0]]
+        dk = np.tensordot(windows, g, axes=((0,), (0,)))  # (C, w, F)
+        return dx, dk.transpose(1, 0, 2), g.sum(axis=0)
+
+    return DiffArray(out, (x, kernels, bias), vjp)
+
+
+def concat_split_oracle(parts, axis):
+    """The concat whose VJP np.split replaced."""
+    offsets = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+    return DiffArray(
+        np.concatenate([p.data for p in parts], axis=axis),
+        tuple(parts),
+        lambda g: tuple(np.split(g, offsets, axis)),
+    )
+
+
+def reduce_max_along_axis_oracle(t, axis):
+    """The reduce_max that gathered and scattered with take/put_along_axis."""
+    idx = np.expand_dims(np.argmax(t.data, axis=axis), axis)
+    out = np.take_along_axis(t.data, idx, axis=axis).squeeze(axis)
+
+    def vjp(g):
+        full = np.zeros_like(t.data)
+        np.put_along_axis(full, idx, np.expand_dims(g, axis), axis=axis)
+        return (full,)
+
+    return DiffArray(out, (t,), vjp)
+
+
+def unbroadcast_reshape_oracle(grad, shape):
+    """The _unbroadcast that returned a reshaped view of an unbroadcast gradient."""
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
 
 
 def backprop(out, grad_out):
@@ -618,3 +680,118 @@ class TestGradCheckHarness:
         x = leaf(np.array([0.0, 1.0, -1.0]))
         err = grad_check(op, [x], skip=lambda ti, fi, v: v == 0.0)
         assert err < 1e-7
+
+
+class TestReplacedHelpers:
+    """The GEMM/slice kernels against the numpy helpers they replaced.
+
+    The replaced helpers are the oracles above. Outside C = 1 both sides
+    hand BLAS the same operands in the same layout, so every value and
+    gradient must agree bit for bit.
+    """
+
+    @staticmethod
+    def conv_case(w, c, lo, same_length, seed):
+        rng = np.random.default_rng(seed)
+        f = int(rng.integers(1, 12))
+        length = lo if same_length else lo + w - 1
+        x = rng.standard_normal((length, c))
+        k = rng.standard_normal((w, c, f)) * 0.4
+        b = rng.standard_normal(f) * 0.1
+        # the concat VJP hands the layer a column slice of a wider gradient
+        wide = rng.standard_normal((lo, f + 3))
+        return x, k, b, (wide[:, 3:], np.ascontiguousarray(wide[:, 3:]))
+
+    @staticmethod
+    def conv_results(op, x, k, b, same_length, grad_out):
+        point = [leaf(x), leaf(k), leaf(b)]
+        out = op(*point, same_length=same_length)
+        backprop(out, grad_out)
+        return [out.data] + [t.grad for t in point]
+
+    @pytest.mark.parametrize("same_length", [False, True])
+    @pytest.mark.parametrize("lo", [1, 5, 11])
+    @pytest.mark.parametrize("c", [2, 8, 40])
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_conv1d_bit_identical_to_window_oracle(self, w, c, lo, same_length):
+        x, k, b, grads = self.conv_case(w, c, lo, same_length, seed=100 * w + 10 * c + lo)
+        for grad_out in grads:
+            got = self.conv_results(ad.conv1d, x, k, b, same_length, grad_out)
+            want = self.conv_results(conv1d_window_oracle, x, k, b, same_length, grad_out)
+            for name, g, o in zip(("out", "dx", "dk", "db"), got, want):
+                assert same_bits(g, o), name
+
+    # With one input channel the window view of the oracle is an
+    # overlapping strided matrix, and BLAS sums the kernel gradient in
+    # another order: a reordered sum of Lo terms moves it by a few ulps
+    # of its largest entry.
+    @pytest.mark.parametrize("same_length", [False, True])
+    @pytest.mark.parametrize("lo", [1, 5, 11])
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_conv1d_single_channel_within_ulps_of_window_oracle(self, w, lo, same_length):
+        x, k, b, grads = self.conv_case(w, 1, lo, same_length, seed=100 * w + lo)
+        for grad_out in grads:
+            got = self.conv_results(ad.conv1d, x, k, b, same_length, grad_out)
+            want = self.conv_results(conv1d_window_oracle, x, k, b, same_length, grad_out)
+            for name, g, o in zip(("out", "dx", "dk", "db"), got, want):
+                assert g.shape == o.shape, name
+                assert np.max(np.abs(g - o)) <= 1e-12 * np.max(np.abs(o)), name
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    @pytest.mark.parametrize("widths", [(3,), (2, 5), (1, 4, 2)])
+    def test_concat_bit_identical_to_split_oracle(self, axis, widths):
+        rng = np.random.default_rng(len(widths) + axis)
+        shapes = [(n, 4) if axis == 0 else (4, n) for n in widths]
+        values = [rng.standard_normal(shape) for shape in shapes]
+        grad_out = rng.standard_normal(np.concatenate(values, axis=axis).shape)
+        results = []
+        for op in (ad.concat, concat_split_oracle):
+            parts = [leaf(v) for v in values]
+            out = op(parts, axis)
+            grads = out._vjp(grad_out)
+            # the parts' gradients are views of the incoming one, as before
+            assert all(np.shares_memory(g, grad_out) for g in grads)
+            results.append([out.data, *grads])
+        for got, want in zip(*results):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("shape, axis", [((7,), 0), ((5, 3), 0), ((5, 3), 1), ((4, 3, 5), 0),
+                                             ((4, 3, 5), 1), ((4, 3, 5), 2), ((4, 3, 5), -1)])
+    def test_reduce_max_bit_identical_to_along_axis_oracle(self, shape, axis, ties):
+        rng = np.random.default_rng(sum(shape) + axis)
+        # values drawn from {0, 1, 2} tie along most lines
+        x = rng.integers(0, 3, shape).astype(float) if ties else rng.standard_normal(shape)
+        grad_out = rng.standard_normal(np.delete(np.array(shape), axis))
+        got_x, want_x = leaf(x), leaf(x)
+        got = ad.reduce_max(got_x, axis)
+        want = reduce_max_along_axis_oracle(want_x, axis)
+        assert same_bits(got.data, want.data)
+        backprop(got, grad_out)
+        backprop(want, grad_out)
+        assert same_bits(got_x.grad, want_x.grad)
+
+    def test_network_training_bit_identical_with_the_oracles(self, monkeypatch):
+        cfg = ModelConfig(
+            n_classes=3,
+            hidden=16,
+            filters=8,
+            blocks=1,
+            conv_width=2,
+            dense_width=16,
+            attn_dim=4,
+            mfa=MfaConfig(method="mf-dfa", q_grid=np.linspace(-4, 4, 5)),
+        )
+        corpus = synth_embedded_corpus(30, 3, 12, 64, 4.0, seed=5)
+        runs = []
+        for oracles in (False, True):
+            if oracles:
+                monkeypatch.setattr(ad, "conv1d", conv1d_window_oracle)
+                monkeypatch.setattr(ad, "concat", concat_split_oracle)
+                monkeypatch.setattr(ad, "reduce_max", reduce_max_along_axis_oracle)
+                monkeypatch.setattr(ad, "_unbroadcast", unbroadcast_reshape_oracle)
+            params, history = train(corpus, TrainConfig(epochs=2, seed=5), cfg)
+            runs.append((history, {name: t.data.tobytes() for name, t in params.tensors.items()}))
+        (got_history, got_params), (want_history, want_params) = runs
+        assert got_history == want_history
+        assert got_params == want_params

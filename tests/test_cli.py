@@ -517,6 +517,24 @@ class TestCorpusIO:
             for (a, _), (b, _) in zip(ds.items, again.items)
         )
 
+    def test_other_format_version_refused(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        dataset = synth_embedded_corpus(12, 3, 8, 64, 4.0, seed=5)
+        path.write_text(json.dumps({"format_version": 99, **corpus_to_json_dict(dataset)}))
+        with pytest.raises(ValueError, match="unsupported corpus format_version 99"):
+            load_corpus(str(path))
+        argv = ["train-eval", "--input", str(path), "--epochs", "1", "--out", str(tmp_path / "tr")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "format_version 99" in err
+        assert not (tmp_path / "tr").exists()
+
+    def test_missing_format_version_accepted(self, tmp_path):
+        path = tmp_path / "c.json"
+        dataset = synth_embedded_corpus(6, 2, 4, 8, 3.0, seed=0)
+        path.write_text(json.dumps(corpus_to_json_dict(dataset)))
+        assert len(load_corpus(str(path)).items) == 6
+
     def test_missing_documents_key(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{}")
