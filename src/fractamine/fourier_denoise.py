@@ -1,11 +1,11 @@
 """Fourier-series least-squares denoising with entropy order selection.
 
 The basis frequency comes from the series itself: omega = 2*pi/T where
-T counts adjacent sign changes. Coefficients are fitted by ordinary
-least squares against {1, cos(u*omega*k), sin(u*omega*k)}, per-term
-energies are normalized into a probability distribution, and the
-truncation order is the first reversal of the per-term entropy gain
-along the energy-descending ranking.
+T counts adjacent sign changes, or 2*pi/N when T < 3. Coefficients are
+fitted by ordinary least squares against {1, cos(u*omega*k),
+sin(u*omega*k)}, per-term energies are normalized into a probability
+distribution, and the truncation order is the first reversal of the
+per-term entropy gain along the energy-descending ranking.
 """
 from __future__ import annotations
 
@@ -76,31 +76,21 @@ def count_sign_changes(s: Series) -> int:
     return int(np.sum(signs[:-1] * signs[1:] < 0))
 
 
-def angular_frequency(s: Series) -> float:
-    """omega = 2*pi/T from the sign-change count T; 2*pi/N when T = 0."""
-    n = len(s)
-    if n < 2:
-        raise ValueError("need at least 2 samples to count sign changes")
-    t = count_sign_changes(s)
-    if t == 0:
-        return 2.0 * np.pi / n
-    return 2.0 * np.pi / t
+def _basis_period(s: Series) -> int:
+    """The basis period P: the sign-change count T when T >= 3, else N.
 
-
-def _trig_rows(out: np.ndarray, omega: float, harmonics: np.ndarray) -> np.ndarray:
-    """Fill out[:h] with cos(u*omega*k) and out[h:] with sin(u*omega*k).
-
-    u runs over the h harmonics and k over the sample positions 1..N, so
-    out has shape (2h, N). Each row is contiguous, which keeps numpy's
-    vectorized cos/sin loops in use, and writing in place spares a
-    stacked copy.
+    At T = 1 or 2 every harmonic of 2*pi/T aliases (at omega = 2*pi the
+    cos column is the constant, at omega = pi the sin column vanishes).
     """
-    k = np.arange(1, out.shape[1] + 1, dtype=np.float64)
-    arg = np.outer(harmonics, k) * omega
-    h = len(harmonics)
-    np.cos(arg, out=out[:h])
-    np.sin(arg, out=out[h:])
-    return out
+    t = count_sign_changes(s)
+    return t if t >= 3 else len(s)
+
+
+def angular_frequency(s: Series) -> float:
+    """omega = 2*pi/P for the basis period P of _basis_period."""
+    if len(s) < 2:
+        raise ValueError("need at least 2 samples to count sign changes")
+    return 2.0 * np.pi / _basis_period(s)
 
 
 def _degenerate_terms(gram: np.ndarray, max_terms: int, tau: float) -> list[int]:
@@ -306,41 +296,35 @@ def select_order(m: FourierModel) -> int:
 def reconstruct(m: FourierModel, r: int) -> Series:
     """Evaluate the top-r energy-ranked terms at k = 1..N.
 
-    The kept coefficients times one cos/sin basis block of their
-    harmonics.
+    The kept coefficients times one (2r, N) block of their cos rows, then
+    sin rows, filled in place: no stacked copy, and contiguous rows keep
+    numpy's vectorized cos/sin loops in use.
     """
     if not 0 <= r <= m.max_terms:
         raise ValueError(f"r must lie in [0, {m.max_terms}], got {r}")
     ranking, _ = _entropy_gains(m.energy)
     top = ranking[:r]
-    basis = _trig_rows(np.empty((2 * r, m.n_samples)), m.omega, top + 1.0)
+    basis = np.empty((2 * r, m.n_samples))
+    k = np.arange(1, m.n_samples + 1, dtype=np.float64)
+    arg = np.outer(top + 1.0, k) * m.omega
+    np.cos(arg, out=basis[:r])
+    np.sin(arg, out=basis[r:])
     return Series(m.eta0 + np.concatenate([m.alpha[top], m.beta[top]]) @ basis)
 
 
 def denoise(s: Series) -> tuple[Series, FourierModel, int]:
     """Fit, entropy-select the order, and rebuild the series.
 
-    The fitted order is min(floor(N/4), 64), further capped at
-    floor((T-1)/2) so no harmonic reaches the Nyquist alias point of
-    the crossing-derived omega (harmonics at u = T/2 and beyond produce
-    vanishing or duplicated columns, which would make the fit
-    unidentifiable on ordinary low-crossing inputs). When T < 3 leaves
-    no usable harmonic, the basis falls back to omega = 2*pi/N, one
-    fundamental period spanning the series.
+    omega = 2*pi/P as in angular_frequency (P from _basis_period), and
+    the fitted order is min(floor(N/4), 64, floor((P-1)/2)), so no
+    harmonic reaches the alias point u = P/2, where columns vanish or
+    repeat and the fit would be unidentifiable.
     """
     n = len(s)
     if n < 16:
         raise ValueError(f"need at least 16 samples to denoise, got {n}")
-    cap = min(n // 4, 64)
-    t = count_sign_changes(s)
-    usable = (t - 1) // 2 if t >= 1 else 0
-    if usable >= 1:
-        omega = 2.0 * np.pi / t
-        max_terms = min(cap, usable)
-    else:
-        omega = 2.0 * np.pi / n
-        max_terms = cap
-    model = fit_fourier(s, max_terms, omega=omega)
+    p = _basis_period(s)
+    model = fit_fourier(s, min(n // 4, 64, (p - 1) // 2), omega=2.0 * np.pi / p)
     r = select_order(model)
     return reconstruct(model, r), model, r
 

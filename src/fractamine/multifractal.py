@@ -40,6 +40,10 @@ DEGENERATE_WINDOW_FRACTION = 0.5
 
 MIN_FIT_SCALES = 4
 
+# default_scales: this many log-spaced window sizes from this smallest one
+DEFAULT_MIN_SCALE = 16
+DEFAULT_SCALE_COUNT = 20
+
 
 def default_q_grid() -> np.ndarray:
     """41 moment orders from -10 to 10 in steps of 0.5."""
@@ -52,13 +56,13 @@ def log_spaced_scales(lo: int, hi: int, count: int) -> np.ndarray:
     return np.unique(np.round(raw).astype(np.int64))
 
 
-def default_scales(n: int, lo: int = 16, count: int = 20) -> np.ndarray:
-    """Log-spaced integer window sizes in [lo, n//4], deduplicated."""
-    hi = n // 4
+def default_scales(n: int) -> np.ndarray:
+    """DEFAULT_SCALE_COUNT log-spaced integer window sizes in
+    [DEFAULT_MIN_SCALE, n//4], deduplicated."""
+    lo, hi = DEFAULT_MIN_SCALE, n // 4
     if hi < lo:
         raise ValueError(f"series too short for scale range [{lo}, N/4]: N = {n}")
-    scales = log_spaced_scales(lo, hi, count)
-    return scales[scales >= 4]
+    return log_spaced_scales(lo, hi, DEFAULT_SCALE_COUNT)
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,12 @@ class MfaConfig:
             raise ValueError("q_grid must be nonempty")
         object.__setattr__(self, "q_grid", q)
         if self.scales is not None:
-            s = np.asarray(self.scales, dtype=np.int64)
+            raw = np.asarray(self.scales)
+            if raw.ndim != 1 or raw.size == 0:
+                raise ValueError("scales must be a nonempty list of window sizes")
+            if not np.all(np.isfinite(raw) & (raw == np.round(raw))):
+                raise ValueError(f"scales must be integers, got {raw.tolist()}")
+            s = raw.astype(np.int64)
             if np.any(np.diff(s) <= 0):
                 raise ValueError("scales must be strictly increasing")
             if np.any(s < 4):
@@ -422,8 +431,6 @@ def hurst_profile(s: Series, cfg: MfaConfig | None = None) -> HurstProfile:
     cfg = cfg or MfaConfig()
     n = len(s)
     scales = cfg.scales if cfg.scales is not None else default_scales(n)
-    if scales.size == 0:
-        raise ValueError("no usable scales")
     max_scale = int(scales[-1])
     if n < 4 * max_scale:
         raise ValueError(f"need N >= 4*max(scales) = {4 * max_scale}, got N = {n}")

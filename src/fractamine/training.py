@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .neuralnet import ModelConfig, ModelParams, deffsi_forward, hurst_features, init_params
+from .neuralnet import (
+    ModelConfig,
+    ModelParams,
+    config_json,
+    deffsi_forward,
+    hurst_features,
+    init_params,
+)
 from .series import LabeledDataset
 
 __all__ = [
@@ -120,16 +127,24 @@ def _precompute_features(dataset: LabeledDataset, model_cfg: ModelConfig) -> lis
     return [hurst_features(doc, model_cfg) for doc, _ in dataset.items]
 
 
-def _check_lengths(dataset: LabeledDataset, model_cfg: ModelConfig, params: ModelParams | None):
-    """Refuse, before any forward pass, a document the model cannot take.
+def _check_inputs(dataset: LabeledDataset, model_cfg: ModelConfig, params: ModelParams | None):
+    """Refuse, before any forward pass, inputs the model cannot take.
 
-    Explicit mfa.scales must fit the embedding width N of every
-    document, N >= 4*max(scales); hurst_features would otherwise give
-    every document the all-0.5 fallback vector. Given params, every
-    document must have the embedding width they were built for.
+    Given params must have been built for model_cfg (equal config_json):
+    the network reads params.config and the features model_cfg. Every
+    document must fit explicit mfa.scales, N >= 4*max(scales), or
+    hurst_features would give it the all-0.5 fallback vector; its label,
+    or its tags when the dataset is tagged, must lie in [0, n_classes);
+    and its embedding width must be the one the given params were built for.
     """
+    if params is not None:
+        built, given = config_json(params.config), config_json(model_cfg)
+        if built != given:
+            differ = ", ".join(name for name in given if built[name] != given[name])
+            raise ValueError(f"the model parameters were built for another config (differing: {differ})")
     need = model_cfg.min_tokens()
     scales = model_cfg.mfa.scales
+    kind = "label" if dataset.tag_sequences is None else "tag"
     for idx, (doc, _) in enumerate(dataset.items):
         if doc.n_tokens < need:
             raise ValueError(
@@ -141,6 +156,13 @@ def _check_lengths(dataset: LabeledDataset, model_cfg: ModelConfig, params: Mode
             raise ValueError(
                 f"document {idx} has embedding width N = {doc.dim}; mfa.scales up to "
                 f"{scales[-1]} need N >= 4*max(mfa.scales) = {4 * scales[-1]}"
+            )
+        target = np.asarray(_targets(dataset, idx))
+        outside = target[(target < 0) | (target >= model_cfg.n_classes)]
+        if outside.size:
+            raise ValueError(
+                f"document {idx} has {kind} {int(outside[0])} outside the model's "
+                f"classes [0, n_classes={model_cfg.n_classes})"
             )
         if params is not None and doc.dim != params.embed_dim:
             raise ValueError(
@@ -169,7 +191,7 @@ def train(
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    _check_lengths(dataset, model_cfg, params)
+    _check_inputs(dataset, model_cfg, params)
     if params is None:
         embed_dim = dataset.items[0][0].dim
         params = init_params(model_cfg, embed_dim, seed=cfg.seed)
@@ -208,7 +230,7 @@ def train(
 
 def evaluate(dataset: LabeledDataset, model_cfg: ModelConfig, params: ModelParams) -> dict:
     """Accuracy and macro-F1 on a dataset with fixed parameters."""
-    _check_lengths(dataset, model_cfg, params)
+    _check_inputs(dataset, model_cfg, params)
     features = _precompute_features(dataset, model_cfg)
     y_true: list[int] = []
     y_pred: list[int] = []

@@ -19,7 +19,7 @@ from fractamine.fourier_denoise import (
     select_order,
     _normal_equations,
 )
-from fractamine.series import Series, synth_fgn
+from fractamine.series import Series, synth_binomial_cascade, synth_fgn
 
 
 def periodic_signal(n=800, period=40.0):
@@ -64,6 +64,23 @@ class TestAngularFrequency:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             angular_frequency(Series(np.array([1.0])))
+
+    @pytest.mark.parametrize("t", range(7))
+    def test_matches_denoise_basis(self, t):
+        s = crossing_series(t)
+        assert count_sign_changes(s) == t
+        assert angular_frequency(s) == denoise(s)[1].omega
+
+    def test_matches_denoise_basis_on_cascade(self):
+        s = synth_binomial_cascade(10, 0.75)
+        assert angular_frequency(s) == denoise(s)[1].omega == 2.0 * np.pi / len(s)
+
+
+def crossing_series(t, n=120):
+    """n samples in t+1 runs of alternating sign, so exactly t sign changes."""
+    rng = np.random.default_rng(t)
+    runs = np.array_split(1.0 + rng.uniform(size=n), t + 1)
+    return Series(np.concatenate([(-1.0) ** i * run for i, run in enumerate(runs)]))
 
 
 class TestFitFourier:
@@ -148,6 +165,15 @@ class TestFitFourier:
         with pytest.raises(DegenerateBasisError) as err:
             fit_fourier(y, max_terms=m, omega=omega)
         assert err.value.terms == [3, 4]
+
+    @pytest.mark.parametrize("runs", [(40, 40), (30, 30, 30)], ids=["T1", "T2"])
+    def test_default_omega_fits_one_or_two_crossings(self, runs):
+        # at 2*pi/T every harmonic would alias; the default basis spans the series
+        s = Series(np.concatenate([np.full(n, (-1.0) ** i) for i, n in enumerate(runs)]))
+        model = fit_fourier(s, max_terms=4)
+        assert model.omega == 2.0 * np.pi / len(s)
+        rec = reconstruct(model, model.max_terms)
+        assert np.corrcoef(rec.values, s.values)[0, 1] > 0.9
 
     def test_explicit_omega_override(self):
         k = np.arange(256, dtype=np.float64)

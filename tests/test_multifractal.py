@@ -130,6 +130,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             default_scales(32)  # hi = 8 < lo
 
+    def test_empty_scales_refused(self):
+        # accepted, it would give every hurst_features entry the 0.5 fallback
+        with pytest.raises(ValueError, match="scales must be a nonempty"):
+            MfaConfig(scales=[])
+
+    @pytest.mark.parametrize("scales", [[16.7, 32.2], [16, 32.5], [16, np.nan]])
+    def test_non_integer_scales_refused(self, scales):
+        # truncating [16.7, 32.2] to [16, 32] would run other windows than asked
+        with pytest.raises(ValueError, match="scales must be integers"):
+            MfaConfig(scales=scales)
+
+    def test_integral_float_scales_accepted(self):
+        cfg = MfaConfig(scales=[16.0, 32.0])
+        assert cfg.scales.dtype == np.int64
+        assert cfg.scales.tolist() == [16, 32]
+
 
 class TestProfile:
     def test_cumsum_of_deviations(self):

@@ -9,6 +9,7 @@ from fractamine.multifractal import MfaConfig
 from fractamine.neuralnet import (
     ModelConfig,
     ModelParams,
+    config_json,
     deffsi_forward,
     hurst_features,
     init_params,
@@ -390,6 +391,72 @@ class TestDocumentLength:
             train(narrow, TrainConfig(epochs=1, seed=0), model_cfg, params=params)
         with pytest.raises(ValueError, match=message):
             evaluate(narrow, model_cfg, params)
+
+
+class TestInputRefusals:
+    """Inputs the model cannot take are refused before any Hurst feature."""
+
+    @pytest.fixture(autouse=True)
+    def no_features(self, monkeypatch):
+        monkeypatch.setattr(training, "hurst_features", lambda *a: pytest.fail("features ran"))
+
+    @pytest.mark.parametrize("scales", [[], [16.7, 32.2]], ids=["empty", "non-integer"])
+    def test_bad_scales_refused_when_configured(self, scales):
+        with pytest.raises(ValueError, match="scales must be"):
+            train(small_corpus(docs=6), TrainConfig(epochs=1), small_model(mfa=MfaConfig(scales=scales)))
+
+    def test_label_outside_the_model_classes(self):
+        # label 3 would reach cross_entropy only in the middle of the first epoch
+        corpus = synth_embedded_corpus(8, 4, 8, 64, 4.0, seed=0)
+        model_cfg = small_model(n_classes=3)
+        params = init_params(model_cfg, embed_dim=64, seed=0)
+        idx = next(i for i, (_, label) in enumerate(corpus.items) if label == 3)
+        message = rf"document {idx} has label 3 outside the model's classes \[0, n_classes=3\)"
+        with pytest.raises(ValueError, match=message):
+            train(corpus, TrainConfig(epochs=1), model_cfg)
+        with pytest.raises(ValueError, match=message):
+            evaluate(corpus, model_cfg, params)
+
+    def test_tag_outside_the_model_classes(self):
+        # LabeledDataset checks labels against its own n_classes, never tags
+        rng = np.random.default_rng(0)
+        docs = [EmbeddingMatrix(rng.standard_normal((8, 12))) for _ in range(3)]
+        tags = [np.zeros(8, dtype=np.int64) for _ in docs]
+        tags[2][5] = 2
+        ds = LabeledDataset(items=[(d, 0) for d in docs], n_classes=2, tag_sequences=tags)
+        model_cfg = small_model(n_classes=2, task="tagging")
+        params = init_params(model_cfg, embed_dim=12, seed=0)
+        message = r"document 2 has tag 2 outside the model's classes \[0, n_classes=2\)"
+        with pytest.raises(ValueError, match=message):
+            train(ds, TrainConfig(epochs=1), model_cfg)
+        with pytest.raises(ValueError, match=message):
+            evaluate(ds, model_cfg, params)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            dict(activation=ActivationSpec("relu")),
+            dict(mfa=MfaConfig(method="mf-dhv", q_grid=np.linspace(-2, 2, 5))),
+            dict(task="tagging"),
+        ],
+        ids=["activation", "mfa", "task"],
+    )
+    def test_params_for_another_config(self, other):
+        # the network reads params.config while the features follow model_cfg,
+        # so a mismatch would score a hybrid of the two
+        ds = small_corpus(docs=6)
+        params = init_params(small_model(), embed_dim=64, seed=0)
+        model_cfg = small_model(**other)
+        message = f"parameters were built for another config \\(differing: {next(iter(other))}\\)"
+        with pytest.raises(ValueError, match=message):
+            train(ds, TrainConfig(epochs=1), model_cfg, params=params)
+        with pytest.raises(ValueError, match=message):
+            evaluate(ds, model_cfg, params)
+
+    def test_params_for_an_equal_config_accepted(self):
+        params = init_params(small_model(), embed_dim=64, seed=0)
+        copy = ModelConfig.from_json_dict(config_json(small_model()))
+        training._check_inputs(small_corpus(docs=6), copy, params)  # refuses nothing
 
 
 class TestEvaluate:
