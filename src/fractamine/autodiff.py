@@ -12,8 +12,12 @@ layers are fused ops with hand-written backward passes so graph
 bookkeeping stays off the per-timestep path. In the recurrent op the
 Python loop over time steps carries only the recurrence: the input
 projection and the weight and input gradients are whole-sequence
-matrix products outside it. The fused kernels use only GEMMs, slices
-and ufuncs, not numpy's Python-level helpers.
+matrix products outside it. One call runs every direction of a layer
+in that loop: the gate columns interleave the directions, as
+[i_f i_b | f_f f_b | g_f g_b | o_f o_b], and the recurrent product is
+one GEMV with the block-diagonal matrix of their recurrent weights.
+The fused kernels use only GEMMs, slices and ufuncs, not numpy's
+Python-level helpers.
 """
 from __future__ import annotations
 
@@ -274,82 +278,113 @@ def cross_entropy(logits: DiffArray, labels) -> DiffArray:
     return DiffArray(np.asarray(loss), (logits,), vjp)
 
 
-def lstm_layer(
-    x: DiffArray,
-    wx: DiffArray,
-    wh: DiffArray,
-    b: DiffArray,
-    reverse: bool = False,
-) -> DiffArray:
-    """One directional recurrent pass over an (n, d) sequence.
+def lstm_layer(x: DiffArray, wx, wh, b, reverse=False) -> DiffArray:
+    """Recurrent passes over an (n, d) sequence, all directions in one time loop.
 
-    Gate layout along the weight columns is [input, forget, cell,
-    output], each of width h. Boundary hidden and cell states are zero.
-    Returns the (n, h) hidden-state sequence; reverse=True processes
-    the sequence back to front and returns states in input order.
+    One direction takes wx (d, 4h), wh (h, 4h) and b (4h,), with gate
+    layout [input, forget, cell, output] along the columns, and a bool
+    reverse; it returns the (n, h) hidden-state sequence. D directions
+    take sequences of D weights each and of D flags, and return the
+    (n, D*h) concatenation of their states in that order. Boundary
+    hidden and cell states are zero; a reverse direction processes the
+    sequence back to front and returns its states in input order.
 
-    The loops over time steps do only the recurrent work. The input
-    projection x @ wx + b is one (n, d) x (d, 4h) product ahead of the
-    forward loop. The backward pass computes every factor that does not
-    depend on the recurrence for all steps at once, carries dh and dc
-    through the loop while it fills the (n, 4h) gate gradient dz, and
-    forms dx, dwx, dwh and db from dz with one product or sum each.
+    Step t of the loop is step t of every direction in its own time
+    order (input row n-1-t for a reverse one). The gate columns are
+    interleaved, [i_1..i_D | f_1..f_D | g_1..g_D | o_1..o_D], so each
+    gate is one contiguous D*h block, the cell and hidden states are one
+    D*h vector, and the recurrent product is one GEMV with the
+    block-diagonal (D*h, 4*D*h) matrix built from the wh. A step makes
+    the same numpy calls for any D.
+
+    The loops over time steps do only the recurrent work. Each
+    direction's input projection x @ wx + b is one (n, d) x (d, 4h)
+    product ahead of the forward loop. The backward pass computes every
+    factor that does not depend on the recurrence for all steps at once,
+    carries dh and dc through the loop while it fills the gate gradient
+    dz, and forms each direction's dx, dwx, dwh and db from its columns
+    of dz, in its own time order, with one product or sum each.
     """
-    xd = x.data[::-1] if reverse else x.data
-    n = xd.shape[0]
-    h4 = wx.data.shape[1]
+    if isinstance(wx, DiffArray):
+        wx, wh, b, reverse = (wx,), (wh,), (b,), (reverse,)
+    dirs = len(wx)
+    if not len(wh) == len(b) == len(reverse) == dirs:
+        raise ValueError("give one wx, wh, b and reverse flag per direction")
+    n = x.data.shape[0]
+    h4 = wx[0].data.shape[1]
     if h4 % 4 != 0:
         raise ValueError("gate weight width must be a multiple of 4")
     h = h4 // 4
+    hd = dirs * h  # width of one gate block and of the states
 
-    gates = xd @ wx.data + b.data  # pre-activations, then gate values in place
-    cells = np.empty((n, h))
-    tanh_c = np.empty((n, h))
-    hidden = np.empty((n, h))
-    h_prev = np.zeros(h)
-    c_prev = np.zeros(h)
+    inputs = [x.data[::-1] if rev else x.data for rev in reverse]
+    gates = np.empty((n, 4, dirs, h))  # pre-activations, then gate values in place
+    w_rec = np.zeros((dirs, h, 4, dirs, h))
+    for k in range(dirs):
+        gates[:, :, k] = (inputs[k] @ wx[k].data + b[k].data).reshape(n, 4, h)
+        w_rec[k, :, :, k] = wh[k].data.reshape(h, 4, h)
+    gates = gates.reshape(n, 4 * hd)
+    w_rec = w_rec.reshape(hd, 4 * hd)
+    cells = np.empty((n, hd))
+    tanh_c = np.empty((n, hd))
+    hidden = np.empty((n, hd))
+    h_prev = np.zeros(hd)
+    c_prev = np.zeros(hd)
     for t in range(n):
         z = gates[t]
-        z += h_prev @ wh.data
-        zg = np.tanh(z[2 * h : 3 * h])
+        z += h_prev @ w_rec
+        zg = np.tanh(z[2 * hd : 3 * hd])
         np.exp(-np.logaddexp(0.0, -z), out=z)  # sigmoid of every block,
-        z[2 * h : 3 * h] = zg  # then the cell block takes its tanh back
-        c_prev = np.multiply(z[h : 2 * h], c_prev, out=cells[t])
-        c_prev += z[:h] * zg
+        z[2 * hd : 3 * hd] = zg  # then the cell block takes its tanh back
+        c_prev = np.multiply(z[hd : 2 * hd], c_prev, out=cells[t])
+        c_prev += z[:hd] * zg
         np.tanh(c_prev, out=tanh_c[t])
-        h_prev = np.multiply(z[3 * h :], tanh_c[t], out=hidden[t])
+        h_prev = np.multiply(z[3 * hd :], tanh_c[t], out=hidden[t])
+
+    def flip_reversed(seq):
+        """Reverse in time the columns of every reverse direction: this maps
+        (n, D*h) rows from loop order to input order, and back."""
+        out = np.empty((n, dirs, h))
+        for k, rev in enumerate(reverse):
+            part = seq[:, k * h : (k + 1) * h]
+            out[:, k] = part[::-1] if rev else part
+        return out.reshape(n, hd)
 
     def vjp(grad_out):
-        gh = grad_out[::-1] if reverse else grad_out
-        i_g, f_g, g_g, o_g = (gates[:, k * h : (k + 1) * h] for k in range(4))
-        c_old = np.concatenate([np.zeros((1, h)), cells[:-1]])
+        gh = flip_reversed(grad_out)
+        i_g, f_g, g_g, o_g = (gates[:, k * hd : (k + 1) * hd] for k in range(4))
+        c_old = np.concatenate([np.zeros((1, hd)), cells[:-1]])
         # dz[t] = [dc, dc, dc, dh] * factors[t], per gate block
-        factors = np.empty((n, 4, h))
+        factors = np.empty((n, 4, hd))
         np.multiply(g_g, i_g * (1.0 - i_g), out=factors[:, 0])
         np.multiply(c_old, f_g * (1.0 - f_g), out=factors[:, 1])
         np.multiply(i_g, 1.0 - g_g * g_g, out=factors[:, 2])
         np.multiply(tanh_c, o_g * (1.0 - o_g), out=factors[:, 3])
         dc_dh = o_g * (1.0 - tanh_c * tanh_c)
-        dz = np.empty((n, 4, h))
-        dz_rows = dz.reshape(n, h4)
-        wh_t = wh.data.T
-        dh_next = np.zeros(h)
-        dc_next = np.zeros(h)
+        dz = np.empty((n, 4, hd))
+        dz_rows = dz.reshape(n, 4 * hd)
+        w_rec_t = w_rec.T
+        dh_next = np.zeros(hd)
+        dc_next = np.zeros(hd)
         for t in range(n - 1, -1, -1):
             dh = gh[t] + dh_next
             dc = dc_next + dh * dc_dh[t]
             np.multiply(factors[t, :3], dc, out=dz[t, :3])
             np.multiply(factors[t, 3], dh, out=dz[t, 3])
-            dh_next = dz_rows[t] @ wh_t
+            dh_next = dz_rows[t] @ w_rec_t
             dc_next = dc * f_g[t]
-        dx = dz_rows @ wx.data.T
-        if reverse:
-            dx = dx[::-1]
-        dwh = hidden[:-1].T @ dz_rows[1:]  # the state before step 0 is zero
-        return dx, xd.T @ dz_rows, dwh, dz_rows.sum(axis=0)
+        grads = []
+        for k, rev in enumerate(reverse):
+            dz_k = dz.reshape(n, 4, dirs, h)[:, :, k].reshape(n, h4)
+            dx_k = dz_k @ wx[k].data.T
+            dx_k = dx_k[::-1] if rev else dx_k
+            dx = dx_k if k == 0 else dx + dx_k
+            dwh = hidden[:-1, k * h : (k + 1) * h].T @ dz_k[1:]  # the state before step 0 is zero
+            grads += [inputs[k].T @ dz_k, dwh, dz_k.sum(axis=0)]
+        return (dx, *grads)
 
-    out = hidden[::-1] if reverse else hidden
-    return DiffArray(out, (x, wx, wh, b), vjp)
+    parents = (x, *(t for k in range(dirs) for t in (wx[k], wh[k], b[k])))
+    return DiffArray(flip_reversed(hidden), parents, vjp)
 
 
 def conv1d(

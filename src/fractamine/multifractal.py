@@ -146,7 +146,17 @@ class HurstProfile:
             "logF": [listify(row) for row in logf],
             "degenerate_scales": [int(s) for s in self.degenerate_scales],
             "failed_fits": int(np.sum(~np.isfinite(self.hurst))),
+            "omega_fallback": self.omega_fallback(),
         }
+
+    def omega_fallback(self) -> bool | None:
+        """fs-mfa: whether denoise fell back to the basis period P = N
+        (fewer than three sign changes), which it marks by setting omega
+        to exactly 2*pi/N; None for the other methods."""
+        if self.denoised is None:
+            return None
+        model = self.denoised[1]
+        return bool(model.omega == 2.0 * np.pi / model.n_samples)
 
 
 def profile_series(s: Series) -> Series:

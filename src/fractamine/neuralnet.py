@@ -26,6 +26,7 @@ from .series import EmbeddingMatrix, mean_embedding
 __all__ = [
     "ModelConfig",
     "ModelParams",
+    "check_params_config",
     "config_json",
     "birnn_forward",
     "gate_fuse",
@@ -226,15 +227,13 @@ def _site_activation(x: DiffArray, site: str, params: ModelParams) -> DiffArray:
 
 
 def birnn_forward(v: EmbeddingMatrix | DiffArray, params: ModelParams) -> DiffArray:
-    """Two stacked bidirectional recurrent layers, output (n, 2h)."""
+    """Two stacked bidirectional recurrent layers, output (n, 2h) as
+    [forward | reverse]; each layer is one two-direction lstm_layer call."""
     x = v if isinstance(v, DiffArray) else DiffArray(v.tokens)
     t = params.tensors
     for layer in range(2):
-        fwd = ad.lstm_layer(x, t[f"lstm{layer}f.wx"], t[f"lstm{layer}f.wh"], t[f"lstm{layer}f.b"])
-        bwd = ad.lstm_layer(
-            x, t[f"lstm{layer}b.wx"], t[f"lstm{layer}b.wh"], t[f"lstm{layer}b.b"], reverse=True
-        )
-        x = ad.concat([fwd, bwd], axis=1)
+        wx, wh, b = ([t[f"lstm{layer}{dirn}.{name}"] for dirn in "fb"] for name in ("wx", "wh", "b"))
+        x = ad.lstm_layer(x, wx, wh, b, reverse=(False, True))
     return x
 
 
@@ -356,8 +355,26 @@ def deffsi_forward(
     return ad.add(ad.matmul(hidden, t["head.w"]), t["head.b"])
 
 
+def check_params_config(params: ModelParams, cfg: ModelConfig) -> None:
+    """Refuse params built for a config other than cfg.
+
+    The network reads params.config while the Hurst features follow
+    cfg, so a mismatch would score a hybrid of the two. An equal config
+    passes; the error names the fields that differ. The config object
+    itself passes without a comparison.
+    """
+    if params.config is cfg:
+        return
+    built, given = config_json(params.config), config_json(cfg)
+    if built != given:
+        differ = ", ".join(name for name in given if built[name] != given[name])
+        raise ValueError(f"the model parameters were built for another config (differing: {differ})")
+
+
 def predict_proba(v: EmbeddingMatrix, cfg: ModelConfig, params: ModelParams, fv=None) -> np.ndarray:
-    """Softmax class probabilities (per token when tagging)."""
+    """Softmax class probabilities (per token when tagging); params must
+    have been built for cfg (check_params_config)."""
+    check_params_config(params, cfg)
     logits = deffsi_forward(v, cfg, params, fv=fv)
     return ad.softmax(logits).data
 

@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .neuralnet import (
     ModelConfig,
     ModelParams,
-    config_json,
+    check_params_config,
     deffsi_forward,
     hurst_features,
     init_params,
@@ -128,23 +128,26 @@ def _precompute_features(dataset: LabeledDataset, model_cfg: ModelConfig) -> lis
 
 
 def _check_inputs(dataset: LabeledDataset, model_cfg: ModelConfig, params: ModelParams | None):
-    """Refuse, before any forward pass, inputs the model cannot take.
+    """Refuse, before any Hurst feature or forward pass, inputs the model
+    cannot take.
 
-    Given params must have been built for model_cfg (equal config_json):
-    the network reads params.config and the features model_cfg. Every
-    document must fit explicit mfa.scales, N >= 4*max(scales), or
-    hurst_features would give it the all-0.5 fallback vector; its label,
-    or its tags when the dataset is tagged, must lie in [0, n_classes);
-    and its embedding width must be the one the given params were built for.
+    Given params must have been built for model_cfg
+    (check_params_config). A tagging model needs a tagged dataset, and a
+    classification model an untagged one. Every document must fit
+    explicit mfa.scales, N >= 4*max(scales), or hurst_features would
+    give it the all-0.5 fallback vector; its label, or its tags when the
+    dataset is tagged, must lie in [0, n_classes); and its embedding
+    width must be the one the given params were built for.
     """
     if params is not None:
-        built, given = config_json(params.config), config_json(model_cfg)
-        if built != given:
-            differ = ", ".join(name for name in given if built[name] != given[name])
-            raise ValueError(f"the model parameters were built for another config (differing: {differ})")
+        check_params_config(params, model_cfg)
+    tagged = dataset.tag_sequences is not None
+    if tagged != (model_cfg.task == "tagging"):
+        has = "has tag_sequences" if tagged else "has no tag_sequences"
+        raise ValueError(f"a task={model_cfg.task!r} model cannot take this dataset: it {has}")
     need = model_cfg.min_tokens()
     scales = model_cfg.mfa.scales
-    kind = "label" if dataset.tag_sequences is None else "tag"
+    kind = "tag" if tagged else "label"
     for idx, (doc, _) in enumerate(dataset.items):
         if doc.n_tokens < need:
             raise ValueError(

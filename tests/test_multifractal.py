@@ -557,6 +557,21 @@ class TestHurstProfile:
         assert payload["H"] == [None, None]
         assert payload["failed_fits"] == 2
 
+    @pytest.mark.parametrize(
+        "name, series, method, want",
+        [
+            # a positive cascade never crosses zero, so denoise falls back to P = N
+            ("cascade", synth_binomial_cascade(12, 0.75), "fs-mfa", True),
+            ("fgn", synth_fgn(4096, 0.7, seed=1), "fs-mfa", False),
+            ("fgn", synth_fgn(4096, 0.7, seed=1), "mf-dhv", None),
+            ("cascade", synth_binomial_cascade(12, 0.75), "mf-dfa", None),
+        ],
+    )
+    def test_json_records_omega_fallback(self, name, series, method, want):
+        cfg = MfaConfig(method=method, q_grid=np.array([2.0]))
+        payload = json.loads(json.dumps(hurst_profile(series, cfg).to_json_dict()))
+        assert payload["omega_fallback"] is want
+
     def test_fs_mfa_equals_dhv_after_denoise(self):
         # the composed method is exactly: denoise, then the volatility
         # pipeline on the cleaned signal

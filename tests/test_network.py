@@ -271,6 +271,25 @@ class TestForward:
         assert_allclose(proba.sum(), 1.0, rtol=1e-12)
         assert np.all(proba > 0)
 
+    def test_predict_proba_refuses_params_for_another_config(self):
+        # the network would read params.config while the features follow cfg
+        params = init_params(micro_config(activation=ActivationSpec("sital")), embed_dim=6, seed=0)
+        other = micro_config(
+            activation=ActivationSpec("relu"), mfa=MfaConfig(method="mf-dhv", q_grid=np.linspace(-2, 2, 5))
+        )
+        with pytest.raises(ValueError, match=r"another config \(differing: activation, mfa\)"):
+            predict_proba(micro_doc(), other, params, fv=np.zeros(5))
+
+    def test_predict_proba_accepts_an_equal_config(self):
+        cfg = micro_config()
+        params = init_params(cfg, embed_dim=6, seed=0)
+        copy = ModelConfig.from_json_dict(config_json(cfg))
+        assert copy is not params.config
+        doc = micro_doc()
+        assert np.array_equal(
+            predict_proba(doc, copy, params, fv=np.zeros(5)), predict_proba(doc, cfg, params, fv=np.zeros(5))
+        )
+
     def test_explicit_fv_overrides_computation(self):
         cfg = micro_config()
         params = init_params(cfg, embed_dim=6, seed=0)

@@ -453,6 +453,29 @@ class TestInputRefusals:
         with pytest.raises(ValueError, match=message):
             evaluate(ds, model_cfg, params)
 
+    def test_tagging_model_on_an_untagged_corpus(self):
+        # before the check, every feature ran and the first step failed
+        # with "label count does not match logit rows"
+        ds = small_corpus(docs=6)
+        model_cfg = small_model(task="tagging")
+        message = r"a task='tagging' model cannot take this dataset: it has no tag_sequences"
+        with pytest.raises(ValueError, match=message):
+            train(ds, TrainConfig(epochs=1), model_cfg)
+        with pytest.raises(ValueError, match=message):
+            evaluate(ds, model_cfg, init_params(model_cfg, embed_dim=64, seed=0))
+
+    def test_classification_model_on_a_tagged_corpus(self):
+        rng = np.random.default_rng(0)
+        docs = [EmbeddingMatrix(rng.standard_normal((8, 12))) for _ in range(4)]
+        tags = [rng.integers(0, 2, size=8) for _ in docs]
+        ds = LabeledDataset(items=[(d, 0) for d in docs], n_classes=2, tag_sequences=tags)
+        model_cfg = small_model(n_classes=2)
+        message = r"a task='classification' model cannot take this dataset: it has tag_sequences"
+        with pytest.raises(ValueError, match=message):
+            train(ds, TrainConfig(epochs=1), model_cfg)
+        with pytest.raises(ValueError, match=message):
+            evaluate(ds, model_cfg, init_params(model_cfg, embed_dim=12, seed=0))
+
     def test_params_for_an_equal_config_accepted(self):
         params = init_params(small_model(), embed_dim=64, seed=0)
         copy = ModelConfig.from_json_dict(config_json(small_model()))
