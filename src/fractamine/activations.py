@@ -22,20 +22,6 @@ __all__ = [
     "breakpoints",
 ]
 
-KINDS = (
-    "sital",
-    "gelu",
-    "relu",
-    "leaky_relu",
-    "sigmoid",
-    "tanh",
-    "elu",
-    "selu",
-    "softplus",
-    "swish",
-    "rsigelud",
-    "kdac",
-)
 
 _DEFAULT_PARAMS: dict[str, dict[str, float]] = {
     "sital": {"gamma": 1.0, "eta": 1.0},
@@ -52,6 +38,8 @@ _DEFAULT_PARAMS: dict[str, dict[str, float]] = {
     # defaults are placeholders, the source reference is unavailable
     "kdac": {"beta1": 1.0, "beta2": 0.1, "mu": 0.01},
 }
+
+KINDS = tuple(_DEFAULT_PARAMS)
 
 
 @dataclass(frozen=True)

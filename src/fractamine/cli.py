@@ -155,6 +155,8 @@ def _write_series_csv(path: str, series: Series):
 
 
 def corpus_to_json_dict(dataset: LabeledDataset) -> dict:
+    if dataset.tag_sequences is not None:
+        raise ValueError("the corpus format has no per-token tags yet; cannot write a tagged dataset")
     return {
         "n_classes": dataset.n_classes,
         "documents": [

@@ -9,7 +9,6 @@ per-term entropy gain along the energy-descending ranking.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,91 +92,54 @@ def angular_frequency(s: Series) -> float:
     return 2.0 * np.pi / _basis_period(s)
 
 
-def _degenerate_terms(gram: np.ndarray, max_terms: int, tau: float) -> list[int]:
-    """Harmonics whose columns vanish or are collinear with another column.
+def _aliased_terms(period: int, max_terms: int) -> list[int]:
+    """Harmonics whose columns vanish or repeat at omega = 2*pi/period.
 
-    A column vanishes when its squared norm G[i, i] is at most tau, the
-    resolution of G in the rank rule (see fit_fourier): G is summed from
-    power sums, not from the columns, so a smaller diagonal entry is
-    rounding, and so are the cosines it would give. Pairwise cosines of
-    the other columns come straight from G. The constant column (index
-    0) names no harmonic.
+    Harmonic u has the columns cos(f*omega*k) and +-sin(f*omega*k) for
+    its folded frequency f = min(u mod P, P - u mod P). At f = 0 its cos
+    column is the constant column and its sin column vanishes; at
+    2f = P its sin column vanishes; and harmonics of equal f have equal
+    or negated columns. Any other set of harmonics has distinct f in
+    (0, P/2), and their columns are orthogonal over each period.
     """
-    sq = np.diag(gram)
-    vanish = sq <= tau
-    norms = np.sqrt(np.where(vanish, np.inf, sq))
-    cosines = np.abs(gram) / np.outer(norms, norms)
-    np.fill_diagonal(cosines, 0.0)
-    bad = np.flatnonzero(vanish | np.any(cosines > 1.0 - 1e-9, axis=1))
-    return sorted({int(col - 1) % max_terms + 1 for col in bad if col > 0})
+    u = np.arange(1, max_terms + 1)
+    f = np.minimum(u % period, period - u % period)
+    shared = np.bincount(f)[f] > 1
+    return [int(v) for v in u[(f == 0) | (2 * f == period) | shared]]
 
 
-# The Gram matrix counts as singular when it is not positive definite
-# after _GRAM_RESOLUTION * (2m+1) * eps * ||G||_inf is taken off its
-# diagonal (see fit_fourier).
-_GRAM_RESOLUTION = 10.0
-
-
-def _phases(omega: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(omega*q) and sin(omega*q) for an integer array q.
-
-    The product omega*q rounds to arg with an error r up to
-    eps*|omega*q|/2, which cos and sin alone would pass on. Splitting
-    omega into a 26-bit head and a tail (Veltkamp) makes head*q and
-    tail*q exact for q below 2**26, so r = (head*q - arg) + tail*q is
-    exact (Dekker's product), and cos(arg + r) = cos(arg) - r*sin(arg),
-    sin(arg + r) = sin(arg) + r*cos(arg) up to r**2/2.
-    """
-    t = omega * 134217729.0  # 2**27 + 1
-    head = t - (t - omega)
-    q = q.astype(np.float64)
-    arg = omega * q
-    r = (head * q - arg) + (omega - head) * q
-    c, s = np.cos(arg), np.sin(arg)
-    return c - r * s, s + r * c
-
-
-def _power_sums(y: np.ndarray, omega: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _power_sums(y: np.ndarray, period: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """C_v(j) and S_v(j), the sums of v_k cos(j*omega*k) and v_k sin(j*omega*k).
 
-    k runs over 1..N and j over 0..count-1, for v = 1 (row 0 of each
-    (2, count) result) and v = y (row 1). They are the real and
-    imaginary parts of P_v(j) = sum_k v_k exp(i*j*omega*k). With
-    L = isqrt(N), each position is written as k = 1 + a*L + l (l < L)
-    and v is zero-padded to J*L rows, so
+    omega = 2*pi/period, k runs over 1..N and j over 0..count-1, for
+    v = 1 (row 0 of each (2, count) result) and v = y (row 1). They are
+    the real and imaginary parts of P_v(j) = sum_k v_k exp(i*j*omega*k).
+    Every phase repeats with period P in k, so with F_v[r] the sum of v_k
+    over k = r mod P,
 
-        P(j) = sum_l exp(i*j*omega*(l+1)) * sum_a v[a*L+l] * exp(i*j*omega*L*a).
+        P_v(j) = sum_r F_v[r] * exp(2*pi*i*j*r/P) = conj(rfft(F_v)[j mod P]),
 
-    The inner sums are one real (count x J) @ (J x L) product per real
-    and imaginary part, the outer sum one elementwise product reduced
-    over l, and only (J + L) * count phases are evaluated, each at an
-    integer multiple of omega (_phases).
+    and a bin g = j mod P above P/2 is read as the conjugate of bin
+    P - g, since F_v is real. The fold is two bincounts and the rest one
+    real FFT of length P; no phase is evaluated.
     """
-    n = y.size
-    length = math.isqrt(n)
-    rows = -(-n // length)
-    v = np.zeros((2, rows * length))
-    v[0, :n] = 1.0
-    v[1, :n] = y
-    v = v.reshape(2, rows, length)
-    j = np.arange(count)
-    cos_outer, sin_outer = _phases(omega, np.outer(j, length * np.arange(rows)))
-    c, s = _phases(omega, np.outer(j, np.arange(1, length + 1)))
-    re, im = cos_outer @ v, sin_outer @ v
-    dot = "jl,vjl->vj"
-    return (
-        np.einsum(dot, c, re) - np.einsum(dot, s, im),
-        np.einsum(dot, c, im) + np.einsum(dot, s, re),
+    residue = np.arange(1, y.size + 1) % period
+    folded = np.stack(
+        [np.bincount(residue, minlength=period), np.bincount(residue, weights=y, minlength=period)]
     )
+    spectrum = np.fft.rfft(folded)
+    g = np.arange(count) % period
+    f = np.minimum(g, period - g)
+    return spectrum.real[:, f], np.where(g > f, 1.0, -1.0) * spectrum.imag[:, f]
 
 
-def _normal_equations(y: np.ndarray, omega: float, max_terms: int) -> tuple[np.ndarray, np.ndarray]:
+def _normal_equations(y: np.ndarray, period: int, max_terms: int) -> tuple[np.ndarray, np.ndarray]:
     """G = X^T X and b = X^T y of the design, from power sums alone.
 
     X has the rows [1, cos(u*omega*k), sin(u*omega*k)] for u = 1..m at
-    k = 1..N. With C(j) = C_1(j) and S(j) = S_1(j) (_power_sums), the
-    product-to-sum identities give every entry of G from C and S at
-    j = |u-v| and u+v:
+    k = 1..N, omega = 2*pi/period. With C(j) = C_1(j) and S(j) = S_1(j)
+    (_power_sums), the product-to-sum identities give every entry of G
+    from C and S at j = |u-v| and u+v:
         cos_u cos_v = (C(u-v) + C(u+v)) / 2,
         sin_u sin_v = (C(u-v) - C(u+v)) / 2,
         cos_u sin_v = (S(u+v) - S(u-v)) / 2,
@@ -185,7 +147,7 @@ def _normal_equations(y: np.ndarray, omega: float, max_terms: int) -> tuple[np.n
     S_y(u)]. Neither X nor any N-long trigonometric row is formed.
     """
     m = max_terms
-    (c, cy), (s, sy) = _power_sums(y, omega, 2 * m + 1)
+    (c, cy), (s, sy) = _power_sums(y, period, 2 * m + 1)
     u = np.arange(1, m + 1)
     diff = u[:, None] - u
     lag, lead = np.abs(diff), u[:, None] + u
@@ -201,56 +163,43 @@ def _normal_equations(y: np.ndarray, omega: float, max_terms: int) -> tuple[np.n
     return gram, b
 
 
-def fit_fourier(s: Series, max_terms: int, omega: float | None = None) -> FourierModel:
-    """Ordinary least squares against the omega-derived basis.
+def fit_fourier(s: Series, max_terms: int, period: int | None = None) -> FourierModel:
+    """Ordinary least squares against the basis of omega = 2*pi/period.
 
-    omega defaults to angular_frequency(s). Requires N >= 2*max_terms+1
-    so the coefficients are determined. A rank-deficient design (aliased
-    or vanishing harmonics) raises DegenerateBasisError naming the
-    offending terms rather than returning an unidentifiable fit.
+    period defaults to _basis_period(s) and must be an integer in
+    [1, N]. Requires N >= 2*max_terms+1 so the coefficients are
+    determined. A rank-deficient design (aliased or vanishing harmonics,
+    _aliased_terms) raises DegenerateBasisError naming the offending
+    terms rather than returning an unidentifiable fit.
 
     The fit solves the normal equations. The design X (N x (2m+1),
     m = max_terms) is never formed: its Gram matrix G = X^T X, at most
     129 x 129, and b = X^T y follow from the 2m+1 power sums
     sum_k v_k exp(i*j*omega*k) of v = 1 and v = y (_normal_equations),
     as in Fourier-detrended fluctuation analysis (Chianca, Ticona and
-    Penna 2005). Building them evaluates O(sqrt(N) * m) phases, for any
-    omega, and the largest temporary is a zero-padded copy of 1 and y.
-    The rank test is one Cholesky factorization, the solve one LU solve,
-    coef = solve(G, b); no eigenvalue is computed.
+    Penna 2005), and the solve is coef = solve(G, b).
 
-    Rank rule: with tau = ||G||_inf * (2m+1) * eps * 10, the design
-    counts as rank-deficient when the Cholesky factorization of
-    G - tau*I fails, that is when G - tau*I is not positive definite,
-    lam_min(G) <= tau up to rounding. ||G||_inf (the largest absolute
-    row sum) is at least lam_max and at most sqrt(2m+1) * lam_max, so
-    tau is never below the resolution of G, lam_max * (2m+1) * eps * 10,
-    and at most sqrt(2m+1) times it. Since lam = sigma(X)**2, the fit
-    refuses cond(X) above 1/sqrt(10 * (2m+1) * eps * ||G||_inf/lam_max):
-    between 5.6e5 and 1.9e6 at m = 64, depending on how far G is from
-    diagonal, and between 9.3e6 and 1.2e7 at m = 1. It accepts every
-    cond(X) below the lower figure, 1/sqrt(10 * (2m+1)**1.5 * eps). An
-    SVD solve would accept cond(X) up to about 1/(N * eps), 1e11 or more,
-    but the normal equations square the condition number, so beyond
-    these limits the coefficients would be mostly rounding error. The
-    designs denoise builds are close to orthogonal (cond(X) at most
-    about 2), far inside the rule.
+    No numerical rank test is needed. Rows k and k + P of X are equal.
+    Without aliasing, the columns of the first P rows are orthogonal,
+    with squared norms P (constant) and P/2 (cos and sin), so their Gram
+    matrix G_P has eigenvalues P/2 and P. With N = qP + r, 0 <= r < P,
+    G is q*G_P plus the Gram matrix of r rows of one more period, which
+    lies between 0 and G_P; so q*G_P <= G <= (q+1)*G_P and
+    cond(G) <= 2(q+1)/q <= 4, that is cond(X) <= 2.
     """
     n = len(s)
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     if n < 2 * max_terms + 1:
         raise ValueError(f"need N >= 2*max_terms+1 = {2 * max_terms + 1}, got N = {n}")
-    if omega is None:
-        omega = angular_frequency(s)
-    gram, b = _normal_equations(s.values, omega, max_terms)
-    size = gram.shape[0]
-    tau = np.abs(gram).sum(axis=1).max() * size * np.finfo(np.float64).eps * _GRAM_RESOLUTION
-    try:
-        np.linalg.cholesky(gram - tau * np.eye(size))
-    except np.linalg.LinAlgError:
-        raise DegenerateBasisError(_degenerate_terms(gram, max_terms, tau)) from None
-    coef = np.linalg.solve(gram, b)
+    if period is None:
+        period = _basis_period(s)
+    elif not isinstance(period, (int, np.integer)) or not 1 <= period <= n:
+        raise ValueError(f"period must be an integer in [1, N = {n}], got {period!r}")
+    aliased = _aliased_terms(period, max_terms)
+    if aliased:
+        raise DegenerateBasisError(aliased)
+    coef = np.linalg.solve(*_normal_equations(s.values, period, max_terms))
     eta0 = float(coef[0])
     alpha = coef[1 : max_terms + 1].copy()
     beta = coef[max_terms + 1 :].copy()
@@ -264,7 +213,7 @@ def fit_fourier(s: Series, max_terms: int, omega: float | None = None) -> Fourie
         eta0=eta0,
         alpha=alpha,
         beta=beta,
-        omega=float(omega),
+        omega=2.0 * np.pi / period,
         max_terms=max_terms,
         energy=energy,
         n_samples=n,
@@ -315,7 +264,7 @@ def reconstruct(m: FourierModel, r: int) -> Series:
 def denoise(s: Series) -> tuple[Series, FourierModel, int]:
     """Fit, entropy-select the order, and rebuild the series.
 
-    omega = 2*pi/P as in angular_frequency (P from _basis_period), and
+    The basis period P is _basis_period's, as in angular_frequency, and
     the fitted order is min(floor(N/4), 64, floor((P-1)/2)), so no
     harmonic reaches the alias point u = P/2, where columns vanish or
     repeat and the fit would be unidentifiable.
@@ -324,7 +273,7 @@ def denoise(s: Series) -> tuple[Series, FourierModel, int]:
     if n < 16:
         raise ValueError(f"need at least 16 samples to denoise, got {n}")
     p = _basis_period(s)
-    model = fit_fourier(s, min(n // 4, 64, (p - 1) // 2), omega=2.0 * np.pi / p)
+    model = fit_fourier(s, min(n // 4, 64, (p - 1) // 2), period=p)
     r = select_order(model)
     return reconstruct(model, r), model, r
 

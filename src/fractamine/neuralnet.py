@@ -260,15 +260,14 @@ def scnn_forward(fvh: DiffArray, params: ModelParams) -> DiffArray:
     cfg = params.config
     t = params.tensors
     same = cfg.task == "tagging"
+    need = cfg.min_tokens()
+    if fvh.data.shape[0] < need:
+        raise ValueError(
+            f"scnn stage conv.pre: sequence length {fvh.data.shape[0]} is below "
+            f"ModelConfig.min_tokens() = {need}"
+        )
 
     def stage(x: DiffArray, site: str) -> DiffArray:
-        w = cfg.conv_width
-        need = 1 if same else 2 * (w - 1) + 1
-        if x.data.shape[0] < need:
-            raise ValueError(
-                f"scnn stage {site}: sequence length {x.data.shape[0]} cannot absorb "
-                f"two width-{w} convolutions"
-            )
         y = ad.conv1d(x, t[f"{site}.c1.k"], t[f"{site}.c1.b"], same_length=same)
         y = _site_activation(y, site, params)
         y = ad.conv1d(y, t[f"{site}.c2.k"], t[f"{site}.c2.b"], same_length=same)
@@ -282,8 +281,6 @@ def scnn_forward(fvh: DiffArray, params: ModelParams) -> DiffArray:
     x = stage(fvh, "conv.pre")
     for i in range(cfg.blocks):
         if not same:
-            if x.data.shape[0] < 2:
-                raise ValueError(f"scnn stage conv.block{i}: length {x.data.shape[0]} cannot be pooled")
             x = ad.maxpool(x, 2, 2)
         x = stage(x, f"conv.block{i}")
     return x
@@ -345,11 +342,9 @@ def deffsi_forward(
     fva = attention_fv(fv_t, params)
     fva_proj = ad.add(ad.matmul(fva, t["fva_proj.w"]), t["fva_proj.b"])
 
-    if cfg.task == "tagging":
-        fused = gate_fuse(fvhc, fva_proj, t["gate2.kappa"], t["gate2.bias"])
-    else:
-        summary = ad.reduce_max(fvhc, axis=0)
-        fused = gate_fuse(summary, fva_proj, t["gate2.kappa"], t["gate2.bias"])
+    if cfg.task == "classification":
+        fvhc = ad.reduce_max(fvhc, axis=0)
+    fused = gate_fuse(fvhc, fva_proj, t["gate2.kappa"], t["gate2.bias"])
 
     hidden = _site_activation(ad.add(ad.matmul(fused, t["dense0.w"]), t["dense0.b"]), "dense0", params)
     return ad.add(ad.matmul(hidden, t["head.w"]), t["head.b"])

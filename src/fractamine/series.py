@@ -75,7 +75,7 @@ class EmbeddingMatrix:
 @dataclass(frozen=True)
 class LabeledDataset:
     """Documents with integer class labels in [0, n_classes), all of one
-    embedding width."""
+    embedding width; per-token tags, when given, lie in the same range."""
 
     items: list[tuple[EmbeddingMatrix, int]]
     n_classes: int
@@ -98,6 +98,10 @@ class LabeledDataset:
             for idx, ((doc, _), tags) in enumerate(zip(self.items, self.tag_sequences)):
                 if len(tags) != doc.n_tokens:
                     raise ValueError(f"item {idx}: {len(tags)} tags for {doc.n_tokens} tokens")
+                tags = np.asarray(tags)
+                outside = tags[(tags < 0) | (tags >= self.n_classes)]
+                if outside.size:
+                    raise ValueError(f"item {idx} tag {int(outside[0])} outside [0, {self.n_classes})")
 
     def __len__(self) -> int:
         return len(self.items)

@@ -18,6 +18,7 @@ from fractamine.fourier_denoise import denoise, diagnostics
 from fractamine.multifractal import MfaConfig
 from fractamine.neuralnet import ModelConfig, config_json
 from fractamine.series import (
+    LabeledDataset,
     load_series,
     synth_binomial_cascade,
     synth_embedded_corpus,
@@ -528,6 +529,13 @@ class TestCorpusIO:
         err = capsys.readouterr().err
         assert str(path) in err and "format_version 99" in err
         assert not (tmp_path / "tr").exists()
+
+    def test_tagged_dataset_refused(self):
+        ds = synth_embedded_corpus(6, 2, 4, 8, 3.0, seed=0)
+        tags = [np.zeros(doc.n_tokens, dtype=np.int64) for doc, _ in ds.items]
+        tagged = LabeledDataset(items=ds.items, n_classes=2, tag_sequences=tags)
+        with pytest.raises(ValueError, match="no per-token tags"):
+            corpus_to_json_dict(tagged)
 
     def test_missing_format_version_accepted(self, tmp_path):
         path = tmp_path / "c.json"

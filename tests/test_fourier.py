@@ -17,6 +17,7 @@ from fractamine.fourier_denoise import (
     fit_fourier,
     reconstruct,
     select_order,
+    _aliased_terms,
     _normal_equations,
 )
 from fractamine.series import Series, synth_binomial_cascade, synth_fgn
@@ -113,58 +114,13 @@ class TestFitFourier:
             fit_fourier(s, max_terms=20)
         assert 20 in err.value.terms
 
-    @pytest.mark.parametrize("n,t", [(1462, 4.0), (2918, 4 * (1 + 1e-13))], ids=["exact", "detuned"])
-    def test_vanishing_column_named_alone(self, n, t):
-        # at omega = 2*pi/4 the sin column of harmonic 2 is zero (or, detuned,
-        # below the resolution of G); harmonic 1 is sound and is not named
-        y = Series(np.random.default_rng(n).standard_normal(n))
+    def test_vanishing_column_named_alone(self):
+        # at period 4 the sin column of harmonic 2 is zero; harmonic 1 is
+        # sound and is not named
+        y = Series(np.random.default_rng(1462).standard_normal(1462))
         with pytest.raises(DegenerateBasisError) as err:
-            fit_fourier(y, max_terms=2, omega=2 * np.pi / t)
+            fit_fourier(y, max_terms=2, period=4)
         assert err.value.terms == [2]
-
-    def test_near_collinear_pair_raises(self):
-        # harmonics 3 and 4 alias at omega = 2*pi/7; a 1e-10 detuning leaves
-        # cond(X) near 2e8, which an SVD solve would still accept
-        n, m = 64, 4
-        omega = 2 * np.pi / 7 * (1 + 1e-10)
-        X = oracle_design(omega, n, m)
-        assert 1e6 < np.linalg.cond(X) < 1e11
-        assert np.linalg.matrix_rank(X) == X.shape[1]
-        y = Series(np.random.default_rng(3).standard_normal(n))
-        with pytest.raises(DegenerateBasisError) as err:
-            fit_fourier(y, max_terms=m, omega=omega)
-        assert err.value.terms == [3, 4]
-
-    def test_conditioned_inside_the_rule_fits(self):
-        # the same aliased pair detuned by 1e-7: cond(X) near 1.8e5, below
-        # 1/sqrt(10 * 9**1.5 * eps) = 4.1e6, the least the rule accepts at m = 4
-        n, m = 64, 4
-        omega = 2 * np.pi / 7 * (1 + 1e-7)
-        X = oracle_design(omega, n, m)
-        cond = np.linalg.cond(X)
-        assert 1e5 < cond < 4e5
-        y = np.random.default_rng(3).standard_normal(n)
-        model = fit_fourier(Series(y), max_terms=m, omega=omega)
-        got = np.concatenate([[model.eta0], model.alpha, model.beta])
-        coef = np.linalg.lstsq(X, y, rcond=None)[0]
-        # the normal equations lose cond(X)**2 * eps of the coefficients,
-        # which are large along the near-collinear pair; that direction is
-        # shrunk by sigma_min(X) in the fitted values
-        tol = cond**2 * np.finfo(np.float64).eps * np.abs(coef).max()
-        assert_allclose(got, coef, rtol=0, atol=tol)
-        sigma_min = np.linalg.norm(X, 2) / cond
-        assert_allclose(X @ got, X @ coef, rtol=0, atol=sigma_min * tol)
-
-    def test_conditioned_beyond_the_old_rule_raises(self):
-        # detuned by 1e-9: cond(X) near 1.8e7, above 1/sqrt(10 * 3 * eps)
-        # = 1.2e7, the most the eigenvalue rule accepted at any m
-        n, m = 64, 4
-        omega = 2 * np.pi / 7 * (1 + 1e-9)
-        assert 1.2e7 < np.linalg.cond(oracle_design(omega, n, m)) < 1e8
-        y = Series(np.random.default_rng(3).standard_normal(n))
-        with pytest.raises(DegenerateBasisError) as err:
-            fit_fourier(y, max_terms=m, omega=omega)
-        assert err.value.terms == [3, 4]
 
     @pytest.mark.parametrize("runs", [(40, 40), (30, 30, 30)], ids=["T1", "T2"])
     def test_default_omega_fits_one_or_two_crossings(self, runs):
@@ -175,28 +131,50 @@ class TestFitFourier:
         rec = reconstruct(model, model.max_terms)
         assert np.corrcoef(rec.values, s.values)[0, 1] > 0.9
 
-    def test_explicit_omega_override(self):
+    def test_explicit_period_override(self):
         k = np.arange(256, dtype=np.float64)
         w = 2 * np.pi / 32
         sig = 1.0 + 2 * np.cos(w * k) + 0.5 * np.sin(2 * w * k)
-        model = fit_fourier(Series(sig), max_terms=8, omega=w)
+        model = fit_fourier(Series(sig), max_terms=8, period=32)
+        assert model.omega == w
         rec = reconstruct(model, model.max_terms)
         assert np.sqrt(np.mean((rec.values - sig) ** 2)) < 1e-10
+
+    @pytest.mark.parametrize("period", [40.5, 40.0, "40", 0, -3, 801])
+    def test_period_outside_integers_in_range_refused(self, period):
+        s, _ = periodic_signal()  # N = 800
+        with pytest.raises(ValueError, match="period"):
+            fit_fourier(s, max_terms=4, period=period)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             fit_fourier(Series(np.arange(10.0)), max_terms=8)
 
 
-def oracle_design(omega, n, max_terms):
-    k = np.arange(1, n + 1, dtype=np.float64)
-    arg = np.outer(k, np.arange(1, max_terms + 1, dtype=np.float64)) * omega
+def oracle_design(period, n, max_terms):
+    """The N-row design at omega = 2*pi/period, each phase reduced mod period."""
+    arg = 2 * np.pi * (np.outer(np.arange(1, n + 1), np.arange(1, max_terms + 1)) % period) / period
     return np.hstack([np.ones((n, 1)), np.cos(arg), np.sin(arg)])
+
+
+def test_aliased_terms_are_the_repeated_or_vanishing_columns():
+    # the harmonics with a column that is zero, or equal or opposite to
+    # another column (the constant included), found by comparing columns
+    for period in range(1, 41):
+        for m in range(1, 26):
+            X = oracle_design(period, max(period, 2 * m + 1), m)
+            a, b = X[:, :, None], X[:, None, :]
+            repeats = np.all(np.isclose(a, b, rtol=0, atol=1e-9), axis=0)
+            repeats |= np.all(np.isclose(a, -b, rtol=0, atol=1e-9), axis=0)
+            np.fill_diagonal(repeats, False)
+            bad = repeats.any(axis=1) | np.all(np.abs(X) < 1e-9, axis=0)
+            want = sorted({(col - 1) % m + 1 for col in np.flatnonzero(bad) if col > 0})
+            assert _aliased_terms(period, m) == want, (period, m)
 
 
 @st.composite
 def denoise_designs(draw):
-    """(N, T, m) as denoise draws them: omega = 2*pi/T, T = N for the fallback."""
+    """(N, P, m) as denoise draws them: omega = 2*pi/P, P = N for the fallback."""
     n = draw(st.integers(16, 4096))
     t = draw(st.integers(3, n))
     m = draw(st.integers(1, min(n // 4, 64, (t - 1) // 2)))
@@ -206,31 +184,38 @@ def denoise_designs(draw):
 @settings(max_examples=40, deadline=None)
 @given(design=denoise_designs(), seed=st.integers(0, 2**32 - 1))
 def test_fit_matches_lstsq_oracle(design, seed):
-    n, t, m = design
-    omega = 2 * np.pi / t
+    n, period, m = design
     y = np.random.default_rng(seed).standard_normal(n)
-    model = fit_fourier(Series(y), max_terms=m, omega=omega)
-    coef = np.linalg.lstsq(oracle_design(omega, n, m), y, rcond=None)[0]
+    model = fit_fourier(Series(y), max_terms=m, period=period)
+    coef = np.linalg.lstsq(oracle_design(period, n, m), y, rcond=None)[0]
     assert abs(model.eta0 - coef[0]) <= 1e-12
     assert_allclose(model.alpha, coef[1 : m + 1], rtol=0, atol=1e-12)
     assert_allclose(model.beta, coef[m + 1 :], rtol=0, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(design=denoise_designs())
+def test_gram_condition_at_most_four(design):
+    # fit_fourier's bound: q*G_P <= G <= (q+1)*G_P for N = qP + r
+    n, period, m = design
+    gram, _ = _normal_equations(np.zeros(n), period, m)
+    assert np.linalg.cond(gram) <= 4.0 * (1 + 1e-9)
+
+
 @pytest.mark.parametrize(
-    "n,omega,m",
+    "n,period,m",
     [
-        (1000, 2 * np.pi / 37, 16),  # N not a perfect square: the power sums pad
-        (17, 2 * np.pi / 5, 8),  # N = 2m+1
-        (500, 2 * np.pi / 21, 10),  # T = 2m+1: u+v reaches T-1
-        (777, 2 * np.pi / 777, 64),  # the fallback omega = 2*pi/N
-        (4096, 0.7345, 5),  # a general omega, N a perfect square
+        (1000, 37, 16),  # N not a multiple of P: the fold is uneven
+        (17, 5, 8),  # N = 2m+1, and u+v wraps past P
+        (500, 21, 10),  # P = 2m+1: u+v reaches P-1
+        (777, 777, 64),  # the fallback P = N
     ],
-    ids=["padded", "n-is-2m+1", "t-is-2m+1", "fallback-omega", "general-omega"],
+    ids=["padded", "n-is-2m+1", "t-is-2m+1", "fallback-omega"],
 )
-def test_normal_equations_match_direct_sums(n, omega, m):
+def test_normal_equations_match_direct_sums(n, period, m):
     y = np.random.default_rng(n).standard_normal(n)
-    X = oracle_design(omega, n, m)
-    gram, b = _normal_equations(y, omega, m)
+    X = oracle_design(period, n, m)
+    gram, b = _normal_equations(y, period, m)
     # an index or sign slip moves an entry by O(N) or O(|y|_1)
     assert_allclose(gram, X.T @ X, rtol=0, atol=1e-12 * n)
     assert_allclose(b, X.T @ y, rtol=0, atol=1e-12 * np.abs(y).sum())
@@ -239,24 +224,25 @@ def test_normal_equations_match_direct_sums(n, omega, m):
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is not wider than float64")
 def test_normal_equations_within_rounding_of_extended_precision():
-    # the phases j*omega*k reach 1.6e4 here, so rounding omega*q alone,
-    # uncorrected, would move G by about 5e-14 N and b by 1e-14 |y|_1
-    n, m, omega = 4097, 64, 2 * np.pi / 129
+    # the basis of omega = 2*pi/P itself, with 2*pi and each phase in long
+    # double; evaluating j*omega*k in float64 instead would be off by
+    # about 5e-15 N in G and 2e-14 |y|_1 in b
+    n, m, period = 4097, 64, 129
     y = np.random.default_rng(1).standard_normal(n)
-    arg = np.longdouble(omega) * np.outer(np.arange(1, m + 1), np.arange(1, n + 1))
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    arg = two_pi * (np.outer(np.arange(1, m + 1), np.arange(1, n + 1)) % period) / period
     X = np.vstack([np.ones((1, n), dtype=np.longdouble), np.cos(arg), np.sin(arg)])
-    gram, b = _normal_equations(y, omega, m)
+    gram, b = _normal_equations(y, period, m)
     assert np.abs(gram - X @ X.T).max() <= 1e-15 * n
     assert np.abs(b - X @ y).max() <= 1e-15 * np.abs(y).sum()
 
 
 @pytest.mark.parametrize("n,t,m", [(4097, 129, 64), (12289, 3001, 64), (9000, 9000, 3)])
 def test_blocked_fit_matches_lstsq_oracle(n, t, m):
-    # long series at N = 64**2 + 1 and two other non-squares, m up to 64
-    omega = 2 * np.pi / t
+    # long series with N not a multiple of P, and P = N; m up to 64
     y = synth_fgn(n, 0.7, seed=n).values
-    model = fit_fourier(Series(y), max_terms=m, omega=omega)
-    coef = np.linalg.lstsq(oracle_design(omega, n, m), y, rcond=None)[0]
+    model = fit_fourier(Series(y), max_terms=m, period=t)
+    coef = np.linalg.lstsq(oracle_design(t, n, m), y, rcond=None)[0]
     assert abs(model.eta0 - coef[0]) <= 1e-12
     assert_allclose(model.alpha, coef[1 : m + 1], rtol=0, atol=1e-12)
     assert_allclose(model.beta, coef[m + 1 :], rtol=0, atol=1e-12)
@@ -265,10 +251,9 @@ def test_blocked_fit_matches_lstsq_oracle(n, t, m):
 def test_fit_memory_independent_of_n():
     # the full 129 x 65536 design alone would take 68 MB
     s = synth_fgn(65536, 0.7, seed=0)
-    omega = angular_frequency(s)
     tracemalloc.start()
     try:
-        fit_fourier(s, max_terms=64, omega=omega)
+        fit_fourier(s, max_terms=64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

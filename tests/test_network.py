@@ -220,7 +220,8 @@ class TestComponents:
         cfg = micro_config(blocks=2, conv_width=4)
         params = init_params(cfg, embed_dim=6, seed=0)
         x = DiffArray(RNG.standard_normal((12, 10)))
-        with pytest.raises(ValueError, match="conv.block"):
+        # refused at entry, before any stage runs: 46 tokens reach the last block
+        with pytest.raises(ValueError, match=r"conv\.pre: .* 12 is below ModelConfig\.min_tokens\(\) = 46"):
             scnn_forward(x, params)
 
     def test_attention_weights_normalized(self):

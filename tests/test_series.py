@@ -71,6 +71,12 @@ class TestLabeledDataset:
                 items=[(doc, 0)], n_classes=2, tag_sequences=[np.array([0, 1])]
             )
 
+    @pytest.mark.parametrize("tag", [5, -1])
+    def test_tag_range_enforced(self, tag):
+        doc = EmbeddingMatrix(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=rf"item 0 tag {tag} outside \[0, 2\)"):
+            LabeledDataset(items=[(doc, 0)], n_classes=2, tag_sequences=[np.array([0, tag, 1])])
+
     def test_mixed_embedding_widths_refused(self):
         docs = [EmbeddingMatrix(np.zeros((2, width))) for width in (4, 4, 3)]
         with pytest.raises(ValueError, match="item 2 has embedding width 3, item 0 has 4"):

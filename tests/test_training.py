@@ -418,12 +418,12 @@ class TestInputRefusals:
             evaluate(corpus, model_cfg, params)
 
     def test_tag_outside_the_model_classes(self):
-        # LabeledDataset checks labels against its own n_classes, never tags
+        # tag 2 is inside the dataset's 3 classes but not the model's 2
         rng = np.random.default_rng(0)
         docs = [EmbeddingMatrix(rng.standard_normal((8, 12))) for _ in range(3)]
         tags = [np.zeros(8, dtype=np.int64) for _ in docs]
         tags[2][5] = 2
-        ds = LabeledDataset(items=[(d, 0) for d in docs], n_classes=2, tag_sequences=tags)
+        ds = LabeledDataset(items=[(d, 0) for d in docs], n_classes=3, tag_sequences=tags)
         model_cfg = small_model(n_classes=2, task="tagging")
         params = init_params(model_cfg, embed_dim=12, seed=0)
         message = r"document 2 has tag 2 outside the model's classes \[0, n_classes=2\)"
