@@ -77,8 +77,10 @@ class MfaConfig:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         q = np.asarray(self.q_grid, dtype=np.float64)
-        if q.size == 0:
-            raise ValueError("q_grid must be nonempty")
+        if q.ndim != 1 or q.size == 0:
+            raise ValueError(f"q_grid must be nonempty and 1-D, got shape {q.shape}")
+        if not np.all(np.isfinite(q)):
+            raise ValueError(f"q_grid must be finite, got {q.tolist()}")
         object.__setattr__(self, "q_grid", q)
         if self.scales is not None:
             raw = np.asarray(self.scales)
@@ -205,11 +207,16 @@ def weighted_trend(y: Series, theta: Series, s: int | np.ndarray) -> Series | np
     c_i = theta_i * Y_i / total (a_i = 1 and c_i = 0 where the value is
     carried). Affine maps compose associatively, so the N-1 rows after
     the seed row are cut into about sqrt(N) blocks of L = isqrt(N-1)
-    rows: one pass composes the maps inside every block at once, a
-    second carries each block's start value through it, and the fewer
-    than L rows left over run the plain recurrence. That is about
-    2 sqrt(N) vectorized steps in place of N scalar ones, all in place
-    in the a and c buffers.
+    rows: one pass composes the maps inside every block at once (L-1
+    steps for the offsets, one multiply.accumulate for the prefix
+    products), a second carries the start value from block to block
+    through the block-end maps only, as S-vectors, and then two
+    broadcast operations apply every block's start value to all its
+    rows; the fewer than L rows left over run the plain recurrence. That
+    is about 2 sqrt(N) vectorized steps in place of N scalar ones, all
+    in place in the a and c buffers. The broadcast carry does the same
+    two roundings per value as applying the start value block by block,
+    so it is bit-identical to that loop.
 
     Composing reorders the rounding, so the result is not bit-identical
     to the per-position recursion: each of the about 2 sqrt(N) steps on
@@ -241,7 +248,7 @@ def weighted_trend(y: Series, theta: Series, s: int | np.ndarray) -> Series | np
         c = np.divide((th * yv)[:, None], total, out=total)
     np.copyto(a, 1.0, where=carry)
     np.copyto(c, 0.0, where=carry)
-    c[0] = [yv[sc - 1 : 2 * sc - 1].mean() for sc in scales]  # positions s..2s-1, 1-based
+    c[0] = [yv[sc - 1 : 2 * sc - 1].sum() / sc for sc in scales]  # positions s..2s-1, 1-based
 
     length = math.isqrt(n - 1)
     end = 1 + (n - 1) // length * length
@@ -249,12 +256,14 @@ def weighted_trend(y: Series, theta: Series, s: int | np.ndarray) -> Series | np
     cb = c[1:end].reshape(-1, length, scales.size)
     for k in range(1, length):
         cb[:, k] += ab[:, k] * cb[:, k - 1]
-        ab[:, k] *= ab[:, k - 1]
-    prev = c[0]
-    for block_a, block_c in zip(ab, cb):
-        block_a *= prev
-        block_c += block_a
-        prev = block_c[-1]
+    np.multiply.accumulate(ab, axis=1, out=ab)
+    starts = np.empty((len(ab), scales.size))
+    starts[0] = c[0]
+    for start, prev, a_end, c_end in zip(starts[1:], starts[:-1], ab[:-1, -1], cb[:-1, -1]):
+        np.multiply(a_end, prev, out=start)
+        start += c_end
+    ab *= starts[:, None, :]
+    cb += ab
     for i in range(end, n):
         c[i] += a[i] * c[i - 1]
     return Series(c[:, 0]) if np.ndim(s) == 0 else c

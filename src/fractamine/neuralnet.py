@@ -368,8 +368,14 @@ def check_params_config(params: ModelParams, cfg: ModelConfig) -> None:
 
 def predict_proba(v: EmbeddingMatrix, cfg: ModelConfig, params: ModelParams, fv=None) -> np.ndarray:
     """Softmax class probabilities (per token when tagging); params must
-    have been built for cfg (check_params_config)."""
+    have been built for cfg (check_params_config). An fv override must
+    be a finite vector with one entry per q of cfg.mfa.q_grid."""
     check_params_config(params, cfg)
+    if fv is not None:
+        fv = np.asarray(fv, dtype=np.float64)
+        want = cfg.mfa.q_grid.size
+        if fv.shape != (want,) or not np.all(np.isfinite(fv)):
+            raise ValueError(f"fv must be a finite vector of length {want} (one per q), got shape {fv.shape}")
     logits = deffsi_forward(v, cfg, params, fv=fv)
     return ad.softmax(logits).data
 

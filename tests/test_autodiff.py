@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -594,9 +595,9 @@ class TestFusedDirections:
     """lstm_layer with two directions runs both in one time loop."""
 
     @staticmethod
-    def make_values(n, d, h, seed):
+    def make_values(n, d, h, seed, x_scale=1.0):
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, d))
+        x = rng.standard_normal((n, d)) * x_scale
         weights = [
             [rng.standard_normal((d, 4 * h)) * 0.3, rng.standard_normal((h, 4 * h)) * 0.3,
              rng.standard_normal(4 * h) * 0.1]
@@ -636,22 +637,41 @@ class TestFusedDirections:
     # oracle's tolerance rather than to bit identity.
     @pytest.mark.parametrize("n, d, h", [(1, 5, 3), (2, 5, 3), (12, 7, 4), (12, 3, 6), (12, 64, 16)])
     def test_each_direction_matches_loop_oracle(self, n, d, h):
-        x, weights, grad_out = self.make_values(n, d, h, seed=100 * n + 10 * d + h)
+        self.assert_directions_match_oracle(n, d, h, saturated=False)
+
+    # Here x is scaled so the pre-activations are about 1e3 in size, and
+    # most gates are exactly 0 or 1. The layer forms sigmoid(z) as
+    # 1/2 + tanh(z/2)/2, which is within about one ulp of 1/2 of the
+    # oracle's logaddexp form but reaches exactly 0 near z = -38, where
+    # the oracle keeps e^z. A gradient carried only by gates that far out
+    # is below about 1e-16 of its unsaturated size, so the bound is taken
+    # against the scale max|grad_out| * max(1, max|x|) where that is larger.
+    @pytest.mark.parametrize("n, d, h", [(1, 5, 3), (2, 5, 3), (12, 7, 4), (12, 3, 6), (12, 64, 16)])
+    def test_saturated_gates_match_loop_oracle(self, n, d, h):
+        self.assert_directions_match_oracle(n, d, h, saturated=True)
+
+    def assert_directions_match_oracle(self, n, d, h, saturated):
+        x_scale = 1e3 / (0.3 * np.sqrt(d)) if saturated else 1.0
+        x, weights, grad_out = self.make_values(n, d, h, seed=100 * n + 10 * d + h, x_scale=x_scale)
         want = [
             lstm_loop_oracle(x, *direction, grad_out[:, k * h : (k + 1) * h], reverse=bool(k))
             for k, direction in enumerate(weights)
         ]
         xl = leaf(x)
         wl = [[leaf(v) for v in direction] for direction in weights]
-        out = self.fused(xl, wl)
-        backprop(out, grad_out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = self.fused(xl, wl)
+            backprop(out, grad_out)
+        assert np.all(np.isfinite(out.data)) and np.all(np.abs(out.data) <= 1.0)
         pairs = [(xl.grad, want[0][1] + want[1][1])]
         for k in range(2):
             pairs.append((out.data[:, k * h : (k + 1) * h], want[k][0]))
             pairs += [(t.grad, w) for t, w in zip(wl[k], want[k][2:])]
+        floor = np.max(np.abs(grad_out)) * max(1.0, np.max(np.abs(x))) if saturated else 0.0
         for idx, (g, w) in enumerate(pairs):
             assert g.shape == w.shape, idx
-            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), idx
+            assert np.max(np.abs(g - w)) <= 1e-12 * max(np.max(np.abs(w)), floor), idx
 
     def test_grad_check(self):
         x, weights, _ = self.make_values(5, 4, 3, seed=7)

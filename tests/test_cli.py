@@ -94,6 +94,16 @@ class TestParsing:
         assert run(["analyze", "--input", str(series), *flag, "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q", ["nan,1,2", "inf,1,2"])
+    def test_non_finite_q_exits_2_without_output(self, tmp_path, capsys, q):
+        series = tmp_path / "s.csv"
+        series.write_text("\n".join(str(v) for v in np.sin(np.arange(256) / 5)))
+        out = tmp_path / "o"
+        argv = ["analyze", "--input", str(series), "--method", "mf-dfa", f"--q={q}", "--out", str(out)]
+        assert run(argv) == 2
+        assert "q_grid must be finite" in capsys.readouterr().err
+        assert not (out / "hurst.json").exists()
+
     def test_activation_parameter_the_kind_does_not_take(self, tmp_path, capsys):
         argv = ["train-eval", "--docs", "12", "--epochs", "1", "--activation", "relu", "--gamma", "2"]
         assert run([*argv, "--out", str(tmp_path / "o")]) == 2

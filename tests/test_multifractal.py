@@ -141,6 +141,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="scales must be integers"):
             MfaConfig(scales=scales)
 
+    @pytest.mark.parametrize(
+        "q,message",
+        [
+            ([np.nan, 1.0, 2.0], "q_grid must be finite"),
+            ([np.inf, 1.0, 2.0], "q_grid must be finite"),
+            ([[1.0, 2.0], [3.0, 4.0]], "q_grid must be nonempty and 1-D"),
+            (2.0, "q_grid must be nonempty and 1-D"),
+        ],
+        ids=["nan", "inf", "2-d", "scalar"],
+    )
+    def test_bad_q_grid_refused(self, q, message):
+        # a NaN order left its row of the fluctuation table unwritten, and
+        # an infinite one gave a silent None slope
+        with pytest.raises(ValueError, match=message):
+            MfaConfig(q_grid=q)
+
     def test_integral_float_scales_accepted(self):
         cfg = MfaConfig(scales=[16.0, 32.0])
         assert cfg.scales.dtype == np.int64
@@ -284,6 +300,8 @@ class TestAllScaleSweep:
     )
     # N - 1 = 69 rows: 8 blocks of 8 and a tail of 5 on the plain recurrence
     @example(n=70, seed=0, stretches=[(0.4, 0.3)], scale_picks=[0.0, 1.0])
+    # N - 1 = 729 rows: 27 blocks of 27 and no tail
+    @example(n=730, seed=1, stretches=[(0.2, 0.1)], scale_picks=[0.0, 0.5, 1.0])
     def test_property_against_loop(self, n, seed, stretches, scale_picks):
         rng = np.random.default_rng(seed)
         y = Series(np.cumsum(rng.standard_normal(n)))

@@ -272,6 +272,23 @@ class TestForward:
         assert_allclose(proba.sum(), 1.0, rtol=1e-12)
         assert np.all(proba > 0)
 
+    @pytest.mark.parametrize(
+        "fv",
+        [np.zeros(4), np.zeros(6), np.full(5, np.nan), np.array([0.5, 0.5, np.inf, 0.5, 0.5]), np.zeros((1, 5))],
+        ids=["short", "long", "nan", "inf", "2-d"],
+    )
+    def test_predict_proba_refuses_a_bad_fv_before_the_network(self, monkeypatch, fv):
+        # a wrong length failed only after the whole forward, and NaN gave NaN probabilities
+        cfg = micro_config()
+        params = init_params(cfg, embed_dim=6, seed=0)
+
+        def not_reached(*args):
+            raise AssertionError("the BiLSTM ran")
+
+        monkeypatch.setattr(neuralnet, "birnn_forward", not_reached)
+        with pytest.raises(ValueError, match=r"fv must be a finite vector of length 5"):
+            predict_proba(micro_doc(), cfg, params, fv=fv)
+
     def test_predict_proba_refuses_params_for_another_config(self):
         # the network would read params.config while the features follow cfg
         params = init_params(micro_config(activation=ActivationSpec("sital")), embed_dim=6, seed=0)
