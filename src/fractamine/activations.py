@@ -1,10 +1,12 @@
 """Activation zoo: the trainable sital nonlinearity plus eleven baselines.
 
-Every kind ships an analytic derivative so the trainer and the
-gradient-check harness never fall back to numeric differentiation.
-Piecewise kinds report their non-differentiable points through
-breakpoints(); at such a point apply_derivative returns the right-hand
-derivative.
+Each kind is written once, in forms() (sital in sital_forms()), which
+returns the value and a function that builds the analytic derivative
+from the value's own intermediates: its tanh, logistic or exponential
+is evaluated once, and the trainer and the gradient-check harness never
+fall back to numeric differentiation. apply and apply_derivative wrap
+it. Piecewise kinds report their non-differentiable points through
+breakpoints(); at such a point the derivative is the right-hand one.
 """
 from __future__ import annotations
 
@@ -15,6 +17,8 @@ import numpy as np
 __all__ = [
     "ActivationSpec",
     "KINDS",
+    "forms",
+    "sital_forms",
     "sital",
     "sital_derivative",
     "apply",
@@ -79,10 +83,24 @@ def _sigmoid(x):
     return np.exp(-np.logaddexp(0.0, -np.asarray(x, dtype=np.float64)))
 
 
+def sital_forms(x, gamma: float, eta: float):
+    """sital's value gamma*x + tanh(x) * (1 + sigmoid(eta*x)), and a
+    zero-argument function returning its partials (d/dx, d/dgamma,
+    d/deta) from the same tanh and logistic."""
+    x = np.asarray(x, dtype=np.float64)
+    t = np.tanh(x)
+    sig = _sigmoid(eta * x)
+
+    def partials():
+        dx = gamma + (1.0 - t * t) * (1.0 + sig) + t * eta * sig * (1.0 - sig)
+        return dx, x, t * x * sig * (1.0 - sig)
+
+    return gamma * x + t * (1.0 + sig), partials
+
+
 def sital(x, gamma: float, eta: float):
     """gamma*x + tanh(x) * (1 + sigmoid(eta*x))."""
-    x = np.asarray(x, dtype=np.float64)
-    return gamma * x + np.tanh(x) * (1.0 + _sigmoid(eta * x))
+    return sital_forms(x, gamma, eta)[0]
 
 
 def sital_derivative(x, gamma: float, eta: float):
@@ -92,17 +110,7 @@ def sital_derivative(x, gamma: float, eta: float):
     by eta/4 in magnitude, so the whole expression stays at or above
     gamma - eta/4.
     """
-    x = np.asarray(x, dtype=np.float64)
-    t = np.tanh(x)
-    sig = _sigmoid(eta * x)
-    return gamma + (1.0 - t * t) * (1.0 + sig) + t * eta * sig * (1.0 - sig)
-
-
-def _sital_param_partials(x, gamma: float, eta: float):
-    """(d/dgamma, d/deta) of sital, used by the trainable-parameter op."""
-    x = np.asarray(x, dtype=np.float64)
-    sig = _sigmoid(eta * x)
-    return x, np.tanh(x) * x * sig * (1.0 - sig)
+    return sital_forms(x, gamma, eta)[1]()[0]
 
 
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
@@ -116,7 +124,7 @@ def _kdac_forward(x, beta1: float, beta2: float, mu: float):
     more than mu apart, so the blend weights zeta and xi are clamped to
     [0, 1]; outside the mu-band the composition is the exact min/max
     and inside it is the classic polynomial smoothing. Returns the
-    value and the two clamped weights for the derivative.
+    value, the two clamped weights and tanh(x) for the derivative.
     """
     t = np.tanh(x)
     f1 = beta1 * x
@@ -125,89 +133,74 @@ def _kdac_forward(x, beta1: float, beta2: float, mu: float):
     f2 = beta2 * x
     xi = np.clip(0.5 + (f2 - inner) / (2.0 * mu), 0.0, 1.0)
     outer = inner + xi * (f2 - inner) - mu * xi * xi + mu * xi
-    return outer, zeta, xi
+    return outer, zeta, xi, t
+
+
+def forms(spec: ActivationSpec, x):
+    """The activation at x, elementwise, and a zero-argument function
+    returning its analytic derivative there (right-hand value at
+    breakpoints), built from the value's intermediates."""
+    x = np.asarray(x, dtype=np.float64)
+    p = spec.params
+    kind = spec.kind
+    if kind == "sital":
+        value, partials = sital_forms(x, p["gamma"], p["eta"])
+        return value, lambda: partials()[0]
+    if kind == "gelu":
+        t = np.tanh(_SQRT_2_OVER_PI * (x + _GELU_CUBIC * x**3))
+
+        def gelu_derivative():
+            dg = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * x * x)
+            return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dg
+
+        return 0.5 * x * (1.0 + t), gelu_derivative
+    if kind == "relu":
+        return np.maximum(x, 0.0), lambda: np.where(x >= 0, 1.0, 0.0)
+    if kind == "leaky_relu":
+        return np.where(x >= 0, x, p["alpha"] * x), lambda: np.where(x >= 0, 1.0, p["alpha"])
+    if kind == "sigmoid":
+        s = _sigmoid(x)
+        return s, lambda: s * (1.0 - s)
+    if kind == "tanh":
+        t = np.tanh(x)
+        return t, lambda: 1.0 - t * t
+    if kind in ("elu", "selu"):
+        lam = p.get("lam", 1.0)  # elu is selu's form at lam = 1, where the product is exact
+        m = np.minimum(x, 0.0)
+        value = lam * np.where(x >= 0, x, p["alpha"] * np.expm1(m))
+        return value, lambda: lam * np.where(x >= 0, 1.0, p["alpha"] * np.exp(m))
+    if kind == "softplus":
+        # log(1 + e^x) stabilized as max(x, 0) + log1p(e^-|x|)
+        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), lambda: _sigmoid(x)
+    if kind == "swish":
+        s = _sigmoid(p["beta"] * x)
+        return x * s, lambda: s + p["beta"] * x * s * (1.0 - s)
+    if kind == "rsigelud":
+        s = _sigmoid(x)
+        m = np.minimum(x, 0.0)
+        value = np.where(x > 1, p["alpha"] * x * s + x, np.where(x >= 0, x, p["beta"] * np.expm1(m)))
+        return value, lambda: np.where(
+            x > 1, p["alpha"] * s * (1.0 + x * (1.0 - s)) + 1.0, np.where(x >= 0, 1.0, p["beta"] * np.exp(m))
+        )
+    # kdac, the last kind: ActivationSpec refuses any other
+    value, zeta, xi, t = _kdac_forward(x, p["beta1"], p["beta2"], p["mu"])
+
+    def kdac_derivative():
+        # envelope property: the blend weight's own x-dependence cancels
+        d_inner = (1.0 - zeta) * (1.0 - t * t) + zeta * p["beta1"]
+        return (1.0 - xi) * d_inner + xi * p["beta2"]
+
+    return value, kdac_derivative
 
 
 def apply(spec: ActivationSpec, x):
     """Evaluate the activation elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    p = spec.params
-    kind = spec.kind
-    if kind == "sital":
-        return sital(x, p["gamma"], p["eta"])
-    if kind == "gelu":
-        g = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * x**3)
-        return 0.5 * x * (1.0 + np.tanh(g))
-    if kind == "relu":
-        return np.maximum(x, 0.0)
-    if kind == "leaky_relu":
-        return np.where(x >= 0, x, p["alpha"] * x)
-    if kind == "sigmoid":
-        return _sigmoid(x)
-    if kind == "tanh":
-        return np.tanh(x)
-    if kind == "elu":
-        return np.where(x >= 0, x, p["alpha"] * np.expm1(np.minimum(x, 0.0)))
-    if kind == "selu":
-        return p["lam"] * np.where(x >= 0, x, p["alpha"] * np.expm1(np.minimum(x, 0.0)))
-    if kind == "softplus":
-        # log(1 + e^x) stabilized as max(x, 0) + log1p(e^-|x|)
-        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    if kind == "swish":
-        return x * _sigmoid(p["beta"] * x)
-    if kind == "rsigelud":
-        upper = p["alpha"] * x * _sigmoid(x) + x
-        lower = p["beta"] * np.expm1(np.minimum(x, 0.0))
-        return np.where(x > 1, upper, np.where(x >= 0, x, lower))
-    if kind == "kdac":
-        out, _, _ = _kdac_forward(x, p["beta1"], p["beta2"], p["mu"])
-        return out
-    raise ValueError(f"unknown activation kind {kind!r}")
+    return forms(spec, x)[0]
 
 
 def apply_derivative(spec: ActivationSpec, x):
     """Analytic elementwise derivative; right-hand value at breakpoints."""
-    x = np.asarray(x, dtype=np.float64)
-    p = spec.params
-    kind = spec.kind
-    if kind == "sital":
-        return sital_derivative(x, p["gamma"], p["eta"])
-    if kind == "gelu":
-        g = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * x**3)
-        t = np.tanh(g)
-        dg = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * x * x)
-        return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dg
-    if kind == "relu":
-        return np.where(x >= 0, 1.0, 0.0)
-    if kind == "leaky_relu":
-        return np.where(x >= 0, 1.0, p["alpha"])
-    if kind == "sigmoid":
-        s = _sigmoid(x)
-        return s * (1.0 - s)
-    if kind == "tanh":
-        t = np.tanh(x)
-        return 1.0 - t * t
-    if kind == "elu":
-        return np.where(x >= 0, 1.0, p["alpha"] * np.exp(np.minimum(x, 0.0)))
-    if kind == "selu":
-        return p["lam"] * np.where(x >= 0, 1.0, p["alpha"] * np.exp(np.minimum(x, 0.0)))
-    if kind == "softplus":
-        return _sigmoid(x)
-    if kind == "swish":
-        s = _sigmoid(p["beta"] * x)
-        return s + p["beta"] * x * s * (1.0 - s)
-    if kind == "rsigelud":
-        s = _sigmoid(x)
-        upper = p["alpha"] * s * (1.0 + x * (1.0 - s)) + 1.0
-        lower = p["beta"] * np.exp(np.minimum(x, 0.0))
-        return np.where(x > 1, upper, np.where(x >= 0, 1.0, lower))
-    if kind == "kdac":
-        _, zeta, xi = _kdac_forward(x, p["beta1"], p["beta2"], p["mu"])
-        t = np.tanh(x)
-        # envelope property: the blend weight's own x-dependence cancels
-        d_inner = (1.0 - zeta) * (1.0 - t * t) + zeta * p["beta1"]
-        return (1.0 - xi) * d_inner + xi * p["beta2"]
-    raise ValueError(f"unknown activation kind {kind!r}")
+    return forms(spec, x)[1]()
 
 
 def breakpoints(spec: ActivationSpec) -> tuple[float, ...]:

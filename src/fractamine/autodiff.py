@@ -9,18 +9,20 @@ in reverse creation order, calls each node's vjp once and accumulates
 the results into the parents (the reverse sweep of Griewank & Walther,
 Evaluating Derivatives, 2nd ed., ch. 3). Recurrent and convolution
 layers are fused ops with hand-written backward passes so graph
-bookkeeping stays off the per-timestep path. In the recurrent op the
-Python loop over time steps carries only the recurrence: the input
-projection and the weight and input gradients are whole-sequence
-matrix products outside it. One call runs every direction of a layer
-in that loop: the gate columns interleave the directions, as
-[i_f i_b | f_f f_b | g_f g_b | o_f o_b], and the recurrent product is
-one GEMV with the block-diagonal matrix of their recurrent weights.
-Each step takes every gate value from one tanh over all of its
-pre-activations, through sigmoid(z) = 1/2 + tanh(z/2)/2: the loop is
-bound by the cost of each numpy call, not by arithmetic, since the
-arrays are small. The fused kernels use only GEMMs, slices and ufuncs,
-not numpy's Python-level helpers.
+bookkeeping stays off the per-timestep path, and an activation node's
+backward pass reads the tanh and logistic its forward computed (the
+derivative function of activations.forms or sital_forms) rather than
+evaluating them again. In the recurrent op the Python loop over time
+steps carries only the recurrence: the input projection and the weight
+and input gradients are whole-sequence matrix products outside it. One
+call runs every direction of a layer in that loop: the gate columns
+interleave the directions, as [i_f i_b | f_f f_b | g_f g_b | o_f o_b],
+and the recurrent product is one GEMV with the block-diagonal matrix of
+their recurrent weights. Each step takes every gate value from one tanh
+over all of its pre-activations, through sigmoid(z) = 1/2 + tanh(z/2)/2:
+the loop is bound by the cost of each numpy call, not by arithmetic,
+since the arrays are small. The fused kernels use only GEMMs, slices and
+ufuncs, not numpy's Python-level helpers.
 """
 from __future__ import annotations
 
@@ -29,8 +31,7 @@ import itertools
 
 import numpy as np
 
-from .activations import ActivationSpec, apply as act_apply, apply_derivative as act_derivative
-from .activations import _sital_param_partials, sital as sital_fn, sital_derivative
+from .activations import ActivationSpec, _sigmoid, forms, sital_forms
 
 __all__ = [
     "DiffArray",
@@ -163,32 +164,25 @@ def tanh(t: DiffArray) -> DiffArray:
 
 
 def sigmoid(t: DiffArray) -> DiffArray:
-    out = np.exp(-np.logaddexp(0.0, -t.data))
+    out = _sigmoid(t.data)
     return DiffArray(out, (t,), lambda g: (g * out * (1.0 - out),))
 
 
 def activation(t: DiffArray, spec: ActivationSpec) -> DiffArray:
     """Fixed-parameter activation; for trainable sital use sital_op."""
-    return DiffArray(
-        act_apply(spec, t.data), (t,), lambda g: (g * act_derivative(spec, t.data),)
-    )
+    out, derivative = forms(spec, t.data)
+    return DiffArray(out, (t,), lambda g: (g * derivative(),))
 
 
 def sital_op(t: DiffArray, gamma: DiffArray, eta: DiffArray) -> DiffArray:
     """sital with gradients into x and both trainable parameters."""
-    gval = float(gamma.data)
-    eval_ = float(eta.data)
-    x = t.data
+    out, partials = sital_forms(t.data, float(gamma.data), float(eta.data))
 
     def vjp(g):
-        dg, de = _sital_param_partials(x, gval, eval_)
-        return (
-            g * sital_derivative(x, gval, eval_),
-            np.array(np.sum(g * dg)),
-            np.array(np.sum(g * de)),
-        )
+        dx, dgamma, deta = partials()
+        return g * dx, np.array(np.sum(g * dgamma)), np.array(np.sum(g * deta))
 
-    return DiffArray(sital_fn(x, gval, eval_), (t, gamma, eta), vjp)
+    return DiffArray(out, (t, gamma, eta), vjp)
 
 
 def narrow(t: DiffArray, axis: int, start: int, length: int) -> DiffArray:

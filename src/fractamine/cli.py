@@ -181,7 +181,17 @@ def load_corpus(path: str) -> LabeledDataset:
     for i, record in enumerate(docs):
         if "tokens" not in record or "label" not in record:
             raise ValueError(f"{path}: document {i} lacks 'tokens' or 'label'")
-        items.append((EmbeddingMatrix(np.asarray(record["tokens"])), int(record["label"])))
+        label = record["label"]
+        whole = isinstance(label, float) and label.is_integer()
+        if not (whole or (isinstance(label, int) and not isinstance(label, bool))):
+            raise ValueError(f"{path}: document {i} has label {label!r}, not a whole number")
+        try:
+            tokens = np.asarray(record["tokens"])  # ragged rows raise here
+            if tokens.dtype.kind not in "iuf":
+                raise ValueError(f"entries must be numbers, got {tokens.dtype} entries")
+            items.append((EmbeddingMatrix(tokens), int(label)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: document {i} tokens: {exc}") from None
     n_classes = int(payload.get("n_classes", max(label for _, label in items) + 1))
     return LabeledDataset(items=items, n_classes=n_classes)
 

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fourier_denoise import FourierModel, denoise
-from .series import Series
+from .series import Series, check_count
 
 __all__ = [
     "MfaConfig",
@@ -94,10 +94,8 @@ class MfaConfig:
             if np.any(s < 4):
                 raise ValueError("every scale must be at least 4")
             object.__setattr__(self, "scales", s)
-        if self.vol_window < 2:
-            raise ValueError("vol_window must be at least 2")
-        if self.dfa_poly_order < 0:
-            raise ValueError("dfa_poly_order must be nonnegative")
+        check_count("vol_window", self.vol_window, 2)
+        check_count("dfa_poly_order", self.dfa_poly_order, 0)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .activations import ActivationSpec
 from .autodiff import DiffArray
 from .multifractal import MfaConfig, hurst_profile
-from .series import EmbeddingMatrix, mean_embedding
+from .series import EmbeddingMatrix, check_count, mean_embedding
 
 __all__ = [
     "ModelConfig",
@@ -64,8 +64,7 @@ class ModelConfig:
         if self.task not in ("classification", "tagging"):
             raise ValueError(f"unknown task {self.task!r}")
         for name in ("n_classes", "hidden", "filters", "blocks", "conv_width", "dense_width", "attn_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            check_count(name, getattr(self, name), 1)
 
     def min_tokens(self) -> int:
         """Shortest document the convolution and pooling stack accepts.
@@ -368,9 +367,15 @@ def check_params_config(params: ModelParams, cfg: ModelConfig) -> None:
 
 def predict_proba(v: EmbeddingMatrix, cfg: ModelConfig, params: ModelParams, fv=None) -> np.ndarray:
     """Softmax class probabilities (per token when tagging); params must
-    have been built for cfg (check_params_config). An fv override must
-    be a finite vector with one entry per q of cfg.mfa.q_grid."""
+    have been built for cfg (check_params_config) and for the document's
+    embedding width. An fv override must be a finite vector with one
+    entry per q of cfg.mfa.q_grid."""
     check_params_config(params, cfg)
+    if v.dim != params.embed_dim:
+        raise ValueError(
+            f"the document has embedding width {v.dim}; the model parameters "
+            f"were built for width {params.embed_dim}"
+        )
     if fv is not None:
         fv = np.asarray(fv, dtype=np.float64)
         want = cfg.mfa.q_grid.size

@@ -240,8 +240,8 @@ def synth_embedded_corpus(
     """
     if min(n_docs, n_classes, n_tokens, dim) < 1:
         raise ValueError("all counts must be at least 1")
-    if separation < 0:
-        raise ValueError("separation must be nonnegative")
+    if not (np.isfinite(separation) and separation >= 0):
+        raise ValueError(f"separation must be finite and nonnegative, got {separation}")
     if n_classes > dim:
         raise ValueError("need n_classes <= dim so class means occupy distinct axes")
     rng = np.random.default_rng(seed)
@@ -254,6 +254,18 @@ def synth_embedded_corpus(
         tokens = means[label] + rng.standard_normal((n_tokens, dim))
         items.append((EmbeddingMatrix(tokens), label))
     return LabeledDataset(items=items, n_classes=n_classes)
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Refuse a config count that is not an integer of at least `least`.
+
+    Python and numpy integers pass; floats, integral or not, and bools
+    are refused, and the error names the field.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def mean_embedding(m: EmbeddingMatrix) -> Series:

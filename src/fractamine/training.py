@@ -22,7 +22,7 @@ from .neuralnet import (
     hurst_features,
     init_params,
 )
-from .series import LabeledDataset
+from .series import LabeledDataset, check_count
 
 __all__ = [
     "TrainConfig",
@@ -49,10 +49,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr_weights <= 0 or self.lr_activation <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+        for name in ("lr_weights", "lr_activation"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        check_count("epochs", self.epochs, 1)
 
 
 class TrainingDiverged(RuntimeError):

@@ -9,7 +9,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
 import fractamine.autodiff as ad
-from fractamine.activations import KINDS, ActivationSpec
+from fractamine import activations
+from fractamine.activations import (
+    KINDS, ActivationSpec, apply, apply_derivative, breakpoints, sital, sital_derivative,
+)
 from fractamine.autodiff import DiffArray, grad_check
 from fractamine.multifractal import MfaConfig
 from fractamine.neuralnet import ModelConfig, birnn_forward, deffsi_forward, hurst_features, init_params
@@ -515,17 +518,44 @@ class TestActivationOps:
         pt = [leaf(RNG.standard_normal((4, 3))), leaf(1.2), leaf(0.8)]
         assert grad_check(op, pt) < 1e-6
 
-    def test_sital_op_partials_once_per_backward(self, monkeypatch):
-        calls = []
-        partials = ad._sital_param_partials
+    def test_sital_op_one_tanh_and_one_logistic_per_forward_and_backward(self, monkeypatch):
+        counts = Counter()
 
-        def counting(*args):
-            calls.append(args)
-            return partials(*args)
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(ad, "_sital_param_partials", counting)
+            return wrapped
+
+        monkeypatch.setattr(activations, "_sigmoid", counting("logistic", activations._sigmoid))
+        monkeypatch.setattr(np, "tanh", counting("tanh", np.tanh))
         ad.mean_all(ad.sital_op(leaf(RNG.standard_normal((4, 3))), leaf(1.2), leaf(0.8))).backward()
-        assert len(calls) == 1
+        assert counts == {"logistic": 1, "tanh": 1}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_activation_node_matches_apply_bitwise(self, kind):
+        spec = ActivationSpec(kind)
+        edges = [0.0, 1.0, *breakpoints(spec)]
+        x = np.concatenate([[-700.0, 700.0, -1e-300, 1e-300], edges, np.nextafter(edges, -1.0),
+                            np.nextafter(edges, 2.0), np.linspace(-6.0, 6.0, 49)])
+        g = RNG.standard_normal(x.size)
+        node = ad.activation(leaf(x), spec)
+        (gx,) = node._vjp(g)
+        np.testing.assert_array_equal(node.data, apply(spec, x))
+        np.testing.assert_array_equal(gx, g * apply_derivative(spec, x))
+
+    @pytest.mark.parametrize("gamma, eta", [(1.0, 1.0), (1.2, 0.8), (0.3, -1.1)])
+    def test_sital_op_matches_closed_forms_bitwise(self, gamma, eta):
+        x = np.concatenate([[-700.0, 700.0, -1e-300, 0.0, 1e-300], np.linspace(-6.0, 6.0, 49)])
+        g = RNG.standard_normal(x.size)
+        node = ad.sital_op(leaf(x), leaf(gamma), leaf(eta))
+        gx, dgamma, deta = node._vjp(g)
+        sig = activations._sigmoid(eta * x)
+        np.testing.assert_array_equal(node.data, sital(x, gamma, eta))
+        np.testing.assert_array_equal(gx, g * sital_derivative(x, gamma, eta))
+        assert dgamma == np.sum(g * x)
+        assert deta == np.sum(g * (np.tanh(x) * x * sig * (1.0 - sig)))
 
 
 class TestRecurrent:

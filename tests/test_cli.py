@@ -329,6 +329,19 @@ class TestTrainEval:
         assert "--repeats" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_refused_before_any_file(self, tmp_path, capsys, lr):
+        out = tmp_path / "tr"
+        assert run(["train-eval", "--docs", "16", "--epochs", "1", "--lr", lr, "--out", str(out)]) == 2
+        assert "lr_weights must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_separation_refused_by_name(self, tmp_path, capsys):
+        out = tmp_path / "tr"
+        assert run(["train-eval", "--docs", "16", "--separation", "nan", "--out", str(out)]) == 2
+        assert "separation must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scales_wider_than_the_embedding_refused(self, tmp_path, capsys, monkeypatch):
         # at the default width of 64 every document would fall back to
         # the all-0.5 Hurst vector
@@ -557,6 +570,36 @@ class TestCorpusIO:
         path = tmp_path / "c.json"
         path.write_text("{}")
         with pytest.raises(ValueError, match="documents"):
+            load_corpus(str(path))
+
+    @pytest.mark.parametrize("label", [1.7, "1", True, None])
+    def test_label_that_is_not_a_whole_number_refused(self, tmp_path, label):
+        # 1.7 used to load as 1
+        payload = corpus_to_json_dict(synth_embedded_corpus(6, 2, 4, 8, 3.0, seed=0))
+        payload["documents"][4]["label"] = label
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"document 4 has label {label!r}, not a whole number"):
+            load_corpus(str(path))
+
+    def test_integral_float_label_accepted(self, tmp_path):
+        payload = corpus_to_json_dict(synth_embedded_corpus(6, 2, 4, 8, 3.0, seed=0))
+        payload["documents"][3]["label"] = 1.0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(payload))
+        assert load_corpus(str(path)).items[3][1] == 1
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [[[1.0, 2.0], [3.0]], [[1.0, "a"]], [["1.5", "2"]], [[1.0, None]], [[True, False]]],
+        ids=["ragged", "string", "numeric-string", "null", "bool"],
+    )
+    def test_bad_tokens_refused_naming_the_document(self, tmp_path, tokens):
+        payload = corpus_to_json_dict(synth_embedded_corpus(6, 2, 4, 2, 3.0, seed=0))
+        payload["documents"][2]["tokens"] = tokens
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="document 2 tokens"):
             load_corpus(str(path))
 
     def test_document_missing_label(self, tmp_path):

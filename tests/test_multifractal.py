@@ -157,6 +157,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             MfaConfig(q_grid=q)
 
+    @pytest.mark.parametrize("name", ["vol_window", "dfa_poly_order"])
+    @pytest.mark.parametrize("value", [8.0, 1.5, True])
+    def test_counts_must_be_integers(self, name, value):
+        # dfa_poly_order=1.5 used to fail inside np.vander, vol_window=8.0 to run
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            MfaConfig(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = MfaConfig(vol_window=np.int64(8), dfa_poly_order=np.int64(2))
+        assert (cfg.vol_window, cfg.dfa_poly_order) == (8, 2)
+
     def test_integral_float_scales_accepted(self):
         cfg = MfaConfig(scales=[16.0, 32.0])
         assert cfg.scales.dtype == np.int64

@@ -77,6 +77,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(task="regression")
 
+    @pytest.mark.parametrize(
+        "name", ["n_classes", "hidden", "filters", "blocks", "conv_width", "dense_width", "attn_dim"]
+    )
+    @pytest.mark.parametrize("value", [16.0, 2.5, True])
+    def test_sizes_must_be_integers(self, name, value):
+        # hidden=16.0 used to build and then fail inside init_params
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ModelConfig(**{name: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        cfg = micro_config(hidden=np.int64(5), blocks=np.int32(1))
+        assert init_params(cfg, embed_dim=6, seed=0).tensors
+
     def test_json_round_trip(self):
         cfg = micro_config()
         again = ModelConfig.from_json_dict(config_json(cfg))
@@ -297,6 +310,13 @@ class TestForward:
         )
         with pytest.raises(ValueError, match=r"another config \(differing: activation, mfa\)"):
             predict_proba(micro_doc(), other, params, fv=np.zeros(5))
+
+    def test_predict_proba_refuses_another_width_before_the_features(self, monkeypatch):
+        cfg = micro_config()
+        params = init_params(cfg, embed_dim=6, seed=0)
+        monkeypatch.setattr(neuralnet, "hurst_features", lambda *a: pytest.fail("features ran"))
+        with pytest.raises(ValueError, match="embedding width 4; .* built for width 6"):
+            predict_proba(micro_doc(dim=4), cfg, params)
 
     def test_predict_proba_accepts_an_equal_config(self):
         cfg = micro_config()

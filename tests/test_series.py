@@ -244,6 +244,11 @@ class TestCorpus:
             np.array_equal(x.tokens, y.tokens) for (x, _), (y, _) in zip(a.items, b.items)
         )
 
+    @pytest.mark.parametrize("separation", [np.nan, np.inf])
+    def test_non_finite_separation_refused(self, separation):
+        with pytest.raises(ValueError, match="separation must be finite"):
+            synth_embedded_corpus(10, 2, 4, 8, separation, seed=0)
+
     def test_too_many_classes_rejected(self):
         with pytest.raises(ValueError):
             synth_embedded_corpus(10, 9, 4, 8, 2.0, seed=0)

@@ -140,6 +140,23 @@ class TestSplit:
             assert sub.n_classes == 3
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["lr_weights", "lr_activation"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+    def test_learning_rate_must_be_finite_and_positive(self, field, value):
+        # a NaN rate used to train until the loss left the finite range
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("epochs", [2.5, 2.0, True])
+    def test_epochs_must_be_an_integer(self, epochs):
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            TrainConfig(epochs=epochs)
+
+    def test_numpy_integer_epochs_accepted(self):
+        assert TrainConfig(epochs=np.int64(3)).epochs == 3
+
+
 class TestTrain:
     def test_loss_decreases(self):
         ds = small_corpus()
