@@ -155,7 +155,7 @@ def _write_series_csv(path: str, series: Series):
 
 
 def corpus_to_json_dict(dataset: LabeledDataset) -> dict:
-    if dataset.tag_sequences is not None:
+    if dataset.tagged:
         raise ValueError("the corpus format has no per-token tags yet; cannot write a tagged dataset")
     return {
         "n_classes": dataset.n_classes,
@@ -165,9 +165,17 @@ def corpus_to_json_dict(dataset: LabeledDataset) -> dict:
     }
 
 
+def _whole(value) -> bool:
+    """An int or an integral float; JSON's true and false are not numbers."""
+    whole = isinstance(value, float) and value.is_integer()
+    return whole or (isinstance(value, int) and not isinstance(value, bool))
+
+
 def load_corpus(path: str) -> LabeledDataset:
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: corpus JSON must be an object, got a {type(payload).__name__}")
     # a corpus written by hand may leave the version out
     version = payload.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
@@ -175,15 +183,16 @@ def load_corpus(path: str) -> LabeledDataset:
     if "documents" not in payload:
         raise ValueError(f"{path}: corpus JSON needs a 'documents' array")
     docs = payload["documents"]
+    if not isinstance(docs, list):
+        raise ValueError(f"{path}: 'documents' must be an array, got a {type(docs).__name__}")
     if not docs:
         raise ValueError(f"{path}: corpus holds no documents")
     items = []
     for i, record in enumerate(docs):
-        if "tokens" not in record or "label" not in record:
+        if not isinstance(record, dict) or "tokens" not in record or "label" not in record:
             raise ValueError(f"{path}: document {i} lacks 'tokens' or 'label'")
         label = record["label"]
-        whole = isinstance(label, float) and label.is_integer()
-        if not (whole or (isinstance(label, int) and not isinstance(label, bool))):
+        if not _whole(label):
             raise ValueError(f"{path}: document {i} has label {label!r}, not a whole number")
         try:
             tokens = np.asarray(record["tokens"])  # ragged rows raise here
@@ -192,42 +201,48 @@ def load_corpus(path: str) -> LabeledDataset:
             items.append((EmbeddingMatrix(tokens), int(label)))
         except ValueError as exc:
             raise ValueError(f"{path}: document {i} tokens: {exc}") from None
-    n_classes = int(payload.get("n_classes", max(label for _, label in items) + 1))
-    return LabeledDataset(items=items, n_classes=n_classes)
+    n_classes = payload.get("n_classes", max(label for _, label in items) + 1)
+    if not (_whole(n_classes) and n_classes >= 1):
+        raise ValueError(f"{path}: n_classes {n_classes!r} is not a whole number of at least 1")
+    try:
+        return LabeledDataset(items=items, n_classes=int(n_classes))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_synth(args) -> int:
     out_dir = _ensure_out(args.out)
     config = {"kind": args.kind, "seed": args.seed}
-    if args.kind == "noise":
-        series = synth_gaussian_noise(args.n, args.seed)
-        config["n"] = args.n
-        _write_series_csv(os.path.join(out_dir, "series.csv"), series)
-    elif args.kind == "fgn":
-        series = synth_fgn(args.n, args.hurst, args.seed)
-        config.update(n=args.n, hurst=args.hurst)
-        _write_series_csv(os.path.join(out_dir, "series.csv"), series)
-    elif args.kind == "cascade":
-        series = synth_binomial_cascade(args.levels, args.p)
-        config.update(levels=args.levels, p=args.p)
-        del config["seed"]  # the cascade is deterministic by construction
-        _write_series_csv(os.path.join(out_dir, "series.csv"), series)
-    elif args.kind == "corpus":
-        dataset = synth_embedded_corpus(
-            args.docs, args.classes, args.tokens, args.dim, args.separation, args.seed
-        )
-        config.update(
-            docs=args.docs,
-            classes=args.classes,
-            tokens=args.tokens,
-            dim=args.dim,
-            separation=args.separation,
-        )
+    if args.kind == "corpus":
+        config.update(_corpus_flags(args))
+        dataset = _synth_corpus(args, args.seed)
         _write_json(os.path.join(out_dir, "corpus.json"), corpus_to_json_dict(dataset))
     else:
-        raise ValueError(f"unknown synth kind {args.kind!r}")
+        if args.kind == "noise":
+            series = synth_gaussian_noise(args.n, args.seed)
+            config["n"] = args.n
+        elif args.kind == "fgn":
+            series = synth_fgn(args.n, args.hurst, args.seed)
+            config.update(n=args.n, hurst=args.hurst)
+        elif args.kind == "cascade":
+            series = synth_binomial_cascade(args.levels, args.p)
+            config.update(levels=args.levels, p=args.p)
+            del config["seed"]  # the cascade is deterministic by construction
+        else:
+            raise ValueError(f"unknown synth kind {args.kind!r}")
+        _write_series_csv(os.path.join(out_dir, "series.csv"), series)
     _manifest(out_dir, "synth", config)
     return 0
+
+
+def _corpus_flags(args) -> dict:
+    """The corpus flags, in synth_embedded_corpus's argument order, as the
+    manifests record them."""
+    return {name: getattr(args, name) for name in ("docs", "classes", "tokens", "dim", "separation")}
+
+
+def _synth_corpus(args, seed: int) -> LabeledDataset:
+    return synth_embedded_corpus(*_corpus_flags(args).values(), seed)
 
 
 def _data_record(args) -> dict:
@@ -235,16 +250,11 @@ def _data_record(args) -> dict:
     synthesized it (the seed is TrainConfig.seed)."""
     if args.input:
         return {"data": args.input}
-    flags = ("docs", "classes", "tokens", "dim", "separation")
-    return {"data": "synthetic", **{name: getattr(args, name) for name in flags}}
+    return {"data": "synthetic", **_corpus_flags(args)}
 
 
 def _dataset_from_flags(args, seed: int) -> LabeledDataset:
-    if args.input:
-        return load_corpus(args.input)
-    return synth_embedded_corpus(
-        args.docs, args.classes, args.tokens, args.dim, args.separation, seed
-    )
+    return load_corpus(args.input) if args.input else _synth_corpus(args, seed)
 
 
 def _run_once(dataset, model_cfg, train_cfg):
@@ -394,9 +404,8 @@ def _add_train_flags(parser):
     parser.add_argument("--seed", type=int, default=None, help="also seeds the synthetic corpus")
 
 
-def _add_corpus_flags(parser):
-    parser.add_argument("--input", default=None, help="corpus JSON path (omit to synthesize)")
-    parser.add_argument("--docs", type=int, default=120)
+def _add_corpus_flags(parser, docs: int):
+    parser.add_argument("--docs", type=int, default=docs)
     parser.add_argument("--classes", type=int, default=3)
     parser.add_argument("--tokens", type=int, default=12)
     parser.add_argument("--dim", type=int, default=64)
@@ -429,32 +438,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--hurst", type=float, default=0.7)
     p_synth.add_argument("--levels", type=int, default=13)
     p_synth.add_argument("--p", type=float, default=0.75)
-    p_synth.add_argument("--docs", type=int, default=300)
-    p_synth.add_argument("--classes", type=int, default=3)
-    p_synth.add_argument("--tokens", type=int, default=12)
-    p_synth.add_argument("--dim", type=int, default=64)
-    p_synth.add_argument("--separation", type=float, default=4.0)
+    _add_corpus_flags(p_synth, docs=300)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", default=".")
     p_synth.set_defaults(fn=cmd_synth)
 
     p_train = sub.add_parser("train-eval", help="train the classifier and report split metrics")
-    _add_corpus_flags(p_train)
-    _add_model_flags(p_train)
-    _add_mfa_flags(p_train)
-    _add_train_flags(p_train)
     p_train.add_argument("--repeats", type=_parse_repeats, default=1)
-    p_train.add_argument("--out", default=".")
     p_train.set_defaults(fn=cmd_train_eval)
 
     p_cmp = sub.add_parser("compare", help="activation-zoo or multifractal-method comparison table")
     p_cmp.add_argument("--mode", choices=("activations", "mfa"), required=True)
-    _add_corpus_flags(p_cmp)
-    _add_model_flags(p_cmp)
-    _add_mfa_flags(p_cmp)
-    _add_train_flags(p_cmp)
-    p_cmp.add_argument("--out", default=".")
     p_cmp.set_defaults(fn=cmd_compare)
+
+    for p in (p_train, p_cmp):
+        p.add_argument("--input", default=None, help="corpus JSON path (omit to synthesize)")
+        _add_corpus_flags(p, docs=120)
+        _add_model_flags(p)
+        _add_mfa_flags(p)
+        _add_train_flags(p)
+        p.add_argument("--out", default=".")
 
     return parser
 

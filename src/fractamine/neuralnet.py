@@ -26,6 +26,7 @@ from .series import EmbeddingMatrix, check_count, mean_embedding
 __all__ = [
     "ModelConfig",
     "ModelParams",
+    "check_document",
     "check_params_config",
     "config_json",
     "birnn_forward",
@@ -365,17 +366,43 @@ def check_params_config(params: ModelParams, cfg: ModelConfig) -> None:
         raise ValueError(f"the model parameters were built for another config (differing: {differ})")
 
 
-def predict_proba(v: EmbeddingMatrix, cfg: ModelConfig, params: ModelParams, fv=None) -> np.ndarray:
-    """Softmax class probabilities (per token when tagging); params must
-    have been built for cfg (check_params_config) and for the document's
-    embedding width. An fv override must be a finite vector with one
-    entry per q of cfg.mfa.q_grid."""
-    check_params_config(params, cfg)
-    if v.dim != params.embed_dim:
+def check_document(
+    v: EmbeddingMatrix, cfg: ModelConfig, params: ModelParams | None, name: str = "the document"
+) -> None:
+    """Refuse a document the model cannot take; name opens the message.
+
+    It needs cfg.min_tokens() tokens. With explicit mfa.scales its
+    embedding width N must reach 4*max(scales), or hurst_features would
+    give it the all-0.5 fallback vector. Given params, its width must
+    be the one they were built for.
+    """
+    need = cfg.min_tokens()
+    if v.n_tokens < need:
         raise ValueError(
-            f"the document has embedding width {v.dim}; the model parameters "
+            f"{name} has {v.n_tokens} tokens; a {cfg.task} model with blocks={cfg.blocks} "
+            f"and conv_width={cfg.conv_width} needs at least {need} (ModelConfig.min_tokens())"
+        )
+    scales = cfg.mfa.scales
+    if scales is not None and v.dim < 4 * scales[-1]:
+        raise ValueError(
+            f"{name} has embedding width N = {v.dim}; mfa.scales up to "
+            f"{scales[-1]} need N >= 4*max(mfa.scales) = {4 * scales[-1]}"
+        )
+    if params is not None and v.dim != params.embed_dim:
+        raise ValueError(
+            f"{name} has embedding width {v.dim}; the model parameters "
             f"were built for width {params.embed_dim}"
         )
+
+
+def predict_proba(v: EmbeddingMatrix, cfg: ModelConfig, params: ModelParams, fv=None) -> np.ndarray:
+    """Softmax class probabilities (per token when tagging); params must
+    have been built for cfg (check_params_config), and the document must
+    pass check_document, before any feature or forward pass runs. An fv
+    override must be a finite vector with one entry per q of
+    cfg.mfa.q_grid."""
+    check_params_config(params, cfg)
+    check_document(v, cfg, params)
     if fv is not None:
         fv = np.asarray(fv, dtype=np.float64)
         want = cfg.mfa.q_grid.size

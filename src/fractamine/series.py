@@ -8,7 +8,7 @@ the estimators downstream can be validated without external data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,34 +74,48 @@ class EmbeddingMatrix:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Documents with integer class labels in [0, n_classes), all of one
-    embedding width; per-token tags, when given, lie in the same range."""
+    """Document-target pairs, all documents of one embedding width.
 
-    items: list[tuple[EmbeddingMatrix, int]]
+    A target is an integer class label in [0, n_classes) or, for
+    tagging, a sequence of one such integer per token of its document.
+    Item 0 decides which (tagged); an item with the other kind of target
+    is refused.
+    """
+
+    items: list[tuple[EmbeddingMatrix, int | np.ndarray]]
     n_classes: int
-    tag_sequences: list[np.ndarray] | None = field(default=None)
+
+    @property
+    def tagged(self) -> bool:
+        return bool(self.items) and not isinstance(self.items[0][1], (int, np.integer))
 
     def __post_init__(self):
         if self.n_classes < 1:
             raise ValueError("n_classes must be positive")
-        for idx, (doc, label) in enumerate(self.items):
+        tagged = self.tagged
+        for idx, (doc, target) in enumerate(self.items):
             if not isinstance(doc, EmbeddingMatrix):
                 raise TypeError(f"item {idx} is not an EmbeddingMatrix")
             width = self.items[0][0].dim
             if doc.dim != width:
                 raise ValueError(f"item {idx} has embedding width {doc.dim}, item 0 has {width}")
-            if not 0 <= label < self.n_classes:
-                raise ValueError(f"item {idx} label {label} outside [0, {self.n_classes})")
-        if self.tag_sequences is not None:
-            if len(self.tag_sequences) != len(self.items):
-                raise ValueError("tag sequence count does not match document count")
-            for idx, ((doc, _), tags) in enumerate(zip(self.items, self.tag_sequences)):
-                if len(tags) != doc.n_tokens:
-                    raise ValueError(f"item {idx}: {len(tags)} tags for {doc.n_tokens} tokens")
-                tags = np.asarray(tags)
-                outside = tags[(tags < 0) | (tags >= self.n_classes)]
-                if outside.size:
-                    raise ValueError(f"item {idx} tag {int(outside[0])} outside [0, {self.n_classes})")
+            # labels stay on this scalar path; an np.ndim test per item costs more
+            if isinstance(target, (int, np.integer)):
+                if tagged:
+                    raise ValueError(f"item {idx} has a label, item 0 has per-token tags")
+                if not 0 <= target < self.n_classes:
+                    raise ValueError(f"item {idx} label {target} outside [0, {self.n_classes})")
+                continue
+            tags = np.asarray(target)
+            if tags.ndim != 1 or tags.dtype.kind not in "iu":
+                raise ValueError(f"item {idx} target is not an integer label or a sequence of integer tags")
+            if not tagged:
+                raise ValueError(f"item {idx} has per-token tags, item 0 has a label")
+            if tags.size != doc.n_tokens:
+                raise ValueError(f"item {idx}: {tags.size} tags for {doc.n_tokens} tokens")
+            outside = tags[(tags < 0) | (tags >= self.n_classes)]
+            if outside.size:
+                raise ValueError(f"item {idx} tag {int(outside[0])} outside [0, {self.n_classes})")
 
     def __len__(self) -> int:
         return len(self.items)

@@ -17,6 +17,7 @@ from . import autodiff as ad
 from .neuralnet import (
     ModelConfig,
     ModelParams,
+    check_document,
     check_params_config,
     deffsi_forward,
     hurst_features,
@@ -133,52 +134,28 @@ def _check_inputs(dataset: LabeledDataset, model_cfg: ModelConfig, params: Model
     cannot take.
 
     Given params must have been built for model_cfg
-    (check_params_config). A tagging model needs a tagged dataset, and a
-    classification model an untagged one. Every document must fit
-    explicit mfa.scales, N >= 4*max(scales), or hurst_features would
-    give it the all-0.5 fallback vector; its label, or its tags when the
-    dataset is tagged, must lie in [0, n_classes); and its embedding
-    width must be the one the given params were built for.
+    (check_params_config). A tagging model needs a tagged dataset
+    (LabeledDataset.tagged), and a classification model one of labels.
+    Every document must pass check_document (token count, explicit
+    mfa.scales, embedding width), and its target, label or tags, must
+    lie in the model's [0, n_classes).
     """
     if params is not None:
         check_params_config(params, model_cfg)
-    tagged = dataset.tag_sequences is not None
+    tagged = dataset.tagged
     if tagged != (model_cfg.task == "tagging"):
-        has = "has tag_sequences" if tagged else "has no tag_sequences"
+        has = "has per-token tags" if tagged else "has no per-token tags"
         raise ValueError(f"a task={model_cfg.task!r} model cannot take this dataset: it {has}")
-    need = model_cfg.min_tokens()
-    scales = model_cfg.mfa.scales
     kind = "tag" if tagged else "label"
-    for idx, (doc, _) in enumerate(dataset.items):
-        if doc.n_tokens < need:
-            raise ValueError(
-                f"document {idx} has {doc.n_tokens} tokens; a {model_cfg.task} model with "
-                f"blocks={model_cfg.blocks} and conv_width={model_cfg.conv_width} needs at "
-                f"least {need} (ModelConfig.min_tokens())"
-            )
-        if scales is not None and doc.dim < 4 * scales[-1]:
-            raise ValueError(
-                f"document {idx} has embedding width N = {doc.dim}; mfa.scales up to "
-                f"{scales[-1]} need N >= 4*max(mfa.scales) = {4 * scales[-1]}"
-            )
-        target = np.asarray(_targets(dataset, idx))
+    for idx, (doc, target) in enumerate(dataset.items):
+        check_document(doc, model_cfg, params, f"document {idx}")
+        target = np.asarray(target)
         outside = target[(target < 0) | (target >= model_cfg.n_classes)]
         if outside.size:
             raise ValueError(
                 f"document {idx} has {kind} {int(outside[0])} outside the model's "
                 f"classes [0, n_classes={model_cfg.n_classes})"
             )
-        if params is not None and doc.dim != params.embed_dim:
-            raise ValueError(
-                f"document {idx} has embedding width {doc.dim}; the model parameters "
-                f"were built for width {params.embed_dim}"
-            )
-
-
-def _targets(dataset: LabeledDataset, idx: int):
-    if dataset.tag_sequences is not None:
-        return np.asarray(dataset.tag_sequences[idx], dtype=np.int64)
-    return dataset.items[idx][1]
 
 
 def train(
@@ -210,8 +187,7 @@ def train(
         hits = 0
         total = 0
         for pos, idx in enumerate(order):
-            doc, _ = dataset.items[idx]
-            target = _targets(dataset, int(idx))
+            doc, target = dataset.items[idx]
             params.zero_grads()
             logits = deffsi_forward(doc, model_cfg, params, fv=features[idx])
             loss = ad.cross_entropy(logits, target)
@@ -238,8 +214,7 @@ def evaluate(dataset: LabeledDataset, model_cfg: ModelConfig, params: ModelParam
     features = _precompute_features(dataset, model_cfg)
     y_true: list[int] = []
     y_pred: list[int] = []
-    for idx, (doc, _) in enumerate(dataset.items):
-        target = _targets(dataset, idx)
+    for idx, (doc, target) in enumerate(dataset.items):
         logits = deffsi_forward(doc, model_cfg, params, fv=features[idx])
         y_true.extend(np.ravel(target).tolist())
         y_pred.extend(np.ravel(np.argmax(logits.data, axis=-1)).tolist())
@@ -282,11 +257,6 @@ def split_dataset(
     n_val = int(round(0.1 * n))
     parts = (order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :])
 
-    def build(indices) -> LabeledDataset:
-        items = [dataset.items[i] for i in indices]
-        tags = None
-        if dataset.tag_sequences is not None:
-            tags = [dataset.tag_sequences[i] for i in indices]
-        return LabeledDataset(items=items, n_classes=dataset.n_classes, tag_sequences=tags)
-
-    return tuple(build(p) for p in parts)
+    return tuple(
+        LabeledDataset(items=[dataset.items[i] for i in p], n_classes=dataset.n_classes) for p in parts
+    )

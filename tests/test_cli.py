@@ -3,6 +3,7 @@ import functools
 import json
 import os
 import platform
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -296,6 +297,35 @@ class TestTrainEval:
         assert set(metrics["mean"]) == {"val", "test"}
         assert len(metrics["runs"]) == 1
 
+    def test_synthesizes_the_corpus_synth_writes(self, tmp_path, monkeypatch):
+        # one builder serves both commands, and one list of corpus flags both manifests
+        flags = [
+            "--docs", "10", "--classes", "2", "--tokens", "9", "--dim", "16",
+            "--separation", "2.5", "--seed", "7",
+        ]
+        assert run(["synth", "corpus", *flags, "--out", str(tmp_path / "s")]) == 0
+        built = []
+        real_run_once = cli._run_once
+
+        def recording(dataset, *args):
+            built.append(dataset)
+            return real_run_once(dataset, *args)
+
+        monkeypatch.setattr(cli, "_run_once", recording)
+        model = ["--epochs", "1", "--hidden", "2", "--filters", "2"]
+        assert run(["train-eval", *flags, *model, "--out", str(tmp_path / "t")]) == 0
+        written = load_corpus(str(tmp_path / "s" / "corpus.json"))
+        (dataset,) = built
+        assert dataset.n_classes == written.n_classes == 2
+        assert [label for _, label in dataset.items] == [label for _, label in written.items]
+        assert all(np.array_equal(a.tokens, b.tokens) for (a, _), (b, _) in zip(dataset.items, written.items))
+        synth_config = json.loads((tmp_path / "s" / "manifest.json").read_text())["config"]
+        train_config = json.loads((tmp_path / "t" / "manifest.json").read_text())["config"]
+        assert train_config["data"] == "synthetic"
+        corpus_keys = ["docs", "classes", "tokens", "dim", "separation"]
+        assert list(synth_config)[2:] == list(train_config)[-5:] == corpus_keys
+        assert all(synth_config[k] == train_config[k] for k in corpus_keys)
+
     def test_repeats_average(self, tmp_path):
         out = tmp_path / "tr"
         code = run(
@@ -555,8 +585,9 @@ class TestCorpusIO:
 
     def test_tagged_dataset_refused(self):
         ds = synth_embedded_corpus(6, 2, 4, 8, 3.0, seed=0)
-        tags = [np.zeros(doc.n_tokens, dtype=np.int64) for doc, _ in ds.items]
-        tagged = LabeledDataset(items=ds.items, n_classes=2, tag_sequences=tags)
+        tagged = LabeledDataset(
+            items=[(doc, np.zeros(doc.n_tokens, dtype=np.int64)) for doc, _ in ds.items], n_classes=2
+        )
         with pytest.raises(ValueError, match="no per-token tags"):
             corpus_to_json_dict(tagged)
 
@@ -571,6 +602,50 @@ class TestCorpusIO:
         path.write_text("{}")
         with pytest.raises(ValueError, match="documents"):
             load_corpus(str(path))
+
+    def test_top_level_array_refused_naming_the_file(self, tmp_path, capsys):
+        # an array used to raise AttributeError, and train-eval exited 1 with a traceback
+        path = tmp_path / "c.json"
+        payload = corpus_to_json_dict(synth_embedded_corpus(6, 2, 4, 8, 3.0, seed=0))
+        path.write_text(json.dumps(payload["documents"]))
+        with pytest.raises(ValueError, match="corpus JSON must be an object, got a list"):
+            load_corpus(str(path))
+        argv = ["train-eval", "--input", str(path), "--epochs", "1", "--out", str(tmp_path / "tr")]
+        assert run(argv) == 2
+        assert f"error: {path}: corpus JSON must be an object" in capsys.readouterr().err
+
+    def test_documents_that_are_not_an_array_refused(self, tmp_path):
+        # a dict used to iterate its keys: "document 0 lacks 'tokens' or 'label'"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"documents": {"tokens": [[1.0, 2.0]], "label": 0}}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: 'documents' must be an array, got a dict")):
+            load_corpus(str(path))
+
+    @pytest.mark.parametrize("n_classes", [2.7, "3", True, 0, None])
+    def test_n_classes_that_is_not_a_whole_number_refused(self, tmp_path, n_classes):
+        # 2.7 used to load as 2 and the error then blamed a label; "3" and true loaded
+        payload = corpus_to_json_dict(synth_embedded_corpus(6, 2, 4, 8, 3.0, seed=0))
+        payload["n_classes"] = n_classes
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(payload))
+        message = f"{path}: n_classes {n_classes!r} is not a whole number of at least 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_corpus(str(path))
+
+    def test_label_outside_n_classes_refused_naming_the_file(self, tmp_path):
+        payload = corpus_to_json_dict(synth_embedded_corpus(6, 2, 4, 8, 3.0, seed=0))
+        payload["documents"][3]["label"] = 5
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: item 3 label 5 outside [0, 2)")):
+            load_corpus(str(path))
+
+    def test_integral_float_n_classes_accepted(self, tmp_path):
+        payload = corpus_to_json_dict(synth_embedded_corpus(6, 2, 4, 8, 3.0, seed=0))
+        payload["n_classes"] = 3.0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(payload))
+        assert load_corpus(str(path)).n_classes == 3
 
     @pytest.mark.parametrize("label", [1.7, "1", True, None])
     def test_label_that_is_not_a_whole_number_refused(self, tmp_path, label):
@@ -600,6 +675,14 @@ class TestCorpusIO:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="document 2 tokens"):
+            load_corpus(str(path))
+
+    @pytest.mark.parametrize("record", [3, "tokens label"])
+    def test_document_that_is_not_an_object_refused(self, tmp_path, record):
+        # a number used to raise TypeError, and a string was searched for the key names
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"documents": [{"tokens": [[1.0, 2.0]], "label": 0}, record]}))
+        with pytest.raises(ValueError, match="document 1 lacks 'tokens' or 'label'"):
             load_corpus(str(path))
 
     def test_document_missing_label(self, tmp_path):

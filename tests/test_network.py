@@ -318,6 +318,27 @@ class TestForward:
         with pytest.raises(ValueError, match="embedding width 4; .* built for width 6"):
             predict_proba(micro_doc(dim=4), cfg, params)
 
+    @pytest.mark.parametrize(
+        "n_tokens, dim, scales, message",
+        [
+            (8, 64, [16, 64], r"the document has embedding width N = 64; mfa.scales up to 64 need N >= .* = 256"),
+            (3, 6, None, r"the document has 3 tokens; a classification model .* needs at least 8"),
+        ],
+        ids=["explicit-scales", "short"],
+    )
+    def test_predict_proba_refuses_what_evaluate_refuses_before_the_features(
+        self, monkeypatch, n_tokens, dim, scales, message
+    ):
+        # the scales case used to score the all-0.5 fallback vector; the short
+        # document got its features and a BiLSTM pass before scnn_forward refused it
+        cfg = micro_config(mfa=MfaConfig(method="mf-dfa", q_grid=np.linspace(-2, 2, 5), scales=scales))
+        params = init_params(cfg, embed_dim=dim, seed=0)
+        doc = EmbeddingMatrix(np.random.default_rng(0).standard_normal((n_tokens, dim)))
+        monkeypatch.setattr(neuralnet, "hurst_features", lambda *a: pytest.fail("features ran"))
+        monkeypatch.setattr(neuralnet, "birnn_forward", lambda *a: pytest.fail("the BiLSTM ran"))
+        with pytest.raises(ValueError, match=message):
+            predict_proba(doc, cfg, params)
+
     def test_predict_proba_accepts_an_equal_config(self):
         cfg = micro_config()
         params = init_params(cfg, embed_dim=6, seed=0)

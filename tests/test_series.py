@@ -66,16 +66,34 @@ class TestLabeledDataset:
 
     def test_tag_length_must_match_tokens(self):
         doc = EmbeddingMatrix(np.zeros((4, 3)))
-        with pytest.raises(ValueError, match="tags"):
-            LabeledDataset(
-                items=[(doc, 0)], n_classes=2, tag_sequences=[np.array([0, 1])]
-            )
+        with pytest.raises(ValueError, match="item 0: 2 tags for 4 tokens"):
+            LabeledDataset(items=[(doc, np.array([0, 1]))], n_classes=2)
 
     @pytest.mark.parametrize("tag", [5, -1])
     def test_tag_range_enforced(self, tag):
         doc = EmbeddingMatrix(np.zeros((3, 2)))
         with pytest.raises(ValueError, match=rf"item 0 tag {tag} outside \[0, 2\)"):
-            LabeledDataset(items=[(doc, 0)], n_classes=2, tag_sequences=[np.array([0, tag, 1])])
+            LabeledDataset(items=[(doc, np.array([0, tag, 1]))], n_classes=2)
+
+    @pytest.mark.parametrize(
+        "targets, message",
+        [
+            ((0, [0, 1, 1], 1), "item 1 has per-token tags, item 0 has a label"),
+            (([0, 1, 1], [1, 1, 0], 1), "item 2 has a label, item 0 has per-token tags"),
+        ],
+        ids=["tags-after-labels", "label-after-tags"],
+    )
+    def test_labels_and_tags_not_mixed(self, targets, message):
+        doc = EmbeddingMatrix(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=message):
+            LabeledDataset(items=[(doc, t) for t in targets], n_classes=2)
+
+    @pytest.mark.parametrize("target", [1.0, [0.0, 1.0, 1.0], [[0, 1, 1]], "011"])
+    def test_target_neither_label_nor_tags(self, target):
+        doc = EmbeddingMatrix(np.zeros((3, 2)))
+        message = "item 1 target is not an integer label or a sequence of integer tags"
+        with pytest.raises(ValueError, match=message):
+            LabeledDataset(items=[(doc, [0, 1, 1]), (doc, target)], n_classes=2)
 
     def test_mixed_embedding_widths_refused(self):
         docs = [EmbeddingMatrix(np.zeros((2, width))) for width in (4, 4, 3)]
@@ -84,10 +102,14 @@ class TestLabeledDataset:
 
     def test_valid_tagging_dataset(self):
         doc = EmbeddingMatrix(np.zeros((3, 2)))
-        ds = LabeledDataset(
-            items=[(doc, 0)], n_classes=2, tag_sequences=[np.array([0, 1, 1])]
-        )
-        assert len(ds) == 1
+        ds = LabeledDataset(items=[(doc, np.array([0, 1, 1])), (doc, [1, 0, 0])], n_classes=2)
+        assert len(ds) == 2 and ds.tagged
+
+    @pytest.mark.parametrize("label", [1, np.int64(1), True])
+    def test_integer_labels_are_not_tagged(self, label):
+        doc = EmbeddingMatrix(np.zeros((3, 2)))
+        assert not LabeledDataset(items=[(doc, label)], n_classes=2).tagged
+        assert not LabeledDataset(items=[], n_classes=2).tagged
 
 
 class TestLoadSeries:

@@ -139,6 +139,13 @@ class TestSplit:
         for sub in split_dataset(ds, seed=0):
             assert sub.n_classes == 3
 
+    def test_tags_follow_their_documents(self):
+        rng = np.random.default_rng(0)
+        items = [(EmbeddingMatrix(rng.standard_normal((4, 3))), rng.integers(0, 2, size=4)) for _ in range(10)]
+        for sub in split_dataset(LabeledDataset(items=items, n_classes=2), seed=0):
+            assert sub.tagged
+            assert all(any(pair is item for item in items) for pair in sub.items)
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field", ["lr_weights", "lr_activation"])
@@ -440,7 +447,7 @@ class TestInputRefusals:
         docs = [EmbeddingMatrix(rng.standard_normal((8, 12))) for _ in range(3)]
         tags = [np.zeros(8, dtype=np.int64) for _ in docs]
         tags[2][5] = 2
-        ds = LabeledDataset(items=[(d, 0) for d in docs], n_classes=3, tag_sequences=tags)
+        ds = LabeledDataset(items=list(zip(docs, tags)), n_classes=3)
         model_cfg = small_model(n_classes=2, task="tagging")
         params = init_params(model_cfg, embed_dim=12, seed=0)
         message = r"document 2 has tag 2 outside the model's classes \[0, n_classes=2\)"
@@ -475,7 +482,7 @@ class TestInputRefusals:
         # with "label count does not match logit rows"
         ds = small_corpus(docs=6)
         model_cfg = small_model(task="tagging")
-        message = r"a task='tagging' model cannot take this dataset: it has no tag_sequences"
+        message = r"a task='tagging' model cannot take this dataset: it has no per-token tags"
         with pytest.raises(ValueError, match=message):
             train(ds, TrainConfig(epochs=1), model_cfg)
         with pytest.raises(ValueError, match=message):
@@ -485,9 +492,9 @@ class TestInputRefusals:
         rng = np.random.default_rng(0)
         docs = [EmbeddingMatrix(rng.standard_normal((8, 12))) for _ in range(4)]
         tags = [rng.integers(0, 2, size=8) for _ in docs]
-        ds = LabeledDataset(items=[(d, 0) for d in docs], n_classes=2, tag_sequences=tags)
+        ds = LabeledDataset(items=list(zip(docs, tags)), n_classes=2)
         model_cfg = small_model(n_classes=2)
-        message = r"a task='classification' model cannot take this dataset: it has tag_sequences"
+        message = r"a task='classification' model cannot take this dataset: it has per-token tags"
         with pytest.raises(ValueError, match=message):
             train(ds, TrainConfig(epochs=1), model_cfg)
         with pytest.raises(ValueError, match=message):
@@ -516,17 +523,27 @@ class TestEvaluate:
         metrics = evaluate(ds, model_cfg, params)
         assert metrics["accuracy"] > 0.6
 
-    def test_tagging_counts_every_token(self):
+    def test_tagging_counts_every_token(self, monkeypatch):
         rng = np.random.default_rng(0)
         docs = [EmbeddingMatrix(rng.standard_normal((8, 12))) for _ in range(4)]
         tags = [rng.integers(0, 2, size=8) for _ in range(4)]
-        ds = LabeledDataset(
-            items=[(d, 0) for d in docs], n_classes=2, tag_sequences=tags
-        )
+        ds = LabeledDataset(items=list(zip(docs, tags)), n_classes=2)
         model_cfg = small_model(n_classes=2, task="tagging")
         params = init_params(model_cfg, embed_dim=12, seed=0)
+        seen = []
+        real = training.macro_f1_score
+        monkeypatch.setattr(training, "macro_f1_score", lambda t, p, c: seen.append(t) or real(t, p, c))
         metrics = evaluate(ds, model_cfg, params)
+        assert seen == [np.concatenate(tags).tolist()]
         assert 0.0 <= metrics["accuracy"] <= 1.0
+
+    def test_tagging_trains_on_every_token(self):
+        rng = np.random.default_rng(1)
+        items = [(EmbeddingMatrix(rng.standard_normal((8, 12))), rng.integers(0, 2, size=8)) for _ in range(4)]
+        model_cfg = small_model(n_classes=2, task="tagging")
+        _, history = train(LabeledDataset(items=items, n_classes=2), TrainConfig(epochs=1), model_cfg)
+        assert np.isfinite(history[0]["loss"])
+        assert (history[0]["accuracy"] * 32).is_integer()  # hits over the 32 tokens
 
 
 class TestTrainStepHelpers:
