@@ -8,6 +8,10 @@ manifest echoing its full effective configuration and the fractamine,
 Python and numpy versions that ran it, and every JSON output carries
 format_version. Exit codes: 0 success, 1 internal error, 2 usage or
 input error.
+
+A command makes its output directory only after every config, input
+and document check has passed, so a refused run (exit 2) leaves no
+directory behind.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from . import __version__
 from .activations import KINDS, ActivationSpec
 from .fourier_denoise import denoise, diagnostics
 from .multifractal import METHODS, MfaConfig, hurst_profile, log_spaced_scales
-from .neuralnet import ModelConfig, config_json, save_checkpoint
+from .neuralnet import ModelConfig, check_document, config_json, save_checkpoint
 from .series import (
     EmbeddingMatrix,
     LabeledDataset,
@@ -122,9 +126,9 @@ def _model_config_from_flags(args, n_classes: int) -> ModelConfig:
 def cmd_analyze(args) -> int:
     series = load_series(args.input, format=args.format)
     cfg = replace(MfaConfig(), **_given(args, MfaConfig))
+    profile = hurst_profile(series, cfg)
     out_dir = _ensure_out(args.out)
 
-    profile = hurst_profile(series, cfg)
     do_denoise = args.denoise if args.denoise is not None else (cfg.method == "fs-mfa")
     if do_denoise:
         # fs-mfa has denoised the series already
@@ -211,12 +215,11 @@ def load_corpus(path: str) -> LabeledDataset:
 
 
 def cmd_synth(args) -> int:
-    out_dir = _ensure_out(args.out)
     config = {"kind": args.kind, "seed": args.seed}
     if args.kind == "corpus":
         config.update(_corpus_flags(args))
         dataset = _synth_corpus(args, args.seed)
-        _write_json(os.path.join(out_dir, "corpus.json"), corpus_to_json_dict(dataset))
+        _write_json(os.path.join(_ensure_out(args.out), "corpus.json"), corpus_to_json_dict(dataset))
     else:
         if args.kind == "noise":
             series = synth_gaussian_noise(args.n, args.seed)
@@ -230,8 +233,8 @@ def cmd_synth(args) -> int:
             del config["seed"]  # the cascade is deterministic by construction
         else:
             raise ValueError(f"unknown synth kind {args.kind!r}")
-        _write_series_csv(os.path.join(out_dir, "series.csv"), series)
-    _manifest(out_dir, "synth", config)
+        _write_series_csv(os.path.join(_ensure_out(args.out), "series.csv"), series)
+    _manifest(args.out, "synth", config)
     return 0
 
 
@@ -253,17 +256,24 @@ def _data_record(args) -> dict:
     return {"data": "synthetic", **_corpus_flags(args)}
 
 
-def _dataset_from_flags(args, seed: int) -> LabeledDataset:
-    return load_corpus(args.input) if args.input else _synth_corpus(args, seed)
-
-
-def _run_once(dataset, model_cfg, train_cfg):
-    splits = split_dataset(dataset, seed=train_cfg.seed)
-    for name, part in zip(("train", "val", "test"), splits):
+def _experiment(args) -> tuple[LabeledDataset, ModelConfig, TrainConfig, str]:
+    """The corpus, base model config, train config and output directory of a
+    train-eval or compare run. The directory is made only after the split
+    sizes and every document have been checked against the model."""
+    train_cfg = TrainConfig(**_given(args, TrainConfig))
+    dataset = load_corpus(args.input) if args.input else _synth_corpus(args, train_cfg.seed)
+    model_cfg = _model_config_from_flags(args, dataset.n_classes)
+    for name, part in zip(("train", "val", "test"), split_dataset(dataset, seed=train_cfg.seed)):
         if not len(part):
             msg = f"{len(dataset)} documents leave the {name} split empty; the 8:1:1 split needs 8"
             raise ValueError(msg)
-    train_set, val_set, test_set = splits
+    for idx, (doc, _) in enumerate(dataset.items):
+        check_document(doc, model_cfg, None, f"document {idx}")
+    return dataset, model_cfg, train_cfg, _ensure_out(args.out)
+
+
+def _run_once(dataset, model_cfg, train_cfg):
+    train_set, val_set, test_set = split_dataset(dataset, seed=train_cfg.seed)
     params, history = train(train_set, train_cfg, model_cfg)
     return params, history, {
         "val": evaluate(val_set, model_cfg, params),
@@ -271,23 +281,25 @@ def _run_once(dataset, model_cfg, train_cfg):
     }
 
 
-def cmd_train_eval(args) -> int:
-    train_cfg = TrainConfig(**_given(args, TrainConfig))
-    dataset = _dataset_from_flags(args, train_cfg.seed)
-    model_cfg = _model_config_from_flags(args, dataset.n_classes)
-    out_dir = _ensure_out(args.out)
+def _run_variants(dataset, model_cfgs, train_cfg, repeats=1):
+    """For each model config, one (seed, params, history, metrics) per seed
+    train_cfg.seed, train_cfg.seed + 1, ..., repeats seeds in all."""
+    seeds = range(train_cfg.seed, train_cfg.seed + repeats)
+    return [
+        [(seed, *_run_once(dataset, cfg, replace(train_cfg, seed=seed))) for seed in seeds]
+        for cfg in model_cfgs
+    ]
 
-    runs = []
-    for rep in range(args.repeats):
-        run_cfg = replace(train_cfg, seed=train_cfg.seed + rep)
-        params, history, metrics = _run_once(dataset, model_cfg, run_cfg)
-        runs.append({"seed": run_cfg.seed, "history": history, "metrics": metrics})
-        if rep == 0:
-            save_checkpoint(params, os.path.join(out_dir, "checkpoint"))
-            _write_json(os.path.join(out_dir, "history.json"), {"history": history})
+
+def cmd_train_eval(args) -> int:
+    dataset, model_cfg, train_cfg, out_dir = _experiment(args)
+    (runs,) = _run_variants(dataset, [model_cfg], train_cfg, args.repeats)
+    _, params, history, _ = runs[0]
+    save_checkpoint(params, os.path.join(out_dir, "checkpoint"))
+    _write_json(os.path.join(out_dir, "history.json"), {"history": history})
 
     def mean_over(split, key):
-        return float(np.mean([r["metrics"][split][key] for r in runs]))
+        return float(np.mean([metrics[split][key] for *_, metrics in runs]))
 
     metrics_payload = {
         "repeats": args.repeats,
@@ -295,7 +307,7 @@ def cmd_train_eval(args) -> int:
             split: {key: mean_over(split, key) for key in ("accuracy", "macro_f1")}
             for split in ("val", "test")
         },
-        "runs": runs,
+        "runs": [{"seed": seed, "history": h, "metrics": m} for seed, _, h, m in runs],
     }
     _write_json(os.path.join(out_dir, "metrics.json"), metrics_payload)
     _manifest(
@@ -317,42 +329,33 @@ def _config_hash(payload: dict) -> str:
 
 
 def cmd_compare(args) -> int:
-    train_cfg = TrainConfig(**_given(args, TrainConfig))
-    dataset = _dataset_from_flags(args, train_cfg.seed)
-    out_dir = _ensure_out(args.out)
-    base_model = _model_config_from_flags(args, dataset.n_classes)
+    if args.mode not in ("activations", "mfa"):
+        raise ValueError(f"unknown compare mode {args.mode!r}")
+    if args.mode == "activations" and (args.gamma is not None or args.eta is not None):
+        msg = "compare --mode activations runs every kind at its defaults; it takes no --gamma or --eta"
+        raise ValueError(msg)
+    dataset, base_model, train_cfg, out_dir = _experiment(args)
 
     base_payload = config_json(base_model)
     if args.mode == "activations":
         del base_payload["activation"]  # the varied axis
         variants = [(kind, replace(base_model, activation=ActivationSpec(kind))) for kind in KINDS]
         label_field = "activation"
-    elif args.mode == "mfa":
+    else:
         del base_payload["mfa"]
         variants = [
             (method, replace(base_model, mfa=replace(base_model.mfa, method=method)))
             for method in METHODS
         ]
         label_field = "method"
-    else:
-        raise ValueError(f"unknown compare mode {args.mode!r}")
 
     shared_hash = _config_hash({"base": base_payload, "train": config_json(train_cfg)})
-
-    def run_variant(pair):
-        label, model_cfg = pair
-        _, _, metrics = _run_once(dataset, model_cfg, train_cfg)
-        return {
-            label_field: label,
-            "seed": train_cfg.seed,
-            "config_hash": shared_hash,
-            "val_accuracy": metrics["val"]["accuracy"],
-            "val_macro_f1": metrics["val"]["macro_f1"],
-            "test_accuracy": metrics["test"]["accuracy"],
-            "test_macro_f1": metrics["test"]["macro_f1"],
-        }
-
-    rows = [run_variant(v) for v in variants]
+    columns = [label_field, "seed", "config_hash", "val_accuracy", "val_macro_f1", "test_accuracy", "test_macro_f1"]
+    results = _run_variants(dataset, [cfg for _, cfg in variants], train_cfg)
+    rows = []
+    for (label, _), [(seed, _, _, metrics)] in zip(variants, results):
+        scores = [metrics[split][key] for split in ("val", "test") for key in ("accuracy", "macro_f1")]
+        rows.append(dict(zip(columns, [label, seed, shared_hash, *scores])))
 
     payload = {"mode": args.mode, "rows": rows}
     if args.mode == "mfa":
@@ -360,11 +363,10 @@ def cmd_compare(args) -> int:
     _write_json(os.path.join(out_dir, "compare.json"), payload)
 
     csv_path = os.path.join(out_dir, "compare.csv")
-    fields = [label_field, "seed", "config_hash", "val_accuracy", "val_macro_f1", "test_accuracy", "test_macro_f1"]
     with open(csv_path, "w") as fh:
-        fh.write(",".join(fields) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(str(row[f]) for f in fields) + "\n")
+            fh.write(",".join(str(row[c]) for c in columns) + "\n")
 
     _manifest(
         out_dir,

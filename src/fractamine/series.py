@@ -252,8 +252,8 @@ def synth_embedded_corpus(
     Tokens are the class mean plus unit Gaussian noise. Labels cycle
     c = i mod n_classes, giving a balanced corpus.
     """
-    if min(n_docs, n_classes, n_tokens, dim) < 1:
-        raise ValueError("all counts must be at least 1")
+    for name, count in (("n_docs", n_docs), ("n_classes", n_classes), ("n_tokens", n_tokens), ("dim", dim)):
+        check_count(name, count, 1)
     if not (np.isfinite(separation) and separation >= 0):
         raise ValueError(f"separation must be finite and nonnegative, got {separation}")
     if n_classes > dim:

@@ -4,7 +4,9 @@ import json
 import os
 import platform
 import re
+import shlex
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,8 +198,13 @@ class TestSynth:
         assert ds.n_classes == 3
         assert ds.items[0][0].tokens.shape == (5, 8)
 
-    def test_bad_fgn_hurst(self, tmp_path):
-        assert run(["synth", "fgn", "--hurst", "1.5", "--out", str(tmp_path / "o")]) == 2
+    @pytest.mark.parametrize(
+        "argv", [["fgn", "--hurst", "1.5"], ["corpus", "--classes", "80", "--dim", "64"]], ids=["fgn", "corpus"]
+    )
+    def test_bad_input_refused_before_the_directory(self, tmp_path, argv):
+        out = tmp_path / "o"
+        assert run(["synth", *argv, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -278,6 +285,33 @@ class TestAnalyze:
         assert profile["scales"][0] == 16
         assert profile["scales"][-1] == 512
 
+    def test_short_series_refused_before_the_directory(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        series.write_text("\n".join(str(v) for v in np.sin(np.arange(50) / 5)))
+        out = tmp_path / "o"
+        assert run(["analyze", "--input", str(series), "--out", str(out)]) == 2
+        assert "series too short" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["train-eval", "--docs", "7"], "7 documents leave the test split empty"),
+        (["train-eval", "--docs", "3"], "3 documents leave the val split empty"),
+        (["train-eval", "--tokens", "4"], "document 0 has 4 tokens"),
+        (["compare", "--mode", "mfa", "--docs", "7"], "7 documents leave the test split empty"),
+        (["compare", "--mode", "mfa", "--hidden", "0"], "hidden must be at least 1"),
+    ],
+    ids=["train-docs-7", "train-docs-3", "train-tokens-4", "compare-docs-7", "compare-hidden-0"],
+)
+def test_refused_run_trains_nothing_and_leaves_no_directory(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("train ran"))
+    out = tmp_path / "run"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
 
 class TestTrainEval:
     def test_synthetic_run_writes_everything(self, tmp_path):
@@ -333,14 +367,14 @@ class TestTrainEval:
                 "train-eval", "--docs", "18", "--classes", "3", "--tokens", "8",
                 "--dim", "64", "--hidden", "5", "--filters", "3", "--blocks", "1",
                 "--conv-width", "2", "--epochs", "1", "--seed", "0",
-                "--repeats", "2", "--out", str(out),
+                "--repeats", "3", "--out", str(out),
             ]
         )
         assert code == 0
         metrics = json.loads((out / "metrics.json").read_text())
-        assert len(metrics["runs"]) == 2
+        assert len(metrics["runs"]) == 3
         seeds = [r["seed"] for r in metrics["runs"]]
-        assert seeds == [0, 1]
+        assert seeds == [0, 1, 2]
         per_run = [r["metrics"]["test"]["accuracy"] for r in metrics["runs"]]
         assert metrics["mean"]["test"]["accuracy"] == pytest.approx(np.mean(per_run))
 
@@ -415,12 +449,6 @@ class TestTrainEval:
         assert run(argv) == 2
         assert "item 13 has embedding width 48, item 0 has 64" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("docs,empty", [(7, "test"), (3, "val")])
-    def test_empty_split_fails_before_training(self, tmp_path, capsys, monkeypatch, docs, empty):
-        monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("train ran on an empty split"))
-        assert run(["train-eval", "--docs", str(docs), "--out", str(tmp_path / "tr")]) == 2
-        assert f"{docs} documents leave the {empty} split empty" in capsys.readouterr().err
-
     def test_corpus_input_file(self, tmp_path):
         corpus_dir = tmp_path / "c"
         run(
@@ -494,6 +522,16 @@ class TestCompare:
         assert "--repeats" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--gamma", "2"], ["--eta", "0.5"]], ids=["gamma", "eta"])
+    def test_activations_mode_refuses_gamma_and_eta(self, tmp_path, capsys, monkeypatch, flags):
+        # every row runs its kind at the kind's defaults, so a given value would be dropped
+        monkeypatch.setattr(cli, "_run_once", lambda *a: pytest.fail("a variant ran"))
+        out = tmp_path / "cmp"
+        assert run(self.compare_args("activations", out) + flags) == 2
+        err = capsys.readouterr().err
+        assert "--gamma" in err and "--eta" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["activations", "mfa"])
     def test_variants_keep_every_base_field(self, tmp_path, monkeypatch, mode):
         seen = []
@@ -535,6 +573,22 @@ class TestReadmeCommands:
         ):
             out = tmp_path / "-".join(argv[:3])
             assert run([*argv, "--out", str(out)]) == 0, argv
+
+
+    def test_readme_cli_commands_parse(self):
+        # every `fractamine ...` line of the README's CLI shell blocks, with
+        # backslash continuations joined, is a command the parser accepts
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        script = "".join(re.findall(r"```sh\n(.*?)```", section, re.S)).replace("\\\n", " ")
+        commands = [shlex.split(line)[1:] for line in script.splitlines() if line.startswith("fractamine ")]
+        assert {argv[0] for argv in commands} == {"synth", "analyze", "train-eval", "compare"}
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: fractamine {shlex.join(argv)}")
 
 
 class TestArtifacts:

@@ -271,6 +271,13 @@ class TestCorpus:
         with pytest.raises(ValueError, match="separation must be finite"):
             synth_embedded_corpus(10, 2, 4, 8, separation, seed=0)
 
+    @pytest.mark.parametrize("position,name", [(0, "n_docs"), (1, "n_classes"), (2, "n_tokens"), (3, "dim")])
+    def test_count_below_one_refused_by_name(self, position, name):
+        counts = [10, 2, 4, 8]
+        counts[position] = 0
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
+            synth_embedded_corpus(*counts, 2.0, seed=0)
+
     def test_too_many_classes_rejected(self):
         with pytest.raises(ValueError):
             synth_embedded_corpus(10, 9, 4, 8, 2.0, seed=0)
