@@ -23,6 +23,14 @@ over all of its pre-activations, through sigmoid(z) = 1/2 + tanh(z/2)/2:
 the loop is bound by the cost of each numpy call, not by arithmetic,
 since the arrays are small. The fused kernels use only GEMMs, slices and
 ufuncs, not numpy's Python-level helpers.
+
+The classifier's composite layers are fused ops too, one node each:
+affine (x @ W + b), gate (sigmoid(a @ kappa + bias) * a +
+(1 - sigmoid) * b) and additive_attention (mean and position terms,
+tanh, scores, softmax and re-weighting of a vector). Each VJP repeats
+the operations and accumulation order of the primitive composition it
+replaces, so values and gradients stay bit-identical to it, and one
+criterion-09 forward makes 26 nodes where the compositions made 54.
 """
 from __future__ import annotations
 
@@ -49,6 +57,9 @@ __all__ = [
     "reduce_max",
     "mean_all",
     "softmax",
+    "affine",
+    "gate",
+    "additive_attention",
     "cross_entropy",
     "lstm_layer",
     "conv1d",
@@ -235,17 +246,85 @@ def mean_all(t: DiffArray) -> DiffArray:
     )
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    dot = np.sum(g * out, axis=-1, keepdims=True)
+    return out * (g - dot)
+
+
 def softmax(t: DiffArray) -> DiffArray:
     """Softmax over the last axis."""
-    z = t.data - t.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax(t.data)
+    return DiffArray(out, (t,), lambda g: (_softmax_vjp(g, out),))
+
+
+def affine(x: DiffArray, w: DiffArray, b: DiffArray) -> DiffArray:
+    """x @ w + b in one node, bit-identical to add(matmul(x, w), b)."""
+    return DiffArray(
+        x.data @ w.data + b.data,
+        (x, w, b),
+        lambda g: (*_matmul_vjp(g, x.data, w.data), _unbroadcast(g, b.data.shape)),
+    )
+
+
+def gate(a: DiffArray, b: DiffArray, kappa: DiffArray, bias: DiffArray) -> DiffArray:
+    """lam * a + (1 - lam) * b with lam = sigmoid(a @ kappa + bias).
+
+    b may broadcast against a. The gradient of lam is g*a - g*b (the
+    composition adds -(g*b), the same in IEEE arithmetic), the sigmoid
+    VJP turns it into dz, and a's gradient is g*lam + dz @ kappa^T, in
+    that order.
+    """
+    lam = _sigmoid(a.data @ kappa.data + bias.data)
+    rest = 1.0 - lam
+    out = lam * a.data + rest * b.data
 
     def vjp(g):
-        dot = np.sum(g * out, axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        dz = (g * a.data - g * b.data) * lam * rest
+        da, dkappa = _matmul_vjp(dz, a.data, kappa.data)
+        return (
+            g * lam + da,
+            _unbroadcast(g * rest, b.data.shape),
+            dkappa,
+            _unbroadcast(dz, bias.data.shape),
+        )
 
-    return DiffArray(out, (t,), vjp)
+    return DiffArray(out, (a, b, kappa, bias), vjp)
+
+
+def additive_attention(
+    fv: DiffArray, w_mean: DiffArray, w_pos: DiffArray, bias: DiffArray, q: DiffArray
+) -> DiffArray:
+    """Additive attention of a length-m vector over its own entries.
+
+    With k attention units (w_mean, w_pos, bias and q of length k),
+    score_i = q . tanh(w_pos * fv_i + w_mean * mean(fv) + bias), and the
+    output is softmax(scores) * fv, elementwise. fv's gradient adds the
+    re-weighting, position and mean terms in that order.
+    """
+    f = fv.data
+    m = f.shape[0]
+    mean = np.asarray(f.mean())
+    col = f.reshape(m, 1)
+    row = w_pos.data.reshape(1, -1)
+    th = np.tanh(col * row + w_mean.data * mean + bias.data)  # (m, k)
+    weights = _softmax(th @ q.data)
+
+    def vjp(g):
+        dth, dq = _matmul_vjp(_softmax_vjp(g * f, weights), th, q.data)
+        dpre = dth * (1.0 - th * th)
+        dsum = _unbroadcast(dpre, bias.data.shape)  # also the mean term's gradient
+        dmean = float(_unbroadcast(dsum * w_mean.data, ()))
+        dfv = g * weights + _unbroadcast(dpre * row, col.shape).reshape(m) + np.full_like(f, dmean / m)
+        dw_pos = _unbroadcast(dpre * col, row.shape).reshape(w_pos.data.shape)
+        return dfv, dsum * mean, dw_pos, dsum, dq
+
+    return DiffArray(weights * f, (fv, w_mean, w_pos, bias, q), vjp)
 
 
 def cross_entropy(logits: DiffArray, labels) -> DiffArray:

@@ -331,9 +331,15 @@ def _config_hash(payload: dict) -> str:
 def cmd_compare(args) -> int:
     if args.mode not in ("activations", "mfa"):
         raise ValueError(f"unknown compare mode {args.mode!r}")
-    if args.mode == "activations" and (args.gamma is not None or args.eta is not None):
-        msg = "compare --mode activations runs every kind at its defaults; it takes no --gamma or --eta"
-        raise ValueError(msg)
+    # the flags of the varied axis would be dropped silently
+    if args.mode == "activations":
+        if any(getattr(args, name) is not None for name in ("activation", "gamma", "eta")):
+            raise ValueError(
+                "compare --mode activations runs every kind at its defaults; "
+                "it takes no --activation, --gamma or --eta"
+            )
+    elif args.method is not None:
+        raise ValueError("compare --mode mfa runs every method; it takes no --method")
     dataset, base_model, train_cfg, out_dir = _experiment(args)
 
     base_payload = config_json(base_model)
@@ -342,7 +348,7 @@ def cmd_compare(args) -> int:
         variants = [(kind, replace(base_model, activation=ActivationSpec(kind))) for kind in KINDS]
         label_field = "activation"
     else:
-        del base_payload["mfa"]
+        del base_payload["mfa"]["method"]  # the varied axis; the q grid, scales and the rest stay
         variants = [
             (method, replace(base_model, mfa=replace(base_model.mfa, method=method)))
             for method in METHODS

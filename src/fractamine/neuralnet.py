@@ -226,6 +226,11 @@ def _site_activation(x: DiffArray, site: str, params: ModelParams) -> DiffArray:
     return ad.activation(x, spec)
 
 
+def _affine(x: DiffArray, name: str, params: ModelParams) -> DiffArray:
+    """x @ <name>.w + <name>.b, one ad.affine node."""
+    return ad.affine(x, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"])
+
+
 def birnn_forward(v: EmbeddingMatrix | DiffArray, params: ModelParams) -> DiffArray:
     """Two stacked bidirectional recurrent layers, output (n, 2h) as
     [forward | reverse]; each layer is one two-direction lstm_layer call."""
@@ -238,14 +243,12 @@ def birnn_forward(v: EmbeddingMatrix | DiffArray, params: ModelParams) -> DiffAr
 
 
 def gate_fuse(a: DiffArray, b: DiffArray, kappa: DiffArray, bias: DiffArray) -> DiffArray:
-    """lambda = sigmoid(a @ kappa + bias); lambda*a + (1-lambda)*b.
+    """lambda = sigmoid(a @ kappa + bias); lambda*a + (1-lambda)*b, one ad.gate node.
 
     b may broadcast against a (the projected Hurst vector is shared
     across sequence positions).
     """
-    lam = ad.sigmoid(ad.add(ad.matmul(a, kappa), bias))
-    one_minus = ad.sub(DiffArray(np.ones_like(lam.data)), lam)
-    return ad.add(ad.mul(lam, a), ad.mul(one_minus, b))
+    return ad.gate(a, b, kappa, bias)
 
 
 def scnn_forward(fvh: DiffArray, params: ModelParams) -> DiffArray:
@@ -290,15 +293,11 @@ def attention_fv(fv: DiffArray, params: ModelParams) -> DiffArray:
     """Additive attention over the Hurst vector.
 
     score_i = q . tanh(w_mean * mean(fv) + w_pos * fv_i + bias);
-    weights = softmax(scores); output re-weights fv elementwise.
+    weights = softmax(scores); output re-weights fv elementwise. One
+    ad.additive_attention node.
     """
     t = params.tensors
-    m = fv.data.shape[0]
-    mean_term = ad.mul(t["attn.w_mean"], ad.mean_all(fv))  # (k,)
-    pos_term = ad.mul(ad.reshape(fv, (m, 1)), ad.reshape(t["attn.w_pos"], (1, -1)))  # (m, k)
-    scores = ad.matmul(ad.tanh(ad.add(ad.add(pos_term, mean_term), t["attn.bias"])), t["attn.q"])
-    weights = ad.softmax(scores)
-    return ad.mul(weights, fv)
+    return ad.additive_attention(fv, t["attn.w_mean"], t["attn.w_pos"], t["attn.bias"], t["attn.q"])
 
 
 def hurst_features(v: EmbeddingMatrix, cfg: ModelConfig) -> np.ndarray:
@@ -336,18 +335,15 @@ def deffsi_forward(
     t = params.tensors
 
     h_seq = birnn_forward(v, params)
-    fv_proj = ad.add(ad.matmul(fv_t, t["fvproj.w"]), t["fvproj.b"])
-    fvh = gate_fuse(h_seq, fv_proj, t["gate1.kappa"], t["gate1.bias"])
+    fvh = gate_fuse(h_seq, _affine(fv_t, "fvproj", params), t["gate1.kappa"], t["gate1.bias"])
     fvhc = scnn_forward(fvh, params)
-    fva = attention_fv(fv_t, params)
-    fva_proj = ad.add(ad.matmul(fva, t["fva_proj.w"]), t["fva_proj.b"])
+    fva_proj = _affine(attention_fv(fv_t, params), "fva_proj", params)
 
     if cfg.task == "classification":
         fvhc = ad.reduce_max(fvhc, axis=0)
     fused = gate_fuse(fvhc, fva_proj, t["gate2.kappa"], t["gate2.bias"])
-
-    hidden = _site_activation(ad.add(ad.matmul(fused, t["dense0.w"]), t["dense0.b"]), "dense0", params)
-    return ad.add(ad.matmul(hidden, t["head.w"]), t["head.b"])
+    hidden = _site_activation(_affine(fused, "dense0", params), "dense0", params)
+    return _affine(hidden, "head", params)
 
 
 def check_params_config(params: ModelParams, cfg: ModelConfig) -> None:

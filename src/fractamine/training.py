@@ -72,8 +72,10 @@ class _Adam:
     rebinds each tensor's data to a view of it, so step() updates all
     of them in place. The update is elementwise and does the per-tensor
     arithmetic in the same order, so it is bit-identical to updating
-    each tensor on its own. A tensor whose grad is None in a step keeps
-    its data and its m and v.
+    each tensor on its own. step() gathers every gradient into one flat
+    buffer with one concatenate. A tensor whose grad is None in a step
+    keeps its data and its m and v: its span lies outside every run of
+    tensors the update touches.
     """
 
     def __init__(self, params: ModelParams, cfg: TrainConfig):
@@ -97,15 +99,18 @@ class _Adam:
         self.step_count += 1
         bc1 = 1.0 - ADAM_BETA1**self.step_count
         bc2 = 1.0 - ADAM_BETA2**self.step_count
+        grads = []
         runs: list[list[int]] = []  # [start, stop) of consecutive tensors with a grad
         for tensor, (start, stop) in zip(self.tensors, self.spans):
             if tensor.grad is None:
+                grads.append(tensor.data)  # fills its span of self.grad, which no run reads
                 continue
-            self.grad[start:stop] = tensor.grad.reshape(-1)
+            grads.append(tensor.grad)
             if runs and runs[-1][1] == start:
                 runs[-1][1] = stop
             else:
                 runs.append([start, stop])
+        np.concatenate(grads, axis=None, out=self.grad)
         for start, stop in runs:
             part = slice(start, stop)
             g, m, v = self.grad[part], self.m[part], self.v[part]

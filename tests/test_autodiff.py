@@ -205,6 +205,49 @@ def unbroadcast_reshape_oracle(grad, shape):
     return grad.reshape(shape)
 
 
+def gate_oracle(a, b, kappa, bias):
+    """The composition of primitive nodes that ad.gate replaced."""
+    lam = ad.sigmoid(ad.add(ad.matmul(a, kappa), bias))
+    one_minus = ad.sub(DiffArray(np.ones_like(lam.data)), lam)
+    return ad.add(ad.mul(lam, a), ad.mul(one_minus, b))
+
+
+def affine_oracle(x, w, b):
+    """The composition of primitive nodes that ad.affine replaced."""
+    return ad.add(ad.matmul(x, w), b)
+
+
+def additive_attention_oracle(fv, w_mean, w_pos, bias, q):
+    """The composition of primitive nodes that ad.additive_attention replaced."""
+    m = fv.data.shape[0]
+    mean_term = ad.mul(w_mean, ad.mean_all(fv))  # (k,)
+    pos_term = ad.mul(ad.reshape(fv, (m, 1)), ad.reshape(w_pos, (1, -1)))  # (m, k)
+    scores = ad.matmul(ad.tanh(ad.add(ad.add(pos_term, mean_term), bias)), q)
+    return ad.mul(ad.softmax(scores), fv)
+
+
+FUSED_ORACLES = {
+    "gate": gate_oracle,
+    "affine": affine_oracle,
+    "additive_attention": additive_attention_oracle,
+}
+
+
+def criterion_09_config(**overrides):
+    """The architecture of acceptance criterion 09."""
+    return ModelConfig(
+        n_classes=3,
+        hidden=16,
+        filters=8,
+        blocks=1,
+        conv_width=2,
+        dense_width=16,
+        attn_dim=4,
+        mfa=MfaConfig(method="mf-dfa", q_grid=np.linspace(-4, 4, 5)),
+        **overrides,
+    )
+
+
 def backprop(out, grad_out):
     """Sweep from out as if the loss were sum(grad_out * out)."""
     DiffArray(0.0, (out,), lambda g: (grad_out,)).backward()
@@ -275,17 +318,7 @@ class TestReverseSweep:
 
     @pytest.mark.parametrize("task", ["classification", "tagging"])
     def test_criterion_09_network_gradients_bit_identical(self, task):
-        cfg = ModelConfig(
-            n_classes=3,
-            hidden=16,
-            filters=8,
-            blocks=1,
-            conv_width=2,
-            dense_width=16,
-            attn_dim=4,
-            task=task,
-            mfa=MfaConfig(method="mf-dfa", q_grid=np.linspace(-4, 4, 5)),
-        )
+        cfg = criterion_09_config(task=task)
         doc, label = synth_embedded_corpus(3, 3, 12, 64, 4.0, seed=5).items[0]
         target = np.arange(12) % 3 if task == "tagging" else label
         params = init_params(cfg, embed_dim=64, seed=5)
@@ -734,6 +767,95 @@ class TestFusedDirections:
         assert calls == Counter(lstm_layer=2)
 
 
+class TestFusedLayers:
+    """ad.gate, ad.affine and ad.additive_attention against the primitive
+    compositions they replaced (the oracles above), bit for bit."""
+
+    @staticmethod
+    def gate_values(rows, d, rng):
+        # rows None: the vector shapes of classification; otherwise a
+        # (rows, d) matrix a and a vector b broadcast over its rows (tagging)
+        a = rng.standard_normal(d if rows is None else (rows, d))
+        kappa = rng.standard_normal((d, d)) * 0.5
+        return [a, rng.standard_normal(d), kappa, rng.standard_normal(d) * 0.3]
+
+    @staticmethod
+    def affine_values(rows, d, rng):
+        x = rng.standard_normal(d if rows is None else (rows, d))
+        f = int(rng.integers(1, 6))
+        return [x, rng.standard_normal((d, f)), rng.standard_normal(f)]
+
+    @staticmethod
+    def attention_values(m, k, rng):
+        return [rng.standard_normal(m)] + [rng.standard_normal(k) for _ in range(4)]
+
+    CASES = [
+        ("gate", gate_values, None, 1), ("gate", gate_values, None, 7),
+        ("gate", gate_values, 1, 3), ("gate", gate_values, 6, 5),
+        ("affine", affine_values, None, 1), ("affine", affine_values, None, 6),
+        ("affine", affine_values, 1, 4), ("affine", affine_values, 5, 3),
+        ("additive_attention", attention_values, 1, 1), ("additive_attention", attention_values, 1, 4),
+        ("additive_attention", attention_values, 5, 1), ("additive_attention", attention_values, 9, 8),
+    ]
+    IDS = [f"{name}-{shape}-{width}" for name, _, shape, width in CASES]
+
+    @staticmethod
+    def results(op, values, grad_out):
+        point = [leaf(v) for v in values]
+        out = op(*point)
+        backprop(out, grad_out)
+        return [out.data] + [t.grad for t in point]
+
+    @pytest.mark.parametrize("name, make, shape, width", CASES, ids=IDS)
+    def test_bit_identical_to_the_primitive_composition(self, name, make, shape, width):
+        rng = np.random.default_rng(width + 10 * (shape or 0))
+        values = make(shape, width, rng)
+        out_shape = getattr(ad, name)(*[leaf(v) for v in values]).data.shape
+        # the concat VJP hands a layer a column slice of a wider gradient
+        wide = rng.standard_normal((*out_shape[:-1], out_shape[-1] + 2))
+        for grad_out in (wide[..., 2:], np.ascontiguousarray(wide[..., 2:])):
+            got = self.results(getattr(ad, name), values, grad_out)
+            want = self.results(FUSED_ORACLES[name], values, grad_out)
+            for idx, (g, w) in enumerate(zip(got, want)):
+                assert same_bits(g, w), idx
+
+    @pytest.mark.parametrize("name, make, shape, width", CASES, ids=IDS)
+    def test_grad_check(self, name, make, shape, width):
+        rng = np.random.default_rng(width + 10 * (shape or 0) + 1)
+        values = make(shape, width, rng)
+        project = leaf(rng.standard_normal(getattr(ad, name)(*[leaf(v) for v in values]).data.shape))
+
+        def op(*point):
+            return ad.mean_all(ad.mul(getattr(ad, name)(*point), project))
+
+        assert grad_check(op, [leaf(v) for v in values]) < 1e-6
+
+    @pytest.mark.parametrize("task", ["classification", "tagging"])
+    def test_criterion_09_forward_makes_at_most_26_nodes(self, task):
+        # one node per composite layer; the primitive compositions made 54
+        cfg = criterion_09_config(task=task)
+        doc, _ = synth_embedded_corpus(3, 3, 12, 64, 4.0, seed=5).items[0]
+        params = init_params(cfg, embed_dim=64, seed=5)
+        fv = hurst_features(doc, cfg)
+        before = next(ad._SERIALS)
+        deffsi_forward(doc, cfg, params, fv=fv)
+        assert next(ad._SERIALS) - before - 1 <= 26
+
+    def test_network_training_bit_identical_with_the_compositions(self, monkeypatch):
+        cfg = criterion_09_config()
+        corpus = synth_embedded_corpus(30, 3, 12, 64, 4.0, seed=6)
+        runs = []
+        for oracles in (False, True):
+            if oracles:
+                for name, oracle in FUSED_ORACLES.items():
+                    monkeypatch.setattr(ad, name, oracle)
+            params, history = train(corpus, TrainConfig(epochs=2, seed=6), cfg)
+            runs.append((history, {name: t.data.tobytes() for name, t in params.tensors.items()}))
+        (got_history, got_params), (want_history, want_params) = runs
+        assert got_history == want_history
+        assert got_params == want_params
+
+
 class TestConvPool:
     def test_conv_shapes(self):
         x = leaf(RNG.standard_normal((10, 3)))
@@ -916,16 +1038,7 @@ class TestReplacedHelpers:
         assert same_bits(got_x.grad, want_x.grad)
 
     def test_network_training_bit_identical_with_the_oracles(self, monkeypatch):
-        cfg = ModelConfig(
-            n_classes=3,
-            hidden=16,
-            filters=8,
-            blocks=1,
-            conv_width=2,
-            dense_width=16,
-            attn_dim=4,
-            mfa=MfaConfig(method="mf-dfa", q_grid=np.linspace(-4, 4, 5)),
-        )
+        cfg = criterion_09_config()
         corpus = synth_embedded_corpus(30, 3, 12, 64, 4.0, seed=5)
         runs = []
         for oracles in (False, True):

@@ -302,8 +302,13 @@ class TestAnalyze:
         (["train-eval", "--tokens", "4"], "document 0 has 4 tokens"),
         (["compare", "--mode", "mfa", "--docs", "7"], "7 documents leave the test split empty"),
         (["compare", "--mode", "mfa", "--hidden", "0"], "hidden must be at least 1"),
+        (["compare", "--mode", "activations", "--activation", "kdac"], "it takes no --activation"),
+        (["compare", "--mode", "mfa", "--method", "mf-dfa"], "it takes no --method"),
     ],
-    ids=["train-docs-7", "train-docs-3", "train-tokens-4", "compare-docs-7", "compare-hidden-0"],
+    ids=[
+        "train-docs-7", "train-docs-3", "train-tokens-4", "compare-docs-7", "compare-hidden-0",
+        "compare-activations-activation", "compare-mfa-method",
+    ],
 )
 def test_refused_run_trains_nothing_and_leaves_no_directory(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("train ran"))
@@ -532,6 +537,25 @@ class TestCompare:
         assert "--gamma" in err and "--eta" in err
         assert not out.exists()
 
+    def test_mfa_manifest_and_hash_keep_the_mfa_base(self, tmp_path, monkeypatch):
+        metrics = {"accuracy": 0.0, "macro_f1": 0.0}
+        monkeypatch.setattr(cli, "_run_once", lambda *a: (None, [], {"val": metrics, "test": metrics}))
+        configs, hashes = [], []
+        for i, q in enumerate(["-2,2", "-4,0,4"]):
+            out = tmp_path / f"cmp{i}"
+            argv = self.compare_args("mfa", out) + [f"--q={q}", "--scales", "4:16:3", "--vol-window", "6"]
+            assert run(argv) == 0
+            configs.append(json.loads((out / "manifest.json").read_text())["config"])
+            hashes.append({row["config_hash"] for row in json.loads((out / "compare.json").read_text())["rows"]})
+        assert hashes[0] != hashes[1] and len(hashes[0]) == len(hashes[1]) == 1
+        assert [c["config_hash"] for c in configs] == [h for (h,) in hashes]
+        for config, q_grid in zip(configs, [[-2.0, 2.0], [-4.0, 0.0, 4.0]]):
+            mfa = config["base"]["mfa"]
+            assert "method" not in mfa  # the varied axis
+            assert mfa["q_grid"] == q_grid
+            assert mfa["scales"] == mf.log_spaced_scales(4, 16, 3).tolist()
+            assert mfa["vol_window"] == 6
+
     @pytest.mark.parametrize("mode", ["activations", "mfa"])
     def test_variants_keep_every_base_field(self, tmp_path, monkeypatch, mode):
         seen = []
@@ -546,7 +570,8 @@ class TestCompare:
         monkeypatch.setattr(
             cli, "ModelConfig", functools.partial(ModelConfig, dense_width=7, attn_dim=5, mfa=base_mfa)
         )
-        argv = self.compare_args(mode, tmp_path / "cmp") + ["--activation", "kdac"]
+        # --activation sets the base of the mfa table; the activations table refuses it
+        argv = self.compare_args(mode, tmp_path / "cmp") + (["--activation", "kdac"] if mode == "mfa" else [])
         assert run(argv) == 0
         assert len(seen) == (12 if mode == "activations" else 3)
         for cfg in seen:
