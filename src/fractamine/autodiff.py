@@ -202,7 +202,7 @@ def narrow(t: DiffArray, axis: int, start: int, length: int) -> DiffArray:
     index = tuple(index)
 
     def vjp(g):
-        out = np.zeros_like(t.data)
+        out = np.zeros(t.data.shape)
         out[index] = g
         return (out,)
 
@@ -227,12 +227,13 @@ def reshape(t: DiffArray, shape: tuple) -> DiffArray:
 def reduce_max(t: DiffArray, axis: int) -> DiffArray:
     """Max along one axis; gradient flows to the first max position."""
     idx = np.argmax(t.data, axis=axis)
-    where = list(np.indices(idx.shape, sparse=True))
+    ones = (1,) * idx.ndim
+    where = [np.arange(n).reshape(ones[:d] + (n,) + ones[d + 1 :]) for d, n in enumerate(idx.shape)]
     where.insert(axis % t.data.ndim, idx)
     where = tuple(where)
 
     def vjp(g):
-        full = np.zeros_like(t.data)
+        full = np.zeros(t.data.shape)
         full[where] = g
         return (full,)
 
@@ -320,7 +321,7 @@ def additive_attention(
         dpre = dth * (1.0 - th * th)
         dsum = _unbroadcast(dpre, bias.data.shape)  # also the mean term's gradient
         dmean = float(_unbroadcast(dsum * w_mean.data, ()))
-        dfv = g * weights + _unbroadcast(dpre * row, col.shape).reshape(m) + np.full_like(f, dmean / m)
+        dfv = g * weights + _unbroadcast(dpre * row, col.shape).reshape(m) + dmean / m
         dw_pos = _unbroadcast(dpre * col, row.shape).reshape(w_pos.data.shape)
         return dfv, dsum * mean, dw_pos, dsum, dq
 
@@ -514,7 +515,7 @@ def conv1d(
 
     def vjp(g):
         spread = (g @ kernels.data.transpose(2, 0, 1).reshape(n_f, w * c_in)).reshape(lo, w, c_in)
-        dx = np.zeros_like(xd)
+        dx = np.zeros(xd.shape)
         for dw in range(w):
             dx[dw : dw + lo] += spread[:, dw, :]
         if same_length:

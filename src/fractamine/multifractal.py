@@ -216,6 +216,12 @@ def weighted_trend(y: Series, theta: Series, s: int | np.ndarray) -> Series | np
     two roundings per value as applying the start value block by block,
     so it is bit-identical to that loop.
 
+    The previous-s volatility sums w_prev are written one contiguous row
+    per scale into an (S, N) buffer and copied once, transposed, into
+    the (N, S) layout of the scan; the row buffer is then reused, viewed
+    as (N, S), for the totals. The set-up thus holds two (N, S) float
+    buffers at a time, as many as a column-per-scale fill would.
+
     Composing reorders the rounding, so the result is not bit-identical
     to the per-position recursion: each of the about 2 sqrt(N) steps on
     a path adds a few ulps of max|Y|, and the tests bound the difference
@@ -235,11 +241,12 @@ def weighted_trend(y: Series, theta: Series, s: int | np.ndarray) -> Series | np
         raise ValueError("volatilities must be nonnegative")
     pos = np.arange(n)[:, None]
     cumsum = np.concatenate([[0.0], np.cumsum(th)])
-    w_prev = np.empty((n, scales.size))  # cumsum[i] - cumsum[max(i - s, 0)]
-    for col, sc in zip(w_prev.T, scales):
-        col[:sc] = cumsum[:sc]
-        np.subtract(cumsum[sc:n], cumsum[: n - sc], out=col[sc:])
-    total = w_prev + th[:, None]
+    rows = np.empty((scales.size, n))  # cumsum[i] - cumsum[max(i - s, 0)]
+    for row, sc in zip(rows, scales.tolist()):  # Python ints slice faster than numpy ones
+        row[:sc] = cumsum[:sc]
+        np.subtract(cumsum[sc:n], cumsum[: n - sc], out=row[sc:])
+    w_prev = rows.T.copy()
+    total = np.add(w_prev, th[:, None], out=rows.reshape(n, scales.size))
     carry = (pos < 2 * scales - 1) | ~(total > 0)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where carried
         a = np.divide(w_prev, total, out=w_prev)

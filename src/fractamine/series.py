@@ -8,6 +8,9 @@ the estimators downstream can be validated without external data.
 from __future__ import annotations
 
 import json
+import math
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,38 +124,60 @@ class LabeledDataset:
         return len(self.items)
 
 
-def _csv_error(path: str, lines: list[str]) -> ValueError:
-    """The error naming the first line that fails to parse or is not finite."""
-    for lineno, raw in enumerate(lines, start=1):
+def _csv_values(path: str, content: str) -> np.ndarray:
+    """float() of every non-blank line, or an error naming the first bad one."""
+    values = []
+    for lineno, raw in enumerate(content.split("\n"), start=1):
         text = raw.strip()
         if not text:
             continue
         try:
             v = float(text)
         except ValueError:
-            return ValueError(f"{path}:{lineno}: cannot parse {text!r} as a number")
-        if not np.isfinite(v):
-            return ValueError(f"{path}:{lineno}: non-finite value {text!r}")
-    return ValueError(f"{path}: no numeric values found")
+            raise ValueError(f"{path}:{lineno}: cannot parse {text!r} as a number") from None
+        if not math.isfinite(v):
+            raise ValueError(f"{path}:{lineno}: non-finite value {text!r}")
+        values.append(v)
+    if not values:
+        raise ValueError(f"{path}: no numeric values found")
+    return np.array(values)
+
+
+# np.loadtxt opens a str path through np.lib._datasource, which would
+# decompress files with these suffixes; they go to the Python walk,
+# which reads every file as text
+_COMPRESSED = (".bz2", ".gz", ".xz", ".lzma")
 
 
 def load_series(path: str, format: str = "csv") -> Series:
     """Read a Series from disk.
 
-    csv: one numeric value per line (blank lines ignored).
-    json: a bare numeric array, or an object with a "values" array.
-    Parse failures and non-finite values are reported with the
-    offending line or index.
+    csv: one numeric value per line (blank lines ignored). numpy's C
+    reader (np.loadtxt) parses the file first; a file it refuses, reads
+    as empty, reads with more than one value on a line, or reads with a
+    non-finite value goes through one Python walk, which returns float()
+    of every non-blank line (so "1_000" is accepted) or names the first
+    line that does not parse or is not finite. Both stages give the
+    doubles float() gives. The file is opened with Python's open first,
+    so a path that cannot be read raises Python's own error.
+    json: a bare numeric array, or an object with a "values" array;
+    every item must be a JSON number (true and false are not), and a bad
+    item is named by its index.
     """
     if format == "csv":
         with open(path) as fh:
-            lines = fh.read().split("\n")
-        try:
-            values = np.fromiter(map(float, filter(None, map(str.strip, lines))), dtype=np.float64)
-            return Series(values)
-        except ValueError:
-            # the slow walk runs only to name the offending line
-            raise _csv_error(path, lines) from None
+            if not path.endswith(_COMPRESSED):
+                try:
+                    with warnings.catch_warnings():
+                        # an empty file is refused by the Python walk, not warned about
+                        warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+                        # loadtxt takes no absolute path for a URL to fetch
+                        table = np.loadtxt(os.path.abspath(path), dtype=np.float64, comments=None, ndmin=2)
+                    if table.shape[1] == 1:
+                        return Series(table.ravel())
+                except (ValueError, UserWarning):
+                    pass
+            return Series(_csv_values(path, fh.read()))
     if format == "json":
         with open(path) as fh:
             payload = json.load(fh)
@@ -162,9 +187,12 @@ def load_series(path: str, format: str = "csv") -> Series:
             payload = payload["values"]
         if not isinstance(payload, list) or not payload:
             raise ValueError(f"{path}: expected a non-empty numeric array")
+        for idx, item in enumerate(payload):
+            if isinstance(item, bool) or not isinstance(item, (int, float)):
+                raise ValueError(f"{path}: item at index {idx} is not a number: {item!r}")
         try:
             return Series(np.asarray(payload, dtype=np.float64))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
             raise ValueError(f"{path}: {exc}") from None
     raise ValueError(f"unknown format {format!r}, expected 'csv' or 'json'")
 

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,6 +331,82 @@ class TestAllScaleSweep:
         y, theta = Series(np.arange(64.0)), Series(np.ones(64))
         with pytest.raises(ValueError, match="4s = 68"):
             weighted_trend(y, theta, np.array([4, 17]))
+
+
+def weighted_trend_columns(y: Series, theta: Series, scales: np.ndarray) -> np.ndarray:
+    """weighted_trend with w_prev filled one (N, S) column per scale, the
+    layout the scan reads; kept as the oracle of the row-per-scale fill."""
+    n, yv, th = len(y), y.values, theta.values
+    scales = np.atleast_1d(np.asarray(scales, dtype=np.int64))
+    pos = np.arange(n)[:, None]
+    cumsum = np.concatenate([[0.0], np.cumsum(th)])
+    w_prev = np.empty((n, scales.size))
+    for col, sc in zip(w_prev.T, scales):
+        col[:sc] = cumsum[:sc]
+        np.subtract(cumsum[sc:n], cumsum[: n - sc], out=col[sc:])
+    total = w_prev + th[:, None]
+    carry = (pos < 2 * scales - 1) | ~(total > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.divide(w_prev, total, out=w_prev)
+        c = np.divide((th * yv)[:, None], total, out=total)
+    np.copyto(a, 1.0, where=carry)
+    np.copyto(c, 0.0, where=carry)
+    c[0] = [yv[sc - 1 : 2 * sc - 1].sum() / sc for sc in scales]
+    length = math.isqrt(n - 1)
+    end = 1 + (n - 1) // length * length
+    ab = a[1:end].reshape(-1, length, scales.size)
+    cb = c[1:end].reshape(-1, length, scales.size)
+    for k in range(1, length):
+        cb[:, k] += ab[:, k] * cb[:, k - 1]
+    np.multiply.accumulate(ab, axis=1, out=ab)
+    starts = np.empty((len(ab), scales.size))
+    starts[0] = c[0]
+    for start, prev, a_end, c_end in zip(starts[1:], starts[:-1], ab[:-1, -1], cb[:-1, -1]):
+        np.multiply(a_end, prev, out=start)
+        start += c_end
+    ab *= starts[:, None, :]
+    cb += ab
+    for i in range(end, n):
+        c[i] += a[i] * c[i - 1]
+    return c
+
+
+class TestRowFill:
+    @pytest.mark.parametrize("n", [64, 768, 1001, 8192])
+    @pytest.mark.parametrize("zero_stretch", [False, True])
+    def test_bit_identical_to_column_fill(self, n, zero_stretch):
+        rng = np.random.default_rng(n + zero_stretch)
+        y = Series(np.cumsum(rng.standard_normal(n)))
+        th = np.abs(rng.standard_normal(n))
+        if zero_stretch:
+            th[n // 4 : n // 2 + 8] = 0.0
+        theta = Series(th)
+        scales = default_scales(n)
+        expected = weighted_trend_columns(y, theta, scales)
+        assert np.array_equal(weighted_trend(y, theta, scales), expected)
+        for j, s in enumerate(scales):
+            assert np.array_equal(weighted_trend(y, theta, int(s)).values, expected[:, j]), s
+        if zero_stretch:
+            assert carried_positions(theta, int(scales[-1])).size > 0
+
+    def test_peak_memory(self):
+        n = 65536
+        rng = np.random.default_rng(0)
+        y = Series(np.cumsum(rng.standard_normal(n)))
+        theta = Series(np.abs(rng.standard_normal(n)))
+        scales = default_scales(n)
+        assert scales.size == 20
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            weighted_trend(y, theta, scales)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two (N, S) float buffers and the carry masks: 2.35 N S 8 bytes;
+        # a third float buffer would read 3.35
+        assert peak - start <= 2.5 * n * scales.size * 8
 
 
 def stretchy_series(n: int, flat: int, gaps: list, seed: int) -> Series:

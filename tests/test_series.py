@@ -1,4 +1,6 @@
+import gzip
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +152,63 @@ class TestLoadSeries:
         expected = np.array([float(t) for t in lines])
         assert values.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("text", ["1 2\n3 4\n5 6\n", "1 2\n"], ids=["rows", "one-row"])
+    def test_csv_two_values_per_line_names_line_1(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"s\.csv:1: cannot parse '1 2'"):
+            load_series(str(path))
+
+    @pytest.mark.parametrize("bad", ["# x", "0x10"])
+    def test_csv_comment_and_hex_lines_are_refused(self, tmp_path, bad):
+        path = tmp_path / "s.csv"
+        path.write_text(f"1.0\n2.0\n{bad}\n3.0\n")
+        with pytest.raises(ValueError, match=f":3: cannot parse '{bad}'"):
+            load_series(str(path))
+
+    def test_csv_single_value(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("4.25\n")
+        s = load_series(str(path))
+        assert s.values.shape == (1,) and s.values[0] == 4.25
+
+    def test_csv_crlf_and_tab_padding_match_float(self, tmp_path):
+        lines = ["\t1.5\t", " -2.25e-3", "3\t \t", "\t0.1"]
+        path = tmp_path / "s.csv"
+        path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        expected = np.array([float(t) for t in lines])
+        assert load_series(str(path)).values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \t\r\n\t\n"], ids=["empty", "newlines", "blank"])
+    def test_csv_without_values_warns_nothing(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="no numeric values"):
+                load_series(str(path))
+        assert not caught
+
+    def test_csv_missing_file_raises_python_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="No such file or directory"):
+            load_series(str(tmp_path / "missing.csv"))
+
+    def test_csv_compressed_file_is_read_as_text(self, tmp_path):
+        path = tmp_path / "s.csv.gz"
+        path.write_bytes(gzip.compress(b"1.0\n2.0\n"))
+        with pytest.raises(ValueError):
+            load_series(str(path))
+
+    @pytest.mark.parametrize(
+        "payload, index",
+        [([True, False, 2.0], 0), ([1.0, False], 1), (["1.5", 2], 0), ([1, None], 1), ([[1.0], 2.0], 0)],
+    )
+    def test_json_non_numbers_are_refused(self, tmp_path, payload, index):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"values": payload}))
+        with pytest.raises(ValueError, match=f"index {index} is not a number"):
+            load_series(str(path), format="json")
+
     def test_json_bare_array(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text("[0.5, 1.5, 2.5]")
@@ -166,6 +225,12 @@ class TestLoadSeries:
         path = tmp_path / "s.json"
         path.write_text('[1.0, "NaN", 2.0]')
         with pytest.raises(ValueError, match="index 1"):
+            load_series(str(path), format="json")
+
+    def test_json_int_beyond_float_range_is_refused(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text("[1, 1" + "0" * 400 + "]")
+        with pytest.raises(ValueError, match="too large"):
             load_series(str(path), format="json")
 
     def test_unknown_format(self, tmp_path):
