@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -30,7 +31,6 @@ __all__ = [
     "check_params_config",
     "config_json",
     "birnn_forward",
-    "gate_fuse",
     "scnn_forward",
     "attention_fv",
     "deffsi_forward",
@@ -64,6 +64,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.task not in ("classification", "tagging"):
             raise ValueError(f"unknown task {self.task!r}")
+        if not isinstance(self.activation, ActivationSpec):
+            raise TypeError(f"activation must be an ActivationSpec, got {self.activation!r}")
+        if not isinstance(self.mfa, MfaConfig):
+            raise TypeError(f"mfa must be an MfaConfig, got {self.mfa!r}")
         for name in ("n_classes", "hidden", "filters", "blocks", "conv_width", "dense_width", "attn_dim"):
             check_count(name, getattr(self, name), 1)
 
@@ -128,15 +132,9 @@ def _uniform(rng, *shape) -> np.ndarray:
     return rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=shape)
 
 
-def _conv_channel_plan(cfg: ModelConfig) -> list[int]:
-    """Input channel count of each convolution stage, pre-stage first."""
-    c0 = 2 * cfg.hidden
-    plan = [c0]
-    channels = c0 + cfg.filters
-    for _ in range(cfg.blocks):
-        plan.append(channels)
-        channels += cfg.filters
-    return plan
+def _conv_sites(cfg: ModelConfig) -> list[str]:
+    """Convolution stages in order; stage i takes 2*hidden + i*filters channels."""
+    return ["conv.pre", *(f"conv.block{i}" for i in range(cfg.blocks))]
 
 
 def final_channels(cfg: ModelConfig) -> int:
@@ -144,74 +142,76 @@ def final_channels(cfg: ModelConfig) -> int:
     return 2 * cfg.hidden + (cfg.blocks + 1) * cfg.filters
 
 
-def init_params(cfg: ModelConfig, embed_dim: int, seed: int) -> ModelParams:
-    """Uniform(-0.08, 0.08) weights, zero biases, unit sital parameters."""
-    rng = np.random.default_rng(seed)
+def _param_shapes(cfg: ModelConfig, embed_dim: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter tensor, in init_params' draw order."""
     h = cfg.hidden
     f = cfg.filters
     w = cfg.conv_width
     m = int(cfg.mfa.q_grid.size)
-    t: dict[str, np.ndarray] = {}
+    shapes: dict[str, tuple[int, ...]] = {}
 
     in_dim = embed_dim
     for layer in range(2):
         for dirn in ("f", "b"):
-            t[f"lstm{layer}{dirn}.wx"] = _uniform(rng, in_dim, 4 * h)
-            t[f"lstm{layer}{dirn}.wh"] = _uniform(rng, h, 4 * h)
-            t[f"lstm{layer}{dirn}.b"] = np.zeros(4 * h)
+            shapes[f"lstm{layer}{dirn}.wx"] = (in_dim, 4 * h)
+            shapes[f"lstm{layer}{dirn}.wh"] = (h, 4 * h)
+            shapes[f"lstm{layer}{dirn}.b"] = (4 * h,)
         in_dim = 2 * h
 
-    t["fvproj.w"] = _uniform(rng, m, 2 * h)
-    t["fvproj.b"] = np.zeros(2 * h)
-    t["gate1.kappa"] = _uniform(rng, 2 * h, 2 * h)
-    t["gate1.bias"] = np.zeros(2 * h)
+    shapes["fvproj.w"] = (m, 2 * h)
+    shapes["fvproj.b"] = (2 * h,)
+    shapes["gate1.kappa"] = (2 * h, 2 * h)
+    shapes["gate1.bias"] = (2 * h,)
 
-    plan = _conv_channel_plan(cfg)
-    t["conv.pre.c1.k"] = _uniform(rng, w, plan[0], f)
-    t["conv.pre.c1.b"] = np.zeros(f)
-    t["conv.pre.c2.k"] = _uniform(rng, w, f, f)
-    t["conv.pre.c2.b"] = np.zeros(f)
-    for i in range(cfg.blocks):
-        t[f"conv.block{i}.c1.k"] = _uniform(rng, w, plan[i + 1], f)
-        t[f"conv.block{i}.c1.b"] = np.zeros(f)
-        t[f"conv.block{i}.c2.k"] = _uniform(rng, w, f, f)
-        t[f"conv.block{i}.c2.b"] = np.zeros(f)
+    for i, site in enumerate(_conv_sites(cfg)):
+        shapes[f"{site}.c1.k"] = (w, 2 * h + i * f, f)
+        shapes[f"{site}.c1.b"] = (f,)
+        shapes[f"{site}.c2.k"] = (w, f, f)
+        shapes[f"{site}.c2.b"] = (f,)
 
     k = cfg.attn_dim
-    t["attn.w_mean"] = _uniform(rng, k)
-    t["attn.w_pos"] = _uniform(rng, k)
-    t["attn.bias"] = np.zeros(k)
-    t["attn.q"] = _uniform(rng, k)
+    shapes["attn.w_mean"] = (k,)
+    shapes["attn.w_pos"] = (k,)
+    shapes["attn.bias"] = (k,)
+    shapes["attn.q"] = (k,)
 
     cf = final_channels(cfg)
-    t["fva_proj.w"] = _uniform(rng, m, cf)
-    t["fva_proj.b"] = np.zeros(cf)
-    t["gate2.kappa"] = _uniform(rng, cf, cf)
-    t["gate2.bias"] = np.zeros(cf)
+    shapes["fva_proj.w"] = (m, cf)
+    shapes["fva_proj.b"] = (cf,)
+    shapes["gate2.kappa"] = (cf, cf)
+    shapes["gate2.bias"] = (cf,)
 
-    t["dense0.w"] = _uniform(rng, cf, cfg.dense_width)
-    t["dense0.b"] = np.zeros(cfg.dense_width)
-    out_dim = cfg.n_classes
-    t["head.w"] = _uniform(rng, cfg.dense_width, out_dim)
-    t["head.b"] = np.zeros(out_dim)
+    shapes["dense0.w"] = (cf, cfg.dense_width)
+    shapes["dense0.b"] = (cfg.dense_width,)
+    shapes["head.w"] = (cfg.dense_width, cfg.n_classes)
+    shapes["head.b"] = (cfg.n_classes,)
 
     if cfg.activation.kind == "sital":
-        for site in _sital_sites(cfg):
-            t[f"act.{site}.gamma"] = np.asarray(cfg.activation.params["gamma"])
-            t[f"act.{site}.eta"] = np.asarray(cfg.activation.params["eta"])
-
-    return ModelParams(
-        config=cfg,
-        embed_dim=embed_dim,
-        tensors={name: DiffArray(v) for name, v in t.items()},
-    )
+        for site in (*_conv_sites(cfg), "dense0"):
+            shapes[f"act.{site}.gamma"] = ()
+            shapes[f"act.{site}.eta"] = ()
+    return shapes
 
 
-def _sital_sites(cfg: ModelConfig) -> list[str]:
-    sites = ["conv.pre"]
-    sites += [f"conv.block{i}" for i in range(cfg.blocks)]
-    sites.append("dense0")
-    return sites
+def is_activation_param(name: str) -> bool:
+    """True for a trainable activation parameter (act.<site>.<name>)."""
+    return name.startswith("act.")
+
+
+def init_params(cfg: ModelConfig, embed_dim: int, seed: int) -> ModelParams:
+    """Uniform(-0.08, 0.08) weights, zero biases, sital parameters at the
+    spec's values, drawn in _param_shapes' order."""
+    rng = np.random.default_rng(seed)
+    tensors = {}
+    for name, shape in _param_shapes(cfg, embed_dim).items():
+        if is_activation_param(name):
+            value = np.asarray(cfg.activation.params[name.rsplit(".", 1)[1]])
+        elif name.endswith((".b", ".bias")):
+            value = np.zeros(shape)
+        else:
+            value = _uniform(rng, *shape)
+        tensors[name] = DiffArray(value)
+    return ModelParams(config=cfg, embed_dim=embed_dim, tensors=tensors)
 
 
 def _site_activation(x: DiffArray, site: str, params: ModelParams) -> DiffArray:
@@ -231,24 +231,15 @@ def _affine(x: DiffArray, name: str, params: ModelParams) -> DiffArray:
     return ad.affine(x, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"])
 
 
-def birnn_forward(v: EmbeddingMatrix | DiffArray, params: ModelParams) -> DiffArray:
+def birnn_forward(v: EmbeddingMatrix, params: ModelParams) -> DiffArray:
     """Two stacked bidirectional recurrent layers, output (n, 2h) as
     [forward | reverse]; each layer is one two-direction lstm_layer call."""
-    x = v if isinstance(v, DiffArray) else DiffArray(v.tokens)
+    x = DiffArray(v.tokens)
     t = params.tensors
     for layer in range(2):
         wx, wh, b = ([t[f"lstm{layer}{dirn}.{name}"] for dirn in "fb"] for name in ("wx", "wh", "b"))
         x = ad.lstm_layer(x, wx, wh, b, reverse=(False, True))
     return x
-
-
-def gate_fuse(a: DiffArray, b: DiffArray, kappa: DiffArray, bias: DiffArray) -> DiffArray:
-    """lambda = sigmoid(a @ kappa + bias); lambda*a + (1-lambda)*b, one ad.gate node.
-
-    b may broadcast against a (the projected Hurst vector is shared
-    across sequence positions).
-    """
-    return ad.gate(a, b, kappa, bias)
 
 
 def scnn_forward(fvh: DiffArray, params: ModelParams) -> DiffArray:
@@ -281,11 +272,11 @@ def scnn_forward(fvh: DiffArray, params: ModelParams) -> DiffArray:
             cropped = ad.narrow(x, 0, trim // 2, y.data.shape[0])
         return ad.concat([cropped, y], axis=1)
 
-    x = stage(fvh, "conv.pre")
-    for i in range(cfg.blocks):
-        if not same:
+    x = fvh
+    for i, site in enumerate(_conv_sites(cfg)):
+        if i and not same:
             x = ad.maxpool(x, 2, 2)
-        x = stage(x, f"conv.block{i}")
+        x = stage(x, site)
     return x
 
 
@@ -335,13 +326,13 @@ def deffsi_forward(
     t = params.tensors
 
     h_seq = birnn_forward(v, params)
-    fvh = gate_fuse(h_seq, _affine(fv_t, "fvproj", params), t["gate1.kappa"], t["gate1.bias"])
+    fvh = ad.gate(h_seq, _affine(fv_t, "fvproj", params), t["gate1.kappa"], t["gate1.bias"])
     fvhc = scnn_forward(fvh, params)
     fva_proj = _affine(attention_fv(fv_t, params), "fva_proj", params)
 
     if cfg.task == "classification":
         fvhc = ad.reduce_max(fvhc, axis=0)
-    fused = gate_fuse(fvhc, fva_proj, t["gate2.kappa"], t["gate2.bias"])
+    fused = ad.gate(fvhc, fva_proj, t["gate2.kappa"], t["gate2.bias"])
     hidden = _site_activation(_affine(fused, "dense0", params), "dense0", params)
     return _affine(hidden, "head", params)
 
@@ -462,7 +453,7 @@ def load_checkpoint(prefix: str) -> ModelParams:
     header (for instance the header of one save beside the blob of
     another), or when the tensor names or shapes differ from what
     init_params builds for the stored config; the error names the
-    tensor.
+    tensor. It draws no random numbers.
     """
     with open(f"{prefix}.json") as fh:
         header = json.load(fh)
@@ -481,21 +472,21 @@ def load_checkpoint(prefix: str) -> ModelParams:
             f"checkpoint blob holds {blob.size} values, manifest expects {header['total_values']}"
         )
     cfg = ModelConfig.from_json_dict(header["config"])
-    expected = init_params(cfg, header["embed_dim"], seed=0).tensors
+    expected = _param_shapes(cfg, header["embed_dim"])
     manifest = header["manifest"]
     unknown = sorted(manifest.keys() - expected.keys())
     if unknown:
         raise ValueError(f"checkpoint tensor {unknown[0]!r} is not part of the stored config")
     tensors = {}
-    for name, template in expected.items():
+    for name, needed in expected.items():
         if name not in manifest:
             raise ValueError(f"checkpoint lacks tensor {name!r}")
         shape = tuple(manifest[name]["shape"])
-        if shape != template.data.shape:
+        if shape != needed:
             raise ValueError(
                 f"checkpoint tensor {name!r} has shape {shape}, the stored config "
-                f"needs {template.data.shape}"
+                f"needs {needed}"
             )
         start = manifest[name]["offset"]
-        tensors[name] = DiffArray(blob[start : start + template.data.size].reshape(shape).copy())
+        tensors[name] = DiffArray(blob[start : start + math.prod(shape)].reshape(shape).copy())
     return ModelParams(config=cfg, embed_dim=header["embed_dim"], tensors=tensors)

@@ -149,8 +149,8 @@ def _csv_values(path: str, content: str) -> np.ndarray:
 _COMPRESSED = (".bz2", ".gz", ".xz", ".lzma")
 
 
-def load_series(path: str, format: str = "csv") -> Series:
-    """Read a Series from disk.
+def load_series(path: str | os.PathLike, format: str = "csv") -> Series:
+    """Read a Series from disk; path is a str or any path-like object.
 
     csv: one numeric value per line (blank lines ignored). numpy's C
     reader (np.loadtxt) parses the file first; a file it refuses, reads
@@ -164,6 +164,7 @@ def load_series(path: str, format: str = "csv") -> Series:
     every item must be a JSON number (true and false are not), and a bad
     item is named by its index.
     """
+    path = os.fspath(path)
     if format == "csv":
         with open(path) as fh:
             if not path.endswith(_COMPRESSED):

@@ -22,6 +22,7 @@ from .neuralnet import (
     deffsi_forward,
     hurst_features,
     init_params,
+    is_activation_param,
 )
 from .series import LabeledDataset, check_count
 
@@ -55,14 +56,11 @@ class TrainConfig:
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         check_count("epochs", self.epochs, 1)
+        check_count("seed", self.seed, 0)
 
 
 class TrainingDiverged(RuntimeError):
     """Loss left the finite range; message names epoch and instance."""
-
-
-def _is_activation_param(name: str) -> bool:
-    return name.startswith("act.")
 
 
 class _Adam:
@@ -89,7 +87,7 @@ class _Adam:
         for (name, tensor), (start, stop) in zip(params.tensors.items(), self.spans):
             self.data[start:stop] = tensor.data.reshape(-1)
             tensor.data = self.data[start:stop].reshape(tensor.data.shape)
-            self.lr[start:stop] = cfg.lr_activation if _is_activation_param(name) else cfg.lr_weights
+            self.lr[start:stop] = cfg.lr_activation if is_activation_param(name) else cfg.lr_weights
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.grad = np.empty(size)

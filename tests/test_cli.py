@@ -300,14 +300,15 @@ class TestAnalyze:
         (["train-eval", "--docs", "7"], "7 documents leave the test split empty"),
         (["train-eval", "--docs", "3"], "3 documents leave the val split empty"),
         (["train-eval", "--tokens", "4"], "document 0 has 4 tokens"),
+        (["train-eval", "--seed", "-1"], "seed must be at least 0"),
         (["compare", "--mode", "mfa", "--docs", "7"], "7 documents leave the test split empty"),
         (["compare", "--mode", "mfa", "--hidden", "0"], "hidden must be at least 1"),
         (["compare", "--mode", "activations", "--activation", "kdac"], "it takes no --activation"),
         (["compare", "--mode", "mfa", "--method", "mf-dfa"], "it takes no --method"),
     ],
     ids=[
-        "train-docs-7", "train-docs-3", "train-tokens-4", "compare-docs-7", "compare-hidden-0",
-        "compare-activations-activation", "compare-mfa-method",
+        "train-docs-7", "train-docs-3", "train-tokens-4", "train-seed-minus-1", "compare-docs-7",
+        "compare-hidden-0", "compare-activations-activation", "compare-mfa-method",
     ],
 )
 def test_refused_run_trains_nothing_and_leaves_no_directory(tmp_path, capsys, monkeypatch, argv, message):

@@ -20,7 +20,6 @@ from fractamine.neuralnet import (
     config_json,
     deffsi_forward,
     final_channels,
-    gate_fuse,
     hurst_features,
     init_params,
     load_checkpoint,
@@ -53,6 +52,70 @@ def micro_doc(n_tokens=8, dim=6):
     return EmbeddingMatrix(RNG.standard_normal((n_tokens, dim)))
 
 
+def init_params_by_hand(cfg, embed_dim, seed):
+    """init_params as it was written out tensor by tensor, kept as the
+    reference for the table-driven one."""
+    rng = np.random.default_rng(seed)
+    uniform = neuralnet._uniform
+    h = cfg.hidden
+    f = cfg.filters
+    w = cfg.conv_width
+    m = int(cfg.mfa.q_grid.size)
+    t = {}
+
+    in_dim = embed_dim
+    for layer in range(2):
+        for dirn in ("f", "b"):
+            t[f"lstm{layer}{dirn}.wx"] = uniform(rng, in_dim, 4 * h)
+            t[f"lstm{layer}{dirn}.wh"] = uniform(rng, h, 4 * h)
+            t[f"lstm{layer}{dirn}.b"] = np.zeros(4 * h)
+        in_dim = 2 * h
+
+    t["fvproj.w"] = uniform(rng, m, 2 * h)
+    t["fvproj.b"] = np.zeros(2 * h)
+    t["gate1.kappa"] = uniform(rng, 2 * h, 2 * h)
+    t["gate1.bias"] = np.zeros(2 * h)
+
+    plan = [2 * h]
+    channels = 2 * h + f
+    for _ in range(cfg.blocks):
+        plan.append(channels)
+        channels += f
+    t["conv.pre.c1.k"] = uniform(rng, w, plan[0], f)
+    t["conv.pre.c1.b"] = np.zeros(f)
+    t["conv.pre.c2.k"] = uniform(rng, w, f, f)
+    t["conv.pre.c2.b"] = np.zeros(f)
+    for i in range(cfg.blocks):
+        t[f"conv.block{i}.c1.k"] = uniform(rng, w, plan[i + 1], f)
+        t[f"conv.block{i}.c1.b"] = np.zeros(f)
+        t[f"conv.block{i}.c2.k"] = uniform(rng, w, f, f)
+        t[f"conv.block{i}.c2.b"] = np.zeros(f)
+
+    k = cfg.attn_dim
+    t["attn.w_mean"] = uniform(rng, k)
+    t["attn.w_pos"] = uniform(rng, k)
+    t["attn.bias"] = np.zeros(k)
+    t["attn.q"] = uniform(rng, k)
+
+    cf = 2 * h + (cfg.blocks + 1) * f
+    t["fva_proj.w"] = uniform(rng, m, cf)
+    t["fva_proj.b"] = np.zeros(cf)
+    t["gate2.kappa"] = uniform(rng, cf, cf)
+    t["gate2.bias"] = np.zeros(cf)
+
+    t["dense0.w"] = uniform(rng, cf, cfg.dense_width)
+    t["dense0.b"] = np.zeros(cfg.dense_width)
+    t["head.w"] = uniform(rng, cfg.dense_width, cfg.n_classes)
+    t["head.b"] = np.zeros(cfg.n_classes)
+
+    if cfg.activation.kind == "sital":
+        sites = ["conv.pre", *(f"conv.block{i}" for i in range(cfg.blocks)), "dense0"]
+        for site in sites:
+            t[f"act.{site}.gamma"] = np.asarray(cfg.activation.params["gamma"])
+            t[f"act.{site}.eta"] = np.asarray(cfg.activation.params["eta"])
+    return {name: DiffArray(v).data for name, v in t.items()}
+
+
 class TestConfig:
     def test_defaults_validate(self):
         cfg = ModelConfig()
@@ -76,6 +139,14 @@ class TestConfig:
     def test_bad_task(self):
         with pytest.raises(ValueError):
             ModelConfig(task="regression")
+
+    @pytest.mark.parametrize(
+        "name, value", [("activation", "relu"), ("activation", None), ("mfa", "mf-dfa"), ("mfa", {})]
+    )
+    def test_nested_configs_must_have_their_type(self, name, value):
+        # these built and then failed in the first forward pass
+        with pytest.raises(TypeError, match=f"{name} must be an"):
+            ModelConfig(**{name: value})
 
     @pytest.mark.parametrize(
         "name", ["n_classes", "hidden", "filters", "blocks", "conv_width", "dense_width", "attn_dim"]
@@ -168,6 +239,28 @@ class TestConfig:
 
 
 class TestInit:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ModelConfig(),
+            micro_config(blocks=2, conv_width=3),
+            micro_config(task="tagging"),
+            micro_config(activation=ActivationSpec("kdac")),
+            micro_config(
+                attn_dim=5, dense_width=7, n_classes=5, mfa=MfaConfig(method="mf-dfa", q_grid=np.linspace(-3, 3, 7))
+            ),
+        ],
+        ids=["default", "blocks2-width3", "tagging", "kdac", "odd-sizes"],
+    )
+    def test_same_tensors_as_the_hand_written_init(self, cfg, seed):
+        want = init_params_by_hand(cfg, 10, seed)
+        got = {name: t.data for name, t in init_params(cfg, embed_dim=10, seed=seed).tensors.items()}
+        assert list(got) == list(want)
+        for name, value in want.items():
+            assert got[name].dtype == value.dtype and got[name].shape == value.shape, name
+            assert got[name].tobytes() == value.tobytes(), name
+
     def test_deterministic(self):
         cfg = micro_config()
         a = init_params(cfg, embed_dim=6, seed=3)
@@ -207,7 +300,7 @@ class TestComponents:
         b = DiffArray(RNG.standard_normal((5, h)))
         kappa = DiffArray(RNG.standard_normal((h, h)))
         bias = DiffArray(np.zeros(h))
-        out = gate_fuse(a, b, kappa, bias).data
+        out = ad.gate(a, b, kappa, bias).data
         lo = np.minimum(a.data, b.data) - 1e-12
         hi = np.maximum(a.data, b.data) + 1e-12
         assert np.all(out >= lo) and np.all(out <= hi)
@@ -219,7 +312,7 @@ class TestComponents:
         b = DiffArray(-np.ones((2, h)))
         kappa = DiffArray(np.zeros((h, h)))
         bias = DiffArray(np.full(h, 50.0))
-        assert_allclose(gate_fuse(a, b, kappa, bias).data, 1.0, atol=1e-12)
+        assert_allclose(ad.gate(a, b, kappa, bias).data, 1.0, atol=1e-12)
 
     def test_scnn_length_bookkeeping(self):
         cfg = micro_config(hidden=4, filters=2, blocks=2, conv_width=4)
@@ -471,8 +564,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="sha256"):
             load_checkpoint(prefix)
 
-    @pytest.mark.parametrize("edit,named", [("shape", "dense0.w"), ("name", "dense9.w")])
-    def test_edited_header_rejected(self, tmp_path, edit, named):
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            ("shape", r"checkpoint tensor 'dense0.w' has shape \(6, 18\), the stored config needs \(18, 6\)"),
+            ("name", r"checkpoint tensor 'dense9.w' is not part of the stored config"),
+            ("missing", r"checkpoint lacks tensor 'dense0.w'"),
+            ("activation", r"checkpoint tensor 'act.dense0.eta' has shape \(1,\), the stored config needs \(\)"),
+        ],
+        ids=["shape-dense0.w", "name-dense9.w", "missing-dense0.w", "shape-act.dense0.eta"],
+    )
+    def test_edited_header_rejected(self, tmp_path, monkeypatch, edit, named):
         prefix = str(tmp_path / "model")
         save_checkpoint(init_params(micro_config(), embed_dim=6, seed=0), prefix)
         header = tmp_path / "model.json"
@@ -482,8 +584,26 @@ class TestCheckpoint:
         assert entry["shape"] == [18, 6]
         if edit == "shape":
             entry["shape"] = [6, 18]
-        else:
+        elif edit == "name":
             meta["manifest"]["dense9.w"] = meta["manifest"].pop("dense0.w")
+        elif edit == "missing":
+            del meta["manifest"]["dense0.w"]
+        else:
+            meta["manifest"]["act.dense0.eta"]["shape"] = [1]
         header.write_text(json.dumps(meta))
+        monkeypatch.setattr(neuralnet, "_uniform", lambda *a: pytest.fail("drew random numbers"))
         with pytest.raises(ValueError, match=named):
             load_checkpoint(prefix)
+
+    @pytest.mark.parametrize(
+        "cfg", [micro_config(blocks=2), micro_config(task="tagging", activation=ActivationSpec("relu"))]
+    )
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch, cfg):
+        params = init_params(cfg, embed_dim=6, seed=4)
+        prefix = str(tmp_path / "model")
+        save_checkpoint(params, prefix)
+        monkeypatch.setattr(neuralnet, "_uniform", lambda *a: pytest.fail("drew random numbers"))
+        monkeypatch.setattr(neuralnet, "init_params", lambda *a, **k: pytest.fail("built fresh params"))
+        again = load_checkpoint(prefix)
+        assert list(again.tensors) == list(params.tensors)
+        assert all(np.array_equal(params.tensors[n].data, again.tensors[n].data) for n in params.tensors)

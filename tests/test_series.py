@@ -199,6 +199,19 @@ class TestLoadSeries:
         with pytest.raises(ValueError):
             load_series(str(path))
 
+    @pytest.mark.parametrize("fmt, text", [("csv", "1.5\n-2.25\n"), ("json", "[1.5, -2.25]")])
+    def test_path_like_accepted(self, tmp_path, fmt, text):
+        path = tmp_path / f"s.{fmt}"
+        path.write_text(text)
+        assert_allclose(load_series(path, format=fmt).values, [1.5, -2.25])
+
+    def test_compressed_path_is_read_as_text(self, tmp_path):
+        path = tmp_path / "s.csv.gz"
+        path.write_bytes(gzip.compress(b"1.0\n2.0\n"))
+        # decompressed, it would read as [1.0, 2.0]
+        with pytest.raises(UnicodeDecodeError):
+            load_series(path)
+
     @pytest.mark.parametrize(
         "payload, index",
         [([True, False, 2.0], 0), ([1.0, False], 1), (["1.5", 2], 0), ([1, None], 1), ([[1.0], 2.0], 0)],

@@ -163,6 +163,15 @@ class TestTrainConfig:
     def test_numpy_integer_epochs_accepted(self):
         assert TrainConfig(epochs=np.int64(3)).epochs == 3
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seed must be at least 0"), (1.5, "seed must be an integer"), (True, "seed must be an integer")],
+    )
+    def test_bad_seed_refused_by_name(self, seed, message):
+        # these built and then failed inside train, or trained as seed 1
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(seed=seed)
+
 
 class TestTrain:
     def test_loss_decreases(self):
