@@ -480,7 +480,7 @@ def main(argv=None) -> int:
         args.denoise = args.denoise == "on"
     try:
         return args.fn(args)
-    except (FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:  # bad input, or a path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -399,6 +399,18 @@ def predict_proba(v: EmbeddingMatrix, cfg: ModelConfig, params: ModelParams, fv=
     return ad.softmax(logits).data
 
 
+def _blob_layout(shapes: dict[str, tuple[int, ...]]) -> tuple[dict[str, dict], int]:
+    """Checkpoint manifest for a name->shape table: every tensor's
+    {"offset", "shape"} in the float64 blob, packed in sorted-name
+    order; and the blob's value count."""
+    manifest = {}
+    offset = 0
+    for name in sorted(shapes):
+        manifest[name] = {"offset": offset, "shape": list(shapes[name])}
+        offset += math.prod(shapes[name])
+    return manifest, offset
+
+
 def save_checkpoint(params: ModelParams, prefix: str) -> tuple[str, str]:
     """Write <prefix>.json (config + manifest) and <prefix>.bin (float64 LE).
 
@@ -409,22 +421,13 @@ def save_checkpoint(params: ModelParams, prefix: str) -> tuple[str, str]:
     carries the blob's sha256 and load_checkpoint refuses a header
     beside a blob from another save.
     """
-    names = sorted(params.tensors)
-    manifest = {}
-    chunks = []
-    offset = 0
-    for name in names:
-        arr = params.tensors[name].data
-        manifest[name] = {"offset": offset, "shape": list(arr.shape)}
-        flat = np.ascontiguousarray(arr, dtype="<f8").reshape(-1)
-        chunks.append(flat)
-        offset += flat.size
-    blob = np.concatenate(chunks).tobytes()
+    manifest, total = _blob_layout({name: t.data.shape for name, t in params.tensors.items()})
+    blob = np.concatenate([params.tensors[name].data for name in manifest], axis=None, dtype="<f8").tobytes()
     header = {
         "format_version": 1,
         "config": config_json(params.config),
         "embed_dim": params.embed_dim,
-        "total_values": offset,
+        "total_values": total,
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
         "manifest": manifest,
     }
@@ -451,9 +454,10 @@ def load_checkpoint(prefix: str) -> ModelParams:
 
     Raises ValueError when the blob's sha256 differs from the one in the
     header (for instance the header of one save beside the blob of
-    another), or when the tensor names or shapes differ from what
-    init_params builds for the stored config; the error names the
-    tensor. It draws no random numbers.
+    another), when a tensor's name, shape or offset in the header's
+    manifest differs from the layout save_checkpoint writes for the
+    stored config, or when the blob's value count differs from that
+    layout's; the error names the tensor. It draws no random numbers.
     """
     with open(f"{prefix}.json") as fh:
         header = json.load(fh)
@@ -466,27 +470,27 @@ def load_checkpoint(prefix: str) -> ModelParams:
         raise ValueError(
             f"{prefix}.bin has sha256 {digest}, the header expects {header.get('blob_sha256')}"
         )
-    blob = np.frombuffer(raw, dtype="<f8")
-    if blob.size != header["total_values"]:
-        raise ValueError(
-            f"checkpoint blob holds {blob.size} values, manifest expects {header['total_values']}"
-        )
     cfg = ModelConfig.from_json_dict(header["config"])
     expected = _param_shapes(cfg, header["embed_dim"])
+    layout, total = _blob_layout(expected)
     manifest = header["manifest"]
     unknown = sorted(manifest.keys() - expected.keys())
     if unknown:
         raise ValueError(f"checkpoint tensor {unknown[0]!r} is not part of the stored config")
-    tensors = {}
     for name, needed in expected.items():
         if name not in manifest:
             raise ValueError(f"checkpoint lacks tensor {name!r}")
         shape = tuple(manifest[name]["shape"])
         if shape != needed:
-            raise ValueError(
-                f"checkpoint tensor {name!r} has shape {shape}, the stored config "
-                f"needs {needed}"
-            )
-        start = manifest[name]["offset"]
+            raise ValueError(f"checkpoint tensor {name!r} has shape {shape}, the stored config needs {needed}")
+        offset, at = manifest[name]["offset"], layout[name]["offset"]
+        if offset != at:
+            raise ValueError(f"checkpoint tensor {name!r} has offset {offset}, the stored config puts it at {at}")
+    blob = np.frombuffer(raw, dtype="<f8")
+    if blob.size != total:
+        raise ValueError(f"checkpoint blob holds {blob.size} values, the stored config needs {total}")
+    tensors = {}
+    for name, shape in expected.items():
+        start = layout[name]["offset"]
         tensors[name] = DiffArray(blob[start : start + math.prod(shape)].reshape(shape).copy())
     return ModelParams(config=cfg, embed_dim=header["embed_dim"], tensors=tensors)

@@ -159,7 +159,8 @@ def load_series(path: str | os.PathLike, format: str = "csv") -> Series:
     of every non-blank line (so "1_000" is accepted) or names the first
     line that does not parse or is not finite. Both stages give the
     doubles float() gives. The file is opened with Python's open first,
-    so a path that cannot be read raises Python's own error.
+    so a path that cannot be read raises Python's own error; a file that
+    does not decode as text raises UnicodeDecodeError naming file:line.
     json: a bare numeric array, or an object with a "values" array;
     every item must be a JSON number (true and false are not), and a bad
     item is named by its index.
@@ -178,7 +179,13 @@ def load_series(path: str | os.PathLike, format: str = "csv") -> Series:
                         return Series(table.ravel())
                 except (ValueError, UserWarning):
                     pass
-            return Series(_csv_values(path, fh.read()))
+            try:
+                content = fh.read()  # the whole file is decoded at once, so exc.object is all of it
+            except UnicodeDecodeError as exc:
+                line = exc.object.count(b"\n", 0, exc.start) + 1
+                exc.reason += f" at {path}:{line}"
+                raise
+            return Series(_csv_values(path, content))
     if format == "json":
         with open(path) as fh:
             payload = json.load(fh)

@@ -68,23 +68,22 @@ class _Adam:
 
     __init__ copies the tensors in params.tensors into the buffer and
     rebinds each tensor's data to a view of it, so step() updates all
-    of them in place. The update is elementwise and does the per-tensor
-    arithmetic in the same order, so it is bit-identical to updating
-    each tensor on its own. step() gathers every gradient into one flat
-    buffer with one concatenate. A tensor whose grad is None in a step
-    keeps its data and its m and v: its span lies outside every run of
-    tensors the update touches.
+    of them in place. A backward pass gives every tensor a gradient, so
+    step() gathers them into one flat buffer with one concatenate and
+    runs one elementwise update over the whole buffer. It does the
+    per-tensor arithmetic in the same order, so it is bit-identical to
+    updating each tensor on its own.
     """
 
     def __init__(self, params: ModelParams, cfg: TrainConfig):
         self.step_count = 0
         self.tensors = list(params.tensors.values())
         ends = np.cumsum([t.data.size for t in self.tensors]).tolist()
-        self.spans = list(zip([0, *ends[:-1]], ends))
+        spans = zip([0, *ends[:-1]], ends)
         size = ends[-1]
         self.data = np.empty(size)
         self.lr = np.empty(size)
-        for (name, tensor), (start, stop) in zip(params.tensors.items(), self.spans):
+        for (name, tensor), (start, stop) in zip(params.tensors.items(), spans):
             self.data[start:stop] = tensor.data.reshape(-1)
             tensor.data = self.data[start:stop].reshape(tensor.data.shape)
             self.lr[start:stop] = cfg.lr_activation if is_activation_param(name) else cfg.lr_weights
@@ -97,35 +96,22 @@ class _Adam:
         self.step_count += 1
         bc1 = 1.0 - ADAM_BETA1**self.step_count
         bc2 = 1.0 - ADAM_BETA2**self.step_count
-        grads = []
-        runs: list[list[int]] = []  # [start, stop) of consecutive tensors with a grad
-        for tensor, (start, stop) in zip(self.tensors, self.spans):
-            if tensor.grad is None:
-                grads.append(tensor.data)  # fills its span of self.grad, which no run reads
-                continue
-            grads.append(tensor.grad)
-            if runs and runs[-1][1] == start:
-                runs[-1][1] = stop
-            else:
-                runs.append([start, stop])
-        np.concatenate(grads, axis=None, out=self.grad)
-        for start, stop in runs:
-            part = slice(start, stop)
-            g, m, v = self.grad[part], self.m[part], self.v[part]
-            delta, denom = (w[part] for w in self._work)
-            m *= ADAM_BETA1
-            m += np.multiply(g, 1.0 - ADAM_BETA1, out=delta)
-            v *= ADAM_BETA2
-            np.multiply(g, 1.0 - ADAM_BETA2, out=delta)
-            delta *= g
-            v += delta
-            # data -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
-            np.divide(m, bc1, out=delta)
-            delta *= self.lr[part]
-            np.sqrt(np.divide(v, bc2, out=denom), out=denom)
-            denom += ADAM_EPS
-            delta /= denom
-            self.data[part] -= delta
+        g, m, v = self.grad, self.m, self.v
+        np.concatenate([t.grad for t in self.tensors], axis=None, out=g)
+        delta, denom = self._work
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=delta)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=delta)
+        delta *= g
+        v += delta
+        # data -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
+        np.divide(m, bc1, out=delta)
+        delta *= self.lr
+        np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+        denom += ADAM_EPS
+        delta /= denom
+        self.data -= delta
 
 
 def _precompute_features(dataset: LabeledDataset, model_cfg: ModelConfig) -> list[np.ndarray]:

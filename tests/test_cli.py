@@ -82,6 +82,33 @@ class TestParsing:
         code = run(["analyze", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_non_utf8_csv_names_file_and_line(self, tmp_path, capsys):
+        series = tmp_path / "bad.csv"
+        series.write_bytes(b"1.0\n\xff\xfe2.0\n")
+        assert run(["analyze", "--input", str(series), "--out", str(tmp_path / "o")]) == 2
+        assert f"{series}:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--input", "{dir}"],
+            ["train-eval", "--input", "{dir}"],
+            ["train-eval", "--docs", "12", "--epochs", "1", "--out", "{file}"],
+        ],
+        ids=["analyze-input-dir", "train-eval-input-dir", "out-is-a-file"],
+    )
+    def test_unusable_path_exits_2(self, tmp_path, capsys, argv):
+        taken = tmp_path / "taken.txt"
+        taken.write_text("")
+        argv = [a.format(dir=tmp_path, file=taken) for a in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "o")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(tmp_path) in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "flag,message",
         [

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import sys
 import warnings
@@ -459,11 +460,23 @@ class TestForward:
         b = deffsi_forward(doc, cfg, params, fv=fv).data
         assert np.array_equal(a, b)
 
-    def test_gradient_reaches_every_tensor(self):
-        cfg = micro_config()
+    # the optimizer gathers every tensor's gradient after each backward pass
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            micro_config(),
+            micro_config(task="tagging"),
+            micro_config(activation=ActivationSpec("relu")),
+            micro_config(blocks=2, conv_width=3),
+        ],
+        ids=["default", "tagging", "relu", "blocks2-width3"],
+    )
+    def test_gradient_reaches_every_tensor(self, cfg):
         params = init_params(cfg, embed_dim=6, seed=0)
-        logits = deffsi_forward(micro_doc(), cfg, params, fv=RNG.standard_normal(5))
-        loss = ad.cross_entropy(logits, np.array(1))
+        n_tokens = max(8, cfg.min_tokens())
+        logits = deffsi_forward(micro_doc(n_tokens), cfg, params, fv=RNG.standard_normal(5))
+        target = np.arange(n_tokens) % 3 if cfg.task == "tagging" else np.array(1)
+        loss = ad.cross_entropy(logits, target)
         params.zero_grads()
         loss.backward()
         missing = [n for n, t in params.tensors.items() if t.grad is None]
@@ -592,6 +605,38 @@ class TestCheckpoint:
             meta["manifest"]["act.dense0.eta"]["shape"] = [1]
         header.write_text(json.dumps(meta))
         monkeypatch.setattr(neuralnet, "_uniform", lambda *a: pytest.fail("drew random numbers"))
+        with pytest.raises(ValueError, match=named):
+            load_checkpoint(prefix)
+
+    def test_swapped_offsets_rejected(self, tmp_path):
+        prefix = str(tmp_path / "model")
+        save_checkpoint(init_params(micro_config(), embed_dim=6, seed=0), prefix)
+        header = tmp_path / "model.json"
+        meta = json.loads(header.read_text())
+        # same shapes, so names, shapes and the value count all still agree
+        q, w_mean = meta["manifest"]["attn.q"], meta["manifest"]["attn.w_mean"]
+        assert q["shape"] == w_mean["shape"]
+        was_q, was_w_mean = q["offset"], w_mean["offset"]
+        q["offset"], w_mean["offset"] = was_w_mean, was_q
+        header.write_text(json.dumps(meta))
+        # the table lists attn.w_mean before attn.q
+        named = rf"checkpoint tensor 'attn\.w_mean' has offset {was_q}, the stored config puts it at {was_w_mean}"
+        with pytest.raises(ValueError, match=named):
+            load_checkpoint(prefix)
+
+    def test_value_count_checked_against_the_stored_config(self, tmp_path):
+        prefix = str(tmp_path / "model")
+        save_checkpoint(init_params(micro_config(), embed_dim=6, seed=0), prefix)
+        header, blob = tmp_path / "model.json", tmp_path / "model.bin"
+        meta = json.loads(header.read_text())
+        total = meta["total_values"]
+        # a blob one value short, with a header that agrees with it but for the manifest
+        raw = blob.read_bytes()[:-8]
+        blob.write_bytes(raw)
+        meta["blob_sha256"] = hashlib.sha256(raw).hexdigest()
+        meta["total_values"] = total - 1
+        header.write_text(json.dumps(meta))
+        named = f"checkpoint blob holds {total - 1} values, the stored config needs {total}"
         with pytest.raises(ValueError, match=named):
             load_checkpoint(prefix)
 

@@ -189,6 +189,12 @@ class TestLoadSeries:
                 load_series(str(path))
         assert not caught
 
+    def test_csv_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1.0\n\xff\xfe2.0\n")
+        with pytest.raises(UnicodeDecodeError, match=r"invalid start byte at .*bad\.csv:2$"):
+            load_series(str(path))
+
     def test_csv_missing_file_raises_python_error(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="No such file or directory"):
             load_series(str(tmp_path / "missing.csv"))
