@@ -96,6 +96,12 @@ class MfaConfig:
             object.__setattr__(self, "scales", s)
         check_count("vol_window", self.vol_window, 2)
         check_count("dfa_poly_order", self.dfa_poly_order, 0)
+        smallest = DEFAULT_MIN_SCALE if self.scales is None else int(self.scales[0])
+        if self.method == "mf-dfa" and self.dfa_poly_order + 2 > smallest:
+            raise ValueError(
+                f"dfa_poly_order = {self.dfa_poly_order} leaves no residual in a window of "
+                f"the smallest scale {smallest}; mf-dfa needs every scale >= dfa_poly_order + 2"
+            )
 
 
 @dataclass(frozen=True)
@@ -203,12 +209,12 @@ def weighted_trend(y: Series, theta: Series, s: int | np.ndarray) -> Series | np
     Both run one scan over positions, vectorized over scales, of the
     affine maps prev -> a_i * prev + c_i with a_i = w_prev / total and
     c_i = theta_i * Y_i / total (a_i = 1 and c_i = 0 where the value is
-    carried). Affine maps compose associatively, so the N-1 rows after
-    the seed row are cut into about sqrt(N) blocks of L = isqrt(N-1)
-    rows: one pass composes the maps inside every block at once (L-1
-    steps for the offsets, one multiply.accumulate for the prefix
-    products), a second carries the start value from block to block
-    through the block-end maps only, as S-vectors, and then two
+    carried; see below). Affine maps compose associatively, so the N-1
+    rows after the seed row are cut into about sqrt(N) blocks of
+    L = isqrt(N-1) rows: one pass composes the maps inside every block
+    at once (L-1 steps for the offsets, one multiply.accumulate for the
+    prefix products), a second carries the start value from block to
+    block through the block-end maps only, as S-vectors, and then two
     broadcast operations apply every block's start value to all its
     rows; the fewer than L rows left over run the plain recurrence. That
     is about 2 sqrt(N) vectorized steps in place of N scalar ones, all
@@ -221,6 +227,16 @@ def weighted_trend(y: Series, theta: Series, s: int | np.ndarray) -> Series | np
     the (N, S) layout of the scan; the row buffer is then reused, viewed
     as (N, S), for the totals. The set-up thus holds two (N, S) float
     buffers at a time, as many as a column-per-scale fill would.
+
+    The carried positions are set without a whole-array mask: one slice
+    per scale sets a = 1, c = 0 on the first 2s-1 rows, which hold the
+    seed, and only the rows where theta_i = 0 are looked at for a zero
+    total. Everywhere else total > 0, since the cumsum of theta >= 0
+    does not decrease (so w_prev >= 0) and its sum is refused unless
+    finite. On the theta_i = 0 rows w_prev / w_prev is 1 exactly where
+    w_prev > 0, so a = 1 there, and c keeps its computed value (a
+    signed zero) where w_prev > 0 and is 0 elsewhere. Every value is
+    the one a whole-array mask ~(total > 0) sets, bit for bit (tests).
 
     Composing reorders the rounding, so the result is not bit-identical
     to the per-position recursion: each of the about 2 sqrt(N) steps on
@@ -239,20 +255,26 @@ def weighted_trend(y: Series, theta: Series, s: int | np.ndarray) -> Series | np
     th = theta.values
     if np.any(th < 0):
         raise ValueError("volatilities must be nonnegative")
-    pos = np.arange(n)[:, None]
-    cumsum = np.concatenate([[0.0], np.cumsum(th)])
+    with np.errstate(over="ignore"):  # refused just below
+        cumsum = np.concatenate([[0.0], np.cumsum(th)])
+    if not np.isfinite(cumsum[-1]):
+        raise ValueError("volatilities must have a finite sum")
     rows = np.empty((scales.size, n))  # cumsum[i] - cumsum[max(i - s, 0)]
     for row, sc in zip(rows, scales.tolist()):  # Python ints slice faster than numpy ones
         row[:sc] = cumsum[:sc]
         np.subtract(cumsum[sc:n], cumsum[: n - sc], out=row[sc:])
     w_prev = rows.T.copy()
+    idle = np.flatnonzero(th == 0)  # total = w_prev there, which may be 0
+    idle_live = w_prev[idle] > 0
     total = np.add(w_prev, th[:, None], out=rows.reshape(n, scales.size))
-    carry = (pos < 2 * scales - 1) | ~(total > 0)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where carried
         a = np.divide(w_prev, total, out=w_prev)
         c = np.divide((th * yv)[:, None], total, out=total)
-    np.copyto(a, 1.0, where=carry)
-    np.copyto(c, 0.0, where=carry)
+    a[idle] = 1.0  # w_prev / w_prev = 1 exactly where w_prev > 0
+    c[idle] = np.where(idle_live, c[idle], 0.0)
+    for col, sc in enumerate(scales.tolist()):
+        a[: 2 * sc - 1, col] = 1.0
+        c[: 2 * sc - 1, col] = 0.0
     c[0] = [yv[sc - 1 : 2 * sc - 1].sum() / sc for sc in scales]  # positions s..2s-1, 1-based
 
     length = math.isqrt(n - 1)
@@ -307,8 +329,40 @@ def fluctuation(variances: np.ndarray, q: float) -> float:
     return float(moment ** (1.0 / q))
 
 
+def _orthonormal_polynomials(s: int, order: int) -> np.ndarray:
+    """Rows 1..order: the degree-d discrete orthonormal polynomials on
+    x_k = (k - (s-1)/2)/s, k = 0..s-1; row 0 is the constant 1/sqrt(s).
+
+    Arnoldi on diag(x) from the constant: each row is x times the last
+    one, orthogonalized against every earlier row and normalized
+    (Brubeck, Nakatsukasa & Trefethen 2021, SIAM Rev. 63:405). Measured
+    at every order up to s-2 for s < 260, |Q Q^T - I| stays below
+    3e-14; the three-term (Gram) recurrence alone reaches 1e-12 from
+    degree 18 and loses orthogonality entirely near degree s.
+    """
+    x = (np.arange(s) - (s - 1) / 2) / s
+    q = np.empty((order + 1, s))
+    q[0] = 1 / math.sqrt(s)
+    for d in range(order):
+        v = x * q[d]
+        done = q[: d + 1]
+        v -= (done @ v) @ done
+        q[d + 1] = v / math.sqrt(v @ v)
+    return q
+
+
 def polynomial_detrend_variances(y: Series, s: int, order: int) -> np.ndarray:
-    """Mean squared residual of a per-window least-squares polynomial."""
+    """Mean squared residual of a per-window least-squares polynomial.
+
+    Each width-s window loses its mean, then its components along the
+    orthonormal polynomials of degree 1..order (_orthonormal_polynomials)
+    in one projection; the mean of the squares is left. That is the
+    exact least-squares residual up to rounding: against exact rational
+    normal equations it agrees to 1e-10 relative for orders 0-3 at
+    scales 16 to 16384 (tests). No Vandermonde matrix is formed: the
+    uncentred powers of 0..s-1 are so ill-conditioned at order 3 and
+    s = 16384 that lstsq drops a singular value and misses the fit.
+    """
     if s <= order + 1:
         raise ValueError(f"need s > order+1 = {order + 1}, got s = {s}")
     n = len(y)
@@ -316,10 +370,10 @@ def polynomial_detrend_variances(y: Series, s: int, order: int) -> np.ndarray:
         raise ValueError(f"need at least s = {s} samples, got {n}")
     w = n // s
     segments = y.values[: w * s].reshape(w, s)
-    X = np.vander(np.arange(s, dtype=np.float64), order + 1, increasing=True)
-    coef, *_ = np.linalg.lstsq(X, segments.T, rcond=None)
-    residuals = segments.T - X @ coef
-    return np.mean(residuals**2, axis=0)
+    r = segments - segments.mean(axis=1, keepdims=True)
+    q = _orthonormal_polynomials(s, order)[1:]
+    r -= (r @ q.T) @ q
+    return np.einsum("ij,ij->i", r, r) / s
 
 
 def _residual_variances(
@@ -430,8 +484,9 @@ def hurst_profile(s: Series, cfg: MfaConfig | None = None) -> HurstProfile:
     its H is NaN.
 
     One pass serves every scale: apart from mf-dfa's per-scale
-    polynomial fits and weighted_trend's per-scale seed means, the
-    number of numpy calls does not grow with the number of scales.
+    polynomial fits and weighted_trend's per-scale seed means and
+    prefix slices, the number of numpy calls does not grow with the
+    number of scales.
     The volatility methods compute every scale's
     trend in one weighted_trend scan, within 4 sqrt(N) eps max|Y| of
     the per-scale recursion (its rounding order differs; see
@@ -441,7 +496,9 @@ def hurst_profile(s: Series, cfg: MfaConfig | None = None) -> HurstProfile:
     recursion's own rounding error there; H moves by less than 1e-12.
     One np.add.reduceat then sums every window of every scale
     (_residual_variances); mf-dfa concatenates the per-scale
-    polynomial_detrend_variances.
+    polynomial_detrend_variances, each within 1e-10 relative of the
+    exact least-squares residual (tested at orders 0-3 and scales 16 to
+    16384).
 
     The table is built in the log domain from the concatenated
     variances (_log_fluctuation_table), so F_q(s) at |q| = 10 neither

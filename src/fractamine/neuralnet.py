@@ -359,9 +359,10 @@ def check_document(
     """Refuse a document the model cannot take; name opens the message.
 
     It needs cfg.min_tokens() tokens. With explicit mfa.scales its
-    embedding width N must reach 4*max(scales), or hurst_features would
-    give it the all-0.5 fallback vector. Given params, its width must
-    be the one they were built for.
+    embedding width N must reach 4*max(scales), and for mf-dhv and
+    fs-mfa it must exceed mfa.vol_window, or hurst_features would give
+    it the all-0.5 fallback vector. Given params, its width must be the
+    one they were built for.
     """
     need = cfg.min_tokens()
     if v.n_tokens < need:
@@ -374,6 +375,11 @@ def check_document(
         raise ValueError(
             f"{name} has embedding width N = {v.dim}; mfa.scales up to "
             f"{scales[-1]} need N >= 4*max(mfa.scales) = {4 * scales[-1]}"
+        )
+    if cfg.mfa.method != "mf-dfa" and v.dim <= cfg.mfa.vol_window:
+        raise ValueError(
+            f"{name} has embedding width N = {v.dim}; {cfg.mfa.method} with "
+            f"mfa.vol_window = {cfg.mfa.vol_window} needs N > mfa.vol_window"
         )
     if params is not None and v.dim != params.embed_dim:
         raise ValueError(

@@ -365,9 +365,10 @@ class TestTrainEval:
         assert len(metrics["runs"]) == 1
 
     def test_synthesizes_the_corpus_synth_writes(self, tmp_path, monkeypatch):
-        # one builder serves both commands, and one list of corpus flags both manifests
+        # one builder serves both commands, and one list of corpus flags both
+        # manifests; dim exceeds the default vol_window = 16, as train-eval requires
         flags = [
-            "--docs", "10", "--classes", "2", "--tokens", "9", "--dim", "16",
+            "--docs", "10", "--classes", "2", "--tokens", "9", "--dim", "17",
             "--separation", "2.5", "--seed", "7",
         ]
         assert run(["synth", "corpus", *flags, "--out", str(tmp_path / "s")]) == 0

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from fractamine.fourier_denoise import denoise
 from fractamine.multifractal import (
+    DEFAULT_MIN_SCALE,
     DEGENERATE_WINDOW_FRACTION,
     METHODS,
     MIN_FIT_SCALES,
@@ -175,6 +177,25 @@ class TestConfig:
         assert cfg.scales.dtype == np.int64
         assert cfg.scales.tolist() == [16, 32]
 
+    @pytest.mark.parametrize(
+        "kwargs, smallest",
+        [(dict(scales=[4, 8, 16, 32], dfa_poly_order=3), 4), (dict(dfa_poly_order=20), 16)],
+        ids=["explicit-scales", "default-scales"],
+    )
+    def test_dfa_order_must_leave_a_residual(self, kwargs, smallest):
+        # accepted, the smallest scale's fit failed and hurst_features gave
+        # every document the all-0.5 vector
+        order = kwargs["dfa_poly_order"]
+        with pytest.raises(ValueError, match=rf"dfa_poly_order = {order} .* smallest scale {smallest}"):
+            MfaConfig(method="mf-dfa", **kwargs)
+
+    def test_dfa_order_at_the_limit_accepted(self):
+        assert MfaConfig(method="mf-dfa", scales=[5, 8, 16, 32], dfa_poly_order=3).dfa_poly_order == 3
+        # the volatility methods do not read the order
+        assert MfaConfig(method="mf-dhv", scales=[4, 8], dfa_poly_order=20).dfa_poly_order == 20
+        cfg = MfaConfig(method="mf-dfa", q_grid=[2.0], dfa_poly_order=DEFAULT_MIN_SCALE - 2)
+        assert np.all(np.isfinite(hurst_profile(synth_fgn(1024, 0.7, seed=0), cfg).hurst))
+
 
 class TestProfile:
     def test_cumsum_of_deviations(self):
@@ -335,7 +356,9 @@ class TestAllScaleSweep:
 
 def weighted_trend_columns(y: Series, theta: Series, scales: np.ndarray) -> np.ndarray:
     """weighted_trend with w_prev filled one (N, S) column per scale, the
-    layout the scan reads; kept as the oracle of the row-per-scale fill."""
+    layout the scan reads, and every carried position set through one
+    whole-array mask; kept as the bit-for-bit oracle of the row-per-scale
+    fill and of the mask-free set-up."""
     n, yv, th = len(y), y.values, theta.values
     scales = np.atleast_1d(np.asarray(scales, dtype=np.int64))
     pos = np.arange(n)[:, None]
@@ -371,6 +394,32 @@ def weighted_trend_columns(y: Series, theta: Series, scales: np.ndarray) -> np.n
     return c
 
 
+def idle_rows_case(n: int, seed: int, stretches: list, idle: list, spike: float | None):
+    """A random walk Y and volatilities with theta_i = 0 rows of every kind.
+
+    Stretches of zeros give rows whose window total is 0 once a stretch
+    outruns the scale, and positive before that; single zeros keep a
+    positive total. A spike of 1e20 makes the cumsum absorb the small
+    positive volatilities after it, so a later window of them totals
+    exactly 0; every other row after the spike is then set to 0.
+    """
+    rng = np.random.default_rng(seed)
+    y = Series(np.cumsum(rng.standard_normal(n)))
+    th = np.abs(rng.standard_normal(n))
+    for start, length in stretches:
+        th[int(start * n) : int((start + length) * n) + 1] = 0.0
+    th[[int(p * (n - 1)) for p in idle]] = 0.0
+    if spike is not None:
+        at = int(spike * n)
+        th[at] = 1e20
+        th[at + 1 :: 2] = 0.0
+    return y, Series(th)
+
+
+# a stretch longer than every scale, two single zeros and a spike
+IDLE_EXAMPLE = dict(n=1001, seed=5, stretches=[(0.3, 0.3)], idle=[0.1, 0.9], spike=0.7, scale_picks=[0.0, 1.0])
+
+
 class TestRowFill:
     @pytest.mark.parametrize("n", [64, 768, 1001, 8192])
     @pytest.mark.parametrize("zero_stretch", [False, True])
@@ -389,6 +438,63 @@ class TestRowFill:
         if zero_stretch:
             assert carried_positions(theta, int(scales[-1])).size > 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(64, 4096),
+        seed=st.integers(0, 2**32 - 1),
+        stretches=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 0.5)), max_size=3),
+        idle=st.lists(st.floats(0, 1), max_size=8),
+        spike=st.none() | st.floats(0, 1),
+        scale_picks=st.lists(st.floats(0, 1), min_size=1, max_size=5),
+    )
+    @example(**IDLE_EXAMPLE)
+    def test_property_bit_identical_to_mask_setup(self, n, seed, stretches, idle, spike, scale_picks):
+        y, theta = idle_rows_case(n, seed, stretches, idle, spike)
+        scales = np.unique([4 + round(p * (n // 4 - 4)) for p in scale_picks])
+        expected = weighted_trend_columns(y, theta, scales)
+        got = weighted_trend(y, theta, scales)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        s = int(scales[-1])
+        single = weighted_trend(y, theta, s).values
+        assert np.array_equal(single.view(np.uint64), expected[:, -1].view(np.uint64))
+
+    def test_example_reaches_every_idle_case(self):
+        # the explicit example meets every case the set-up tells apart at
+        # its largest scale: a theta_i = 0 row with a positive window total,
+        # one with a zero total, and a zero total whose window holds a
+        # positive volatility that the cumsum absorbed
+        case = dict(IDLE_EXAMPLE)
+        s = 4 + round(case.pop("scale_picks")[-1] * (case["n"] // 4 - 4))
+        th = idle_rows_case(**case)[1].values
+        cumsum = np.concatenate([[0.0], np.cumsum(th)])
+        i = np.arange(2 * s - 1, th.size)
+        idle = th[i] == 0
+        total = cumsum[i] - cumsum[i - s]
+        absorbed = np.array([np.any(th[j - s : j] > 0) for j in i])
+        assert np.any(idle & (total > 0))
+        assert np.any(idle & (total == 0) & ~absorbed)
+        assert np.any(idle & (total == 0) & absorbed)
+
+    def test_signed_zero_kept(self):
+        # a theta_i = 0 row with a positive window total keeps
+        # c = 0 * Y_i / total, which is -0.0 for Y_i < 0, as the mask set-up
+        # did. It shows after a trend of -0.0: row 20 has w_prev = 0, so
+        # its trend is 0 * (-1) + Y_20 = -0.0, and row 21 adds its c to that
+        yv = np.full(64, -1.0)
+        yv[20] = -0.0
+        th = np.ones(64)
+        th[16:20] = th[21] = 0.0
+        y, theta = Series(yv), Series(th)
+        expected = weighted_trend_columns(y, theta, np.array([4]))[:, 0]
+        assert expected[21] == 0 and np.signbit(expected[21])
+        got = weighted_trend(y, theta, 4).values
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_volatility_sum_must_be_finite(self):
+        y, theta = Series(np.arange(64.0)), Series(np.full(64, 1e307))
+        with pytest.raises(ValueError, match="finite sum"):
+            weighted_trend(y, theta, 4)
+
     def test_peak_memory(self):
         n = 65536
         rng = np.random.default_rng(0)
@@ -404,8 +510,8 @@ class TestRowFill:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # two (N, S) float buffers and the carry masks: 2.35 N S 8 bytes;
-        # a third float buffer would read 3.35
+        # two (N, S) float buffers: about 2.0 N S 8 bytes; a third float
+        # buffer would read 3.0
         assert peak - start <= 2.5 * n * scales.size * 8
 
 
@@ -604,6 +710,57 @@ class TestPolynomialDetrend:
     def test_scale_must_exceed_order(self):
         with pytest.raises(ValueError):
             polynomial_detrend_variances(Series(np.arange(64.0)), 2, order=1)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", ["fgn", "cascade"])
+    def test_matches_exact_rational_fit(self, long_profiles, name, order):
+        # lstsq on the uncentred Vandermonde dropped a singular value at
+        # order 3 and s = 16384: these windows' residual variances came
+        # out 15% (fGn) and 280 times (cascade) too large
+        y = long_profiles[name]
+        scales = default_scales(len(y))
+        for s in (int(scales[0]), int(scales[scales.size // 2]), int(scales[-1])):
+            k = len(y) // s // 2
+            got = polynomial_detrend_variances(y, s, order)[k]
+            exact = exact_residual_variance(y.values[k * s : (k + 1) * s], order)
+            assert abs(Fraction(got) - exact) <= 1e-10 * exact, (s, float(got), float(exact))
+
+
+@pytest.fixture(scope="module")
+def long_profiles():
+    """Profiles of the N = 65536 series analyze-long reads."""
+    return {
+        "fgn": profile_series(synth_fgn(65536, 0.7, seed=3)),
+        "cascade": profile_series(synth_binomial_cascade(16, 0.75)),
+    }
+
+
+def exact_residual_variance(window: np.ndarray, order: int) -> Fraction:
+    """Mean squared residual of the least-squares polynomial of the given
+    order on abscissa 0..s-1, by normal equations in exact rational
+    arithmetic.
+
+    Every float is an integer over a power of two, so the window scaled
+    by its largest denominator is an integer vector Y. With
+    G[i][j] = sum k^(i+j) and m[i] = sum k^i Y_k, the residual sum of
+    squares is sum Y^2 - m.G^-1.m, exact, divided by the scale squared.
+    """
+    ratios = [v.as_integer_ratio() for v in window.tolist()]
+    den = max(d for _, d in ratios)
+    ys = [num * (den // d) for num, d in ratios]
+    p = order + 1
+    power_sums = [sum(k**e for k in range(len(ys))) for e in range(2 * p - 1)]
+    moments = [Fraction(sum(k**i * yk for k, yk in enumerate(ys))) for i in range(p)]
+    rows = [[Fraction(power_sums[i + j]) for j in range(p)] + [moments[i]] for i in range(p)]
+    for col in range(p):  # G is positive definite: no pivoting needed
+        for r in range(col + 1, p):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    coef = [Fraction(0)] * p
+    for r in reversed(range(p)):
+        coef[r] = (rows[r][p] - sum(rows[r][j] * coef[j] for j in range(r + 1, p))) / rows[r][r]
+    rss = sum(yk * yk for yk in ys) - sum(c * m for c, m in zip(coef, moments))
+    return rss / (len(ys) * den * den)
 
 
 class TestHurstProfile:

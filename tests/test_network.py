@@ -18,6 +18,7 @@ from fractamine.neuralnet import (
     ModelConfig,
     attention_fv,
     birnn_forward,
+    check_document,
     config_json,
     deffsi_forward,
     final_channels,
@@ -432,6 +433,20 @@ class TestForward:
         monkeypatch.setattr(neuralnet, "birnn_forward", lambda *a: pytest.fail("the BiLSTM ran"))
         with pytest.raises(ValueError, match=message):
             predict_proba(doc, cfg, params)
+
+    @pytest.mark.parametrize("method", ["mf-dhv", "fs-mfa"])
+    def test_width_must_exceed_vol_window(self, method):
+        # accepted, every document got the all-0.5 feature vector
+        cfg = micro_config(mfa=MfaConfig(method=method, q_grid=np.linspace(-2, 2, 5), vol_window=800))
+        doc = EmbeddingMatrix(np.random.default_rng(0).standard_normal((8, 768)))
+        assert_allclose(hurst_features(doc, cfg), 0.5)
+        with pytest.raises(ValueError, match=r"width N = 768; .* mfa.vol_window = 800 needs N > mfa.vol_window"):
+            check_document(doc, cfg, None)
+        check_document(doc, micro_config(mfa=MfaConfig(method=method, vol_window=767)), None)
+
+    def test_vol_window_not_read_by_mf_dfa(self):
+        cfg = micro_config(mfa=MfaConfig(method="mf-dfa", vol_window=800))
+        check_document(EmbeddingMatrix(np.zeros((8, 768))), cfg, None)
 
     def test_predict_proba_accepts_an_equal_config(self):
         cfg = micro_config()

@@ -342,7 +342,8 @@ class TestDocumentLength:
         rng = np.random.default_rng(1)
 
         def dataset(lengths):
-            docs = [EmbeddingMatrix(rng.standard_normal((n, 16))) for n in lengths]
+            # wider than the default vol_window = 16, which check_document requires
+            docs = [EmbeddingMatrix(rng.standard_normal((n, 17))) for n in lengths]
             return LabeledDataset(items=[(d, i % 3) for i, d in enumerate(docs)], n_classes=3)
 
         fits = dataset([need, need + 3])
