@@ -43,12 +43,7 @@ from .activations import ActivationSpec, _sigmoid, forms, sital_forms
 
 __all__ = [
     "DiffArray",
-    "add",
-    "sub",
-    "mul",
     "matmul",
-    "tanh",
-    "sigmoid",
     "activation",
     "sital_op",
     "narrow",
@@ -133,30 +128,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def add(a: DiffArray, b: DiffArray) -> DiffArray:
-    return DiffArray(
-        a.data + b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
-    )
-
-
-def sub(a: DiffArray, b: DiffArray) -> DiffArray:
-    return DiffArray(
-        a.data - b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
-    )
-
-
-def mul(a: DiffArray, b: DiffArray) -> DiffArray:
-    return DiffArray(
-        a.data * b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)),
-    )
-
-
 def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
     return DiffArray(a.data @ b.data, (a, b), lambda g: _matmul_vjp(g, a.data, b.data))
 
@@ -167,16 +138,6 @@ def _matmul_vjp(g, a, b):
     da = np.multiply.outer(g, b) if b.ndim == 1 else g @ b.T
     db = np.multiply.outer(a, g) if a.ndim == 1 else a.T @ g
     return da, db
-
-
-def tanh(t: DiffArray) -> DiffArray:
-    out = np.tanh(t.data)
-    return DiffArray(out, (t,), lambda g: (g * (1.0 - out * out),))
-
-
-def sigmoid(t: DiffArray) -> DiffArray:
-    out = _sigmoid(t.data)
-    return DiffArray(out, (t,), lambda g: (g * out * (1.0 - out),))
 
 
 def activation(t: DiffArray, spec: ActivationSpec) -> DiffArray:

@@ -202,7 +202,8 @@ def weighted_trend(y: Series, theta: Series, s: int | np.ndarray) -> Series | np
     (sum of the previous s volatilities) * previous + theta_i * Y_i,
     normalized by their total. Zero total volatility carries the
     previous value. Positions before the seed hold the seed value so
-    the output aligns with Y.
+    the output aligns with Y. Every scale must be an integer of at
+    least 1; anything else is refused, naming the value.
 
     An int s gives that scale's trend as a Series. An array of scales
     gives every scale's trend as the columns of an (N, len(s)) array.
@@ -211,32 +212,40 @@ def weighted_trend(y: Series, theta: Series, s: int | np.ndarray) -> Series | np
     c_i = theta_i * Y_i / total (a_i = 1 and c_i = 0 where the value is
     carried; see below). Affine maps compose associatively, so the N-1
     rows after the seed row are cut into about sqrt(N) blocks of
-    L = isqrt(N-1) rows: one pass composes the maps inside every block
-    at once (L-1 steps for the offsets, one multiply.accumulate for the
-    prefix products), a second carries the start value from block to
-    block through the block-end maps only, as S-vectors, and then two
-    broadcast operations apply every block's start value to all its
-    rows; the fewer than L rows left over run the plain recurrence. That
-    is about 2 sqrt(N) vectorized steps in place of N scalar ones, all
-    in place in the a and c buffers. The broadcast carry does the same
-    two roundings per value as applying the start value block by block,
-    so it is bit-identical to that loop.
+    L = isqrt(N-1) rows (Blelloch 1990, CMU-CS-90-190): one pass
+    composes the maps inside every block at once (L-1 steps, each
+    updating the offsets and the prefix products), a second carries the
+    start value from block to block through the block-end maps only, as
+    S-vectors, and then two broadcast operations apply every block's
+    start value to all its rows; the fewer than L rows left over run the
+    plain recurrence. That is about 2 sqrt(N) vectorized steps in place
+    of N scalar ones. The broadcast carry does the same two roundings
+    per value as applying the start value block by block, so it is
+    bit-identical to that loop.
 
-    The previous-s volatility sums w_prev are written one contiguous row
-    per scale into an (S, N) buffer and copied once, transposed, into
-    the (N, S) layout of the scan; the row buffer is then reused, viewed
-    as (N, S), for the totals. The set-up thus holds two (N, S) float
-    buffers at a time, as many as a column-per-scale fill would.
+    The a and c buffers are step-major, (L, S, B): row k of a block,
+    then scale, then block, where the rows left over pad out one more
+    block. Each in-block step thus reads and writes contiguous S x B
+    slabs. w_prev is subtracted into the a buffer one scale at a time
+    from two (L, B) views of the cumsum of theta, and theta and
+    theta * Y enter as (L, 1, B) views of one zero-padded copy. After
+    the carry the trend is written once, in position order, into an
+    (S, N) buffer on the a buffer's memory, and the leftover rows run in
+    place on it. The (N, S) result is that buffer's transposed view, so
+    each scale's trend is one contiguous row. Two (N, S) float buffers
+    are held at a time, and only the returned one outlives the call.
 
-    The carried positions are set without a whole-array mask: one slice
-    per scale sets a = 1, c = 0 on the first 2s-1 rows, which hold the
-    seed, and only the rows where theta_i = 0 are looked at for a zero
-    total. Everywhere else total > 0, since the cumsum of theta >= 0
-    does not decrease (so w_prev >= 0) and its sum is refused unless
-    finite. On the theta_i = 0 rows w_prev / w_prev is 1 exactly where
-    w_prev > 0, so a = 1 there, and c keeps its computed value (a
-    signed zero) where w_prev > 0 and is 0 elsewhere. Every value is
-    the one a whole-array mask ~(total > 0) sets, bit for bit (tests).
+    The carried positions are set without a whole-array mask: per scale
+    and buffer, one slice over the whole blocks and one over the first
+    rows of the next set a = 1, c = 0 on the first 2s-1 rows, which hold
+    the seed. Only the rows where theta_i = 0, if there are any, are
+    looked at for a zero total. Everywhere else total > 0, since the
+    cumsum of theta >= 0 does not decrease (so w_prev >= 0) and its sum
+    is refused unless finite. On the theta_i = 0 rows w_prev / w_prev is
+    1 exactly where w_prev > 0, so a = 1 there, and c keeps its computed
+    value (a signed zero) where w_prev > 0 and is 0 elsewhere. Every
+    value is the one a whole-array mask ~(total > 0) sets, bit for bit
+    (tests).
 
     Composing reorders the rounding, so the result is not bit-identical
     to the per-position recursion: each of the about 2 sqrt(N) steps on
@@ -247,53 +256,81 @@ def weighted_trend(y: Series, theta: Series, s: int | np.ndarray) -> Series | np
     n = len(y)
     if len(theta) != n:
         raise ValueError("y and theta lengths differ")
-    scales = np.atleast_1d(np.asarray(s, dtype=np.int64))
-    max_scale = int(scales.max())
+    listed = np.atleast_1d(s).tolist()
+    for sc in listed:
+        if not (isinstance(sc, (int, float)) and float(sc).is_integer() and sc >= 1):
+            raise ValueError(f"every scale must be an integer >= 1, got {sc!r}")
+    listed = [int(sc) for sc in listed]  # Python ints slice faster than numpy ones
+    max_scale = max(listed)
     if n < 4 * max_scale:
         raise ValueError(f"need N >= 4s = {4 * max_scale}, got {n}")
     yv = y.values
     th = theta.values
     if np.any(th < 0):
         raise ValueError("volatilities must be nonnegative")
-    with np.errstate(over="ignore"):  # refused just below
-        cumsum = np.concatenate([[0.0], np.cumsum(th)])
-    if not np.isfinite(cumsum[-1]):
-        raise ValueError("volatilities must have a finite sum")
-    rows = np.empty((scales.size, n))  # cumsum[i] - cumsum[max(i - s, 0)]
-    for row, sc in zip(rows, scales.tolist()):  # Python ints slice faster than numpy ones
-        row[:sc] = cumsum[:sc]
-        np.subtract(cumsum[sc:n], cumsum[: n - sc], out=row[sc:])
-    w_prev = rows.T.copy()
-    idle = np.flatnonzero(th == 0)  # total = w_prev there, which may be 0
-    idle_live = w_prev[idle] > 0
-    total = np.add(w_prev, th[:, None], out=rows.reshape(n, scales.size))
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where carried
-        a = np.divide(w_prev, total, out=w_prev)
-        c = np.divide((th * yv)[:, None], total, out=total)
-    a[idle] = 1.0  # w_prev / w_prev = 1 exactly where w_prev > 0
-    c[idle] = np.where(idle_live, c[idle], 0.0)
-    for col, sc in enumerate(scales.tolist()):
-        a[: 2 * sc - 1, col] = 1.0
-        c[: 2 * sc - 1, col] = 0.0
-    c[0] = [yv[sc - 1 : 2 * sc - 1].sum() / sc for sc in scales]  # positions s..2s-1, 1-based
-
+    size = len(listed)
     length = math.isqrt(n - 1)
-    end = 1 + (n - 1) // length * length
-    ab = a[1:end].reshape(-1, length, scales.size)
-    cb = c[1:end].reshape(-1, length, scales.size)
-    for k in range(1, length):
-        cb[:, k] += ab[:, k] * cb[:, k - 1]
-    np.multiply.accumulate(ab, axis=1, out=ab)
-    starts = np.empty((len(ab), scales.size))
-    starts[0] = c[0]
-    for start, prev, a_end, c_end in zip(starts[1:], starts[:-1], ab[:-1, -1], cb[:-1, -1]):
+    blocks, tail = divmod(n - 1, length)
+    width = blocks + (tail > 0)
+    span = length * width  # rows 1..span; those from N on pad the last block
+    end = 1 + blocks * length
+    # sums[max_scale + i] = theta_0 + ... + theta_{i-1}, 0 for i <= 0
+    sums = np.zeros(max_scale + 1 + max(span, n))
+    with np.errstate(over="ignore"):  # refused just below
+        np.cumsum(th, out=sums[max_scale + 1 : max_scale + 1 + n])
+    if not np.isfinite(sums[max_scale + n]):
+        raise ValueError("volatilities must have a finite sum")
+    rates = np.zeros((2, span + 1))  # theta and theta * Y, zero-padded
+    rates[0, :n] = th
+    np.multiply(th, yv, out=rates[1, :n])
+    th_steps, thy_steps = rates[:, 1:].reshape(2, width, length).transpose(0, 2, 1)[:, :, None, :]
+
+    buf = np.empty(size * max(span, n))
+    a = buf[: size * span].reshape(length, size, width)
+    c = np.empty((length, size, width))
+    ahead = sums[max_scale + 1 : max_scale + 1 + span].reshape(width, length).T
+    for w_prev, sc in zip(a.transpose(1, 0, 2), listed):
+        back = sums[max_scale + 1 - sc : max_scale + 1 - sc + span]
+        np.subtract(ahead, back.reshape(width, length).T, out=w_prev)
+    total = np.add(a, th_steps, out=c)
+    idle = np.flatnonzero(th[1:] == 0)  # total = w_prev there, which may be 0
+    if idle.size:
+        block, step = np.divmod(idle, length)
+        idle_live = a[step, :, block] > 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where carried
+        np.divide(a, total, out=a)
+        np.divide(thy_steps, total, out=c)
+    if idle.size:
+        a[step, :, block] = 1.0  # w_prev / w_prev = 1 exactly where w_prev > 0
+        c[step, :, block] = np.where(idle_live, c[step, :, block], 0.0)
+    for j, sc in enumerate(listed):
+        full, part = divmod(2 * sc - 2, length)  # rows 1..2s-2 carry the seed
+        a[:, j, :full] = 1.0
+        c[:, j, :full] = 0.0
+        a[:part, j, full] = 1.0
+        c[:part, j, full] = 0.0
+    a_tail = a[:tail, :, -1].copy()
+    c_tail = c[:tail, :, -1].copy()
+
+    product = np.empty((size, width))
+    for a_prev, a_k, c_prev, c_k in zip(a[:-1], a[1:], c[:-1], c[1:]):
+        np.multiply(a_k, c_prev, out=product)
+        c_k += product
+        a_k *= a_prev
+    starts = np.empty((width, size))
+    starts[0] = [yv[sc - 1 : 2 * sc - 1].sum() / sc for sc in listed]  # positions s..2s-1, 1-based
+    for start, prev, a_end, c_end in zip(starts[1:], starts[:-1], a[-1].T, c[-1].T):
         np.multiply(a_end, prev, out=start)
         start += c_end
-    ab *= starts[:, None, :]
-    cb += ab
-    for i in range(end, n):
-        c[i] += a[i] * c[i - 1]
-    return Series(c[:, 0]) if np.ndim(s) == 0 else c
+    a *= starts.T
+    c += a
+    trend = buf[: size * n].reshape(size, n)
+    trend[:, 0] = starts[0]
+    np.copyto(trend[:, 1:end].reshape(size, blocks, length), c[:, :, :blocks].transpose(1, 2, 0))
+    for a_i, c_i, i in zip(a_tail, c_tail, range(end, n)):
+        np.multiply(a_i, trend[:, i - 1], out=trend[:, i])
+        trend[:, i] += c_i
+    return Series(trend[0]) if np.ndim(s) == 0 else trend.T
 
 
 def window_variances(d: Series, s: int) -> np.ndarray:
@@ -383,7 +420,9 @@ def _residual_variances(
 
     The residual of scale s is valid from position 2s (1-based) on. The
     squared residual trend - Y of scale j fills row j of one (S, N)
-    buffer, followed by one spare 0. Window k of scale s covers positions
+    buffer, followed by one spare 0. weighted_trend returns the (N, S)
+    transposed view of scale-major rows, so trends.T is contiguous and
+    the subtraction reads and writes row by row. Window k of scale s covers positions
     2s-1+k*s .. 2s-2+(k+1)*s of its row (0-based), the rows
     window_variances takes, and counts[j] windows fit. One np.add.reduceat
     sums every window of every scale: its cuts are the window starts and,
@@ -484,9 +523,9 @@ def hurst_profile(s: Series, cfg: MfaConfig | None = None) -> HurstProfile:
     its H is NaN.
 
     One pass serves every scale: apart from mf-dfa's per-scale
-    polynomial fits and weighted_trend's per-scale seed means and
-    prefix slices, the number of numpy calls does not grow with the
-    number of scales.
+    polynomial fits and weighted_trend's per-scale w_prev subtraction,
+    seed mean and carried-prefix slices, the number of numpy calls does
+    not grow with the number of scales.
     The volatility methods compute every scale's
     trend in one weighted_trend scan, within 4 sqrt(N) eps max|Y| of
     the per-scale recursion (its rounding order differs; see

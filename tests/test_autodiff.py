@@ -19,6 +19,8 @@ from fractamine.neuralnet import ModelConfig, birnn_forward, deffsi_forward, hur
 from fractamine.series import synth_embedded_corpus
 from fractamine.training import TrainConfig, train
 
+from autodiff_primitives import add, mul, sigmoid, sub, tanh
+
 
 def leaf(values):
     return DiffArray(np.asarray(values, dtype=np.float64))
@@ -207,23 +209,23 @@ def unbroadcast_reshape_oracle(grad, shape):
 
 def gate_oracle(a, b, kappa, bias):
     """The composition of primitive nodes that ad.gate replaced."""
-    lam = ad.sigmoid(ad.add(ad.matmul(a, kappa), bias))
-    one_minus = ad.sub(DiffArray(np.ones_like(lam.data)), lam)
-    return ad.add(ad.mul(lam, a), ad.mul(one_minus, b))
+    lam = sigmoid(add(ad.matmul(a, kappa), bias))
+    one_minus = sub(DiffArray(np.ones_like(lam.data)), lam)
+    return add(mul(lam, a), mul(one_minus, b))
 
 
 def affine_oracle(x, w, b):
     """The composition of primitive nodes that ad.affine replaced."""
-    return ad.add(ad.matmul(x, w), b)
+    return add(ad.matmul(x, w), b)
 
 
 def additive_attention_oracle(fv, w_mean, w_pos, bias, q):
     """The composition of primitive nodes that ad.additive_attention replaced."""
     m = fv.data.shape[0]
-    mean_term = ad.mul(w_mean, ad.mean_all(fv))  # (k,)
-    pos_term = ad.mul(ad.reshape(fv, (m, 1)), ad.reshape(w_pos, (1, -1)))  # (m, k)
-    scores = ad.matmul(ad.tanh(ad.add(ad.add(pos_term, mean_term), bias)), q)
-    return ad.mul(ad.softmax(scores), fv)
+    mean_term = mul(w_mean, ad.mean_all(fv))  # (k,)
+    pos_term = mul(ad.reshape(fv, (m, 1)), ad.reshape(w_pos, (1, -1)))  # (m, k)
+    scores = ad.matmul(tanh(add(add(pos_term, mean_term), bias)), q)
+    return mul(ad.softmax(scores), fv)
 
 
 FUSED_ORACLES = {
@@ -272,11 +274,11 @@ def build_dag(values, steps):
     for op, picks in steps:
         a, b, c, d = (nodes[i % len(nodes)] for i in picks)
         if op == "add":
-            node = ad.add(a, b)
+            node = add(a, b)
         elif op == "mul":
-            node = ad.mul(a, b)
+            node = mul(a, b)
         elif op == "tanh":
-            node = ad.tanh(a)
+            node = tanh(a)
         elif op == "matmul":
             node = ad.matmul(a, b)
         else:
@@ -337,26 +339,26 @@ class TestReverseSweep:
 class TestBackward:
     def test_scalar_chain(self):
         x = leaf(0.5)
-        y = ad.tanh(x)
-        z = ad.mul(y, y)
+        y = tanh(x)
+        z = mul(y, y)
         z.backward()
         assert_allclose(x.grad, 2 * np.tanh(0.5) * (1 - np.tanh(0.5) ** 2), rtol=1e-12)
 
     def test_diamond_graph_accumulates_once(self):
         # x feeds two paths that rejoin; backward must sum both
         x = leaf(2.0)
-        a = ad.mul(x, leaf(3.0))
-        b = ad.mul(x, leaf(5.0))
-        out = ad.add(a, b)
+        a = mul(x, leaf(3.0))
+        b = mul(x, leaf(5.0))
+        out = add(a, b)
         out.backward()
         assert_allclose(x.grad, 8.0)
 
     def test_shared_node_reused_many_times(self):
         x = leaf(1.5)
-        y = ad.tanh(x)
+        y = tanh(x)
         total = y
         for _ in range(10):
-            total = ad.add(total, y)
+            total = add(total, y)
         total.backward()
         assert_allclose(x.grad, 11.0 * (1 - np.tanh(1.5) ** 2), rtol=1e-12)
 
@@ -364,7 +366,7 @@ class TestBackward:
         x = leaf(0.1)
         y = x
         for _ in range(5000):
-            y = ad.add(y, leaf(0.0))
+            y = add(y, leaf(0.0))
         y.backward()
         assert_allclose(x.grad, 1.0)
 
@@ -379,7 +381,7 @@ class TestBackward:
             return g * 2.0, g * 3.0
 
         node = DiffArray(x.data * 5.0, (x, x), vjp)
-        ad.mean_all(ad.add(node, ad.tanh(node))).backward()
+        ad.mean_all(add(node, tanh(node))).backward()
         assert len(calls) == 1
         assert_allclose(x.grad, 5.0 * calls[0])
 
@@ -392,19 +394,19 @@ class TestBackward:
 class TestBroadcasting:
     def test_add_bias_row(self):
         def op(m, b):
-            return ad.mean_all(ad.add(m, b))
+            return ad.mean_all(add(m, b))
 
         assert grad_check(op, [leaf(RNG.standard_normal((4, 3))), leaf(RNG.standard_normal(3))]) < 1e-7
 
     def test_mul_scalar(self):
         def op(m, c):
-            return ad.mean_all(ad.mul(m, c))
+            return ad.mean_all(mul(m, c))
 
         assert grad_check(op, [leaf(RNG.standard_normal((4, 3))), leaf(1.3)]) < 1e-7
 
     def test_sub(self):
         def op(a, b):
-            return ad.mean_all(ad.mul(ad.sub(a, b), ad.sub(a, b)))
+            return ad.mean_all(mul(sub(a, b), sub(a, b)))
 
         assert grad_check(op, [leaf(RNG.standard_normal(5)), leaf(RNG.standard_normal(5))]) < 1e-6
 
@@ -465,7 +467,7 @@ class TestShapeOps:
 
     def test_reshape(self):
         def op(x):
-            return ad.mean_all(ad.mul(ad.reshape(x, (6,)), ad.reshape(x, (6,))))
+            return ad.mean_all(mul(ad.reshape(x, (6,)), ad.reshape(x, (6,))))
 
         assert grad_check(op, [leaf(RNG.standard_normal((2, 3)))]) < 1e-6
 
@@ -485,7 +487,7 @@ class TestReductions:
 
     def test_mean_all(self):
         def op(x):
-            return ad.mean_all(ad.mul(x, x))
+            return ad.mean_all(mul(x, x))
 
         assert grad_check(op, [leaf(RNG.standard_normal((4, 4)))]) < 1e-6
 
@@ -826,7 +828,7 @@ class TestFusedLayers:
         project = leaf(rng.standard_normal(getattr(ad, name)(*[leaf(v) for v in values]).data.shape))
 
         def op(*point):
-            return ad.mean_all(ad.mul(getattr(ad, name)(*point), project))
+            return ad.mean_all(mul(getattr(ad, name)(*point), project))
 
         assert grad_check(op, [leaf(v) for v in values]) < 1e-6
 

@@ -274,6 +274,19 @@ class TestWeightedTrend:
         with pytest.raises(ValueError):
             weighted_trend(Series(np.arange(20.0)), Series(np.full(20, -1.0)), 3)
 
+    @pytest.mark.parametrize(
+        "scales, named",
+        [
+            (np.array([0, 4]), "got 0"),  # the seed would be a 0/0 mean
+            (-3, "got -3"),  # numpy's broadcast error, naming no scale
+            (2.5, "got 2.5"),  # silently truncated to 2
+        ],
+    )
+    def test_scale_below_one_or_fractional_refused(self, scales, named):
+        y, theta = Series(np.arange(64.0)), Series(np.ones(64))
+        with pytest.raises(ValueError, match=named):
+            weighted_trend(y, theta, scales)
+
 
 def trend_bound(y: Series) -> float:
     """Largest allowed |weighted_trend - weighted_trend_loop|.
@@ -421,7 +434,7 @@ IDLE_EXAMPLE = dict(n=1001, seed=5, stretches=[(0.3, 0.3)], idle=[0.1, 0.9], spi
 
 
 class TestRowFill:
-    @pytest.mark.parametrize("n", [64, 768, 1001, 8192])
+    @pytest.mark.parametrize("n", [64, 257, 768, 1000, 1001, 8192, 65536])
     @pytest.mark.parametrize("zero_stretch", [False, True])
     def test_bit_identical_to_column_fill(self, n, zero_stretch):
         rng = np.random.default_rng(n + zero_stretch)
@@ -512,6 +525,23 @@ class TestRowFill:
             tracemalloc.stop()
         # two (N, S) float buffers: about 2.0 N S 8 bytes; a third float
         # buffer would read 3.0
+        assert peak - start <= 2.5 * n * scales.size * 8
+
+    @pytest.mark.parametrize("method", ["mf-dhv", "fs-mfa"])
+    def test_hurst_profile_peak_memory(self, method):
+        # the trend and the squared residual are the two (N, S) buffers
+        # alive at once; a third would read about 3.0 N S 8 bytes
+        n = 65536
+        s = synth_fgn(n, 0.7, seed=3)
+        scales = default_scales(n)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            hurst_profile(s, MfaConfig(method=method))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert peak - start <= 2.5 * n * scales.size * 8
 
 
