@@ -423,7 +423,7 @@ def idle_rows_case(n: int, seed: int, stretches: list, idle: list, spike: float 
         th[int(start * n) : int((start + length) * n) + 1] = 0.0
     th[[int(p * (n - 1)) for p in idle]] = 0.0
     if spike is not None:
-        at = int(spike * n)
+        at = int(spike * (n - 1))
         th[at] = 1e20
         th[at + 1 :: 2] = 0.0
     return y, Series(th)
