@@ -44,6 +44,10 @@ MIN_FIT_SCALES = 4
 DEFAULT_MIN_SCALE = 16
 DEFAULT_SCALE_COUNT = 20
 
+# float64 values per scan buffer (8 MB); see hurst_profile and
+# historical_volatility
+SCAN_VALUES = 1 << 20
+
 
 def default_q_grid() -> np.ndarray:
     """41 moment orders from -10 to 10 in steps of 0.5."""
@@ -141,7 +145,7 @@ class HurstProfile:
             logf = np.where(self.table.values > 0, np.log(self.table.values), np.nan)
 
         def listify(arr):
-            return [None if not np.isfinite(v) else float(v) for v in arr]
+            return [v if ok else None for v, ok in zip(arr.tolist(), np.isfinite(arr).tolist())]
 
         return {
             "method": self.method,
@@ -178,19 +182,22 @@ def historical_volatility(y: Series, window: int) -> Series:
     theta_i covers the `window` differences ending at position i, so it
     is defined from position window+1 onward (1-based); earlier
     positions carry the first defined value so downstream weights are
-    total.
+    total. The std runs over blocks of max(1, SCAN_VALUES // window)
+    rows of the sliding window view, so its (rows, window) temporaries
+    never span the whole series; each row's std is the one a single
+    call over every row gives, bit for bit (tests).
     """
     n = len(y)
     if window < 2:
         raise ValueError("window must be at least 2")
     if n <= window:
         raise ValueError(f"need more than window = {window} samples, got {n}")
-    diffs = np.diff(y.values)
-    windows = sliding_window_view(diffs, window)
-    vol = windows.std(axis=1)
+    windows = sliding_window_view(np.diff(y.values), window)
     theta = np.empty(n)
-    theta[window:] = vol
-    theta[:window] = vol[0]
+    rows = max(1, SCAN_VALUES // window)
+    for lo in range(0, len(windows), rows):
+        theta[window + lo : window + lo + rows] = windows[lo : lo + rows].std(axis=1)
+    theta[:window] = theta[window]
     return Series(theta)
 
 
@@ -418,30 +425,30 @@ def _residual_variances(
 ) -> np.ndarray:
     """window_variances of every scale's residual trend - Y, concatenated.
 
-    The residual of scale s is valid from position 2s (1-based) on. The
-    squared residual trend - Y of scale j fills row j of one (S, N)
-    buffer, followed by one spare 0. weighted_trend returns the (N, S)
-    transposed view of scale-major rows, so trends.T is contiguous and
-    the subtraction reads and writes row by row. Window k of scale s covers positions
+    Consumes trends: the residual is formed and squared in place on its
+    rows. The residual of scale s is valid from position 2s (1-based)
+    on. weighted_trend returns the (N, S) transposed view of scale-major
+    rows, so trends.T is contiguous and the subtraction reads and
+    writes row by row. Window k of scale s covers positions
     2s-1+k*s .. 2s-2+(k+1)*s of its row (0-based), the rows
-    window_variances takes, and counts[j] windows fit. One np.add.reduceat
-    sums every window of every scale: its cuts are the window starts and,
-    per scale, the end of the last window, whose segment (the dropped
-    tail and the next row's head) is discarded. The spare 0 keeps that
-    cut in range when the last window of the last scale ends at N.
+    window_variances takes, and counts[j] windows fit. One
+    np.add.reduceat sums every window of every scale: its cuts are the
+    window starts and, per scale but the last, the end of the last
+    window, whose segment (the dropped tail and the next row's head) is
+    discarded. The last scale's last window ends the slice it is handed.
     """
     n = len(y)
-    buf = np.empty(scales.size * n + 1)
-    buf[-1] = 0.0
-    np.subtract(trends.T, y.values, out=buf[:-1].reshape(scales.size, n))
-    np.square(buf, out=buf)
+    rows = trends.T
+    np.subtract(rows, y.values, out=rows)
+    np.square(rows, out=rows)
     cuts = counts + 1
     row = np.repeat(np.arange(scales.size), cuts)
     k = np.arange(row.size) - np.repeat(np.cumsum(cuts) - cuts, cuts)
     width = scales[row]
-    sums = np.add.reduceat(buf, row * n + 2 * width - 1 + k * width)
+    starts = row * n + 2 * width - 1 + k * width
+    sums = np.add.reduceat(rows.reshape(-1)[: starts[-1]], starts[:-1])
     window = k < counts[row]
-    return sums[window] / width[window]
+    return sums[window[:-1]] / width[window]
 
 
 def _log_fluctuation_table(
@@ -522,22 +529,29 @@ def hurst_profile(s: Series, cfg: MfaConfig | None = None) -> HurstProfile:
     for every q. Each q needs at least 4 surviving scales, otherwise
     its H is NaN.
 
-    One pass serves every scale: apart from mf-dfa's per-scale
-    polynomial fits and weighted_trend's per-scale w_prev subtraction,
-    seed mean and carried-prefix slices, the number of numpy calls does
-    not grow with the number of scales.
-    The volatility methods compute every scale's
-    trend in one weighted_trend scan, within 4 sqrt(N) eps max|Y| of
-    the per-scale recursion (its rounding order differs; see
+    The volatility methods cut the scales into as few consecutive
+    chunks of at most max(1, SCAN_VALUES // N) scales as fit, whose
+    sizes differ by at most one. The two (N, chunk) buffers of weighted_trend then hold
+    about 2 SCAN_VALUES floats (16 MB) at most while N <= SCAN_VALUES,
+    and two N-vectors beyond, whatever the scale count: the 20 default
+    scales run in one chunk up to N = 52428 and in two of ten at
+    N = 65536. One pass serves every scale of a chunk: apart from
+    weighted_trend's per-scale w_prev subtraction, seed mean and
+    carried-prefix slices, the number of numpy calls per chunk does not
+    grow with its scale count. Each scale's trend and window sums are
+    the same operations in the same order whatever chunk it falls in,
+    so the chunking changes no output bit. A chunk's trends come from
+    one weighted_trend scan, within 4 sqrt(N) eps max|Y| of the
+    per-scale recursion (its rounding order differs; see
     weighted_trend). Where the detrended residual is small against
     max|Y|, as at the smallest scales of fs-mfa's smooth denoised
     profile, that moves log F by up to about 1e-11, the size of the
     recursion's own rounding error there; H moves by less than 1e-12.
-    One np.add.reduceat then sums every window of every scale
-    (_residual_variances); mf-dfa concatenates the per-scale
-    polynomial_detrend_variances, each within 1e-10 relative of the
-    exact least-squares residual (tested at orders 0-3 and scales 16 to
-    16384).
+    One np.add.reduceat then sums every window of the chunk's scales,
+    in place on its trend buffer (_residual_variances). mf-dfa
+    concatenates the per-scale polynomial_detrend_variances, each
+    within 1e-10 relative of the exact least-squares residual (tested
+    at orders 0-3 and scales 16 to 16384).
 
     The table is built in the log domain from the concatenated
     variances (_log_fluctuation_table), so F_q(s) at |q| = 10 neither
@@ -565,7 +579,13 @@ def hurst_profile(s: Series, cfg: MfaConfig | None = None) -> HurstProfile:
     else:
         counts = (n - 2 * scales + 1) // scales
         theta = historical_volatility(y, cfg.vol_window)
-        v = _residual_variances(y, weighted_trend(y, theta, scales), scales, counts)
+        chunks = -(-scales.size // max(1, SCAN_VALUES // n))
+        edges = [scales.size * i // chunks for i in range(chunks + 1)]
+        parts = []
+        for lo, hi in zip(edges, edges[1:]):
+            chunk = scales[lo:hi]
+            parts.append(_residual_variances(y, weighted_trend(y, theta, chunk), chunk, counts[lo:hi]))
+        v = np.concatenate(parts)
     logf, dropped = _log_fluctuation_table(v, counts, cfg.q_grid)
 
     hurst, intercept, r_squared = _fit_loglog(np.log(scales.astype(np.float64)), logf)

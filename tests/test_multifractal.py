@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
+from fractamine import multifractal
 from fractamine.fourier_denoise import denoise
 from fractamine.multifractal import (
     DEFAULT_MIN_SCALE,
@@ -229,6 +231,17 @@ class TestHistoricalVolatility:
     def test_length_guard(self):
         with pytest.raises(ValueError):
             historical_volatility(Series(np.arange(10.0)), window=16)
+
+    @pytest.mark.parametrize("window", [2, 16, 33])
+    def test_row_blocks_move_no_row(self, monkeypatch, window):
+        # blocks of 7 rows; 1000 - window rows is not a multiple of 7
+        monkeypatch.setattr(multifractal, "SCAN_VALUES", 7 * window)
+        y = profile_series(synth_fgn(1000, 0.7, seed=5))
+        oracle = sliding_window_view(np.diff(y.values), window).std(axis=1)
+        assert oracle.size % 7 != 0
+        theta = historical_volatility(y, window).values
+        assert theta[window:].tobytes() == oracle.tobytes()
+        assert np.all(theta[:window] == oracle[0])
 
 
 class TestWeightedTrend:
@@ -529,8 +542,9 @@ class TestRowFill:
 
     @pytest.mark.parametrize("method", ["mf-dhv", "fs-mfa"])
     def test_hurst_profile_peak_memory(self, method):
-        # the trend and the squared residual are the two (N, S) buffers
-        # alive at once; a third would read about 3.0 N S 8 bytes
+        # the two (N, S/2) buffers of a ten-scale chunk's scan are alive at
+        # once, and the residual is squared in place on the trend; two
+        # (N, S) buffers would read about 2.0 N S 8 bytes, a third 3.0
         n = 65536
         s = synth_fgn(n, 0.7, seed=3)
         scales = default_scales(n)
@@ -543,6 +557,50 @@ class TestRowFill:
         finally:
             tracemalloc.stop()
         assert peak - start <= 2.5 * n * scales.size * 8
+
+
+class TestScaleChunks:
+    @pytest.mark.parametrize("n", [4096, 65536])
+    @pytest.mark.parametrize("kind", ["fgn", "cascade"])
+    @pytest.mark.parametrize("method", ["mf-dhv", "fs-mfa"])
+    def test_chunks_move_no_scale(self, monkeypatch, method, kind, n):
+        s = synth_fgn(n, 0.7, seed=3) if kind == "fgn" else synth_binomial_cascade(n.bit_length() - 1, 0.75)
+        cfg = MfaConfig(method=method)
+        scales = default_scales(n)
+        base = hurst_profile(s, cfg)
+        calls = []
+
+        def counted(y, theta, chunk):
+            calls.append(chunk.size)
+            return weighted_trend(y, theta, chunk)
+
+        monkeypatch.setattr(multifractal, "weighted_trend", counted)
+        for values, per_chunk in [(3 * n, 3)] + [(1, 1)] * (n == 4096):
+            calls.clear()
+            monkeypatch.setattr(multifractal, "SCAN_VALUES", values)
+            got = hurst_profile(s, cfg)
+            assert len(calls) == -(-scales.size // per_chunk)
+            assert max(calls) <= per_chunk
+            for field in ("hurst", "r_squared"):
+                assert getattr(got, field).tobytes() == getattr(base, field).tobytes()
+            assert got.table.values.tobytes() == base.table.values.tobytes()
+
+    @pytest.mark.parametrize("method", ["mf-dhv", "fs-mfa"])
+    def test_peak_memory_does_not_grow_with_scales(self, method):
+        # 2^18 values run the 20 default scales in five chunks of four, so
+        # two (N, 4) buffers: about 8 N 8 bytes, against 40 for two (N, S)
+        n = 1 << 18
+        s = synth_fgn(n, 0.7, seed=3)
+        assert default_scales(n).size == 20
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            hurst_profile(s, MfaConfig(method=method))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 20 * n * 8
 
 
 def stretchy_series(n: int, flat: int, gaps: list, seed: int) -> Series:
