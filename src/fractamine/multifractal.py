@@ -44,8 +44,7 @@ MIN_FIT_SCALES = 4
 DEFAULT_MIN_SCALE = 16
 DEFAULT_SCALE_COUNT = 20
 
-# float64 values per scan buffer (8 MB); see hurst_profile and
-# historical_volatility
+# float64 values per scan buffer (8 MB); see hurst_profile
 SCAN_VALUES = 1 << 20
 
 
@@ -182,22 +181,19 @@ def historical_volatility(y: Series, window: int) -> Series:
     theta_i covers the `window` differences ending at position i, so it
     is defined from position window+1 onward (1-based); earlier
     positions carry the first defined value so downstream weights are
-    total. The std runs over blocks of max(1, SCAN_VALUES // window)
-    rows of the sliding window view, so its (rows, window) temporaries
-    never span the whole series; each row's std is the one a single
-    call over every row gives, bit for bit (tests).
+    total.
     """
     n = len(y)
     if window < 2:
         raise ValueError("window must be at least 2")
     if n <= window:
         raise ValueError(f"need more than window = {window} samples, got {n}")
-    windows = sliding_window_view(np.diff(y.values), window)
+    diffs = np.diff(y.values)
+    windows = sliding_window_view(diffs, window)
+    vol = windows.std(axis=1)
     theta = np.empty(n)
-    rows = max(1, SCAN_VALUES // window)
-    for lo in range(0, len(windows), rows):
-        theta[window + lo : window + lo + rows] = windows[lo : lo + rows].std(axis=1)
-    theta[:window] = theta[window]
+    theta[window:] = vol
+    theta[:window] = vol[0]
     return Series(theta)
 
 

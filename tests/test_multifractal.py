@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
 from fractamine import multifractal
@@ -231,17 +230,6 @@ class TestHistoricalVolatility:
     def test_length_guard(self):
         with pytest.raises(ValueError):
             historical_volatility(Series(np.arange(10.0)), window=16)
-
-    @pytest.mark.parametrize("window", [2, 16, 33])
-    def test_row_blocks_move_no_row(self, monkeypatch, window):
-        # blocks of 7 rows; 1000 - window rows is not a multiple of 7
-        monkeypatch.setattr(multifractal, "SCAN_VALUES", 7 * window)
-        y = profile_series(synth_fgn(1000, 0.7, seed=5))
-        oracle = sliding_window_view(np.diff(y.values), window).std(axis=1)
-        assert oracle.size % 7 != 0
-        theta = historical_volatility(y, window).values
-        assert theta[window:].tobytes() == oracle.tobytes()
-        assert np.all(theta[:window] == oracle[0])
 
 
 class TestWeightedTrend:
@@ -585,22 +573,26 @@ class TestScaleChunks:
                 assert getattr(got, field).tobytes() == getattr(base, field).tobytes()
             assert got.table.values.tobytes() == base.table.values.tobytes()
 
+    @pytest.mark.parametrize("count", [20, 40])
     @pytest.mark.parametrize("method", ["mf-dhv", "fs-mfa"])
-    def test_peak_memory_does_not_grow_with_scales(self, method):
-        # 2^18 values run the 20 default scales in five chunks of four, so
-        # two (N, 4) buffers: about 8 N 8 bytes, against 40 for two (N, S)
-        n = 1 << 18
+    def test_peak_memory_does_not_grow_with_scales(self, method, count):
+        # a chunk holds at most SCAN_VALUES // N = 16 scales, so the scan's
+        # two buffers stay within 2 SCAN_VALUES = 32 N values, and 8
+        # N-vectors more cover the profile, theta and the scan's other
+        # scratch. Two (N, S) buffers alone are 40 N at 20 scales, 80 at 40
+        n = 65536
         s = synth_fgn(n, 0.7, seed=3)
-        assert default_scales(n).size == 20
+        scales = np.geomspace(DEFAULT_MIN_SCALE, n // 4, count).astype(int)
+        assert np.unique(scales).size == count
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            hurst_profile(s, MfaConfig(method=method))
+            hurst_profile(s, MfaConfig(method=method, scales=scales.tolist()))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - start <= 20 * n * 8
+        assert peak - start <= 40 * n * 8
 
 
 def stretchy_series(n: int, flat: int, gaps: list, seed: int) -> Series:
