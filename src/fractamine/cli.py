@@ -392,7 +392,8 @@ def _add_mfa_flags(parser):
     parser.add_argument("--method", choices=METHODS, default=None)
     parser.add_argument("--q", type=_parse_q_list, default=None, dest="q_grid", help="comma-separated q values")
     parser.add_argument("--scales", type=_parse_scales, default=None, help="min:max:count log-spaced windows")
-    parser.add_argument("--vol-window", type=int, default=None, dest="vol_window")
+    parser.add_argument("--vol-window", type=int, default=None, dest="vol_window",
+                        help="profile steps per volatility window (mf-dhv, fs-mfa)")
 
 
 def _add_model_flags(parser):

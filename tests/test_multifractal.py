@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
-from fractamine import multifractal
 from fractamine.fourier_denoise import denoise
 from fractamine.multifractal import (
     DEFAULT_MIN_SCALE,
@@ -30,38 +30,11 @@ from fractamine.multifractal import (
 from fractamine.series import Series, synth_binomial_cascade, synth_fgn, synth_gaussian_noise
 
 
-def weighted_trend_loop(y: Series, theta: Series, s: int) -> np.ndarray:
-    """The per-position recursion of weighted_trend, kept as its oracle."""
-    yv, th = y.values, theta.values
-    n = yv.size
-    trend = np.empty(n)
-    seed = yv[s - 1 : 2 * s - 1].mean()
-    trend[: 2 * s - 1] = seed
-    cumsum = np.concatenate([[0.0], np.cumsum(th)])
-    prev = seed
-    for i in range(2 * s - 1, n):
-        w_prev = cumsum[i] - cumsum[i - s]
-        w_cur = th[i]
-        total = w_prev + w_cur
-        if total > 0:
-            prev = (w_prev * prev + w_cur * yv[i]) / total
-        trend[i] = prev
-    return trend
-
-
-def detrend(y: Series, trend: Series, s: int) -> Series:
-    """Residual trend - Y on the valid range [2s, N], length N-2s+1."""
-    n = len(y)
-    if len(trend) != n:
-        raise ValueError("y and trend lengths differ")
-    if n < 2 * s:
-        raise ValueError(f"need N >= 2s = {2 * s}, got {n}")
-    return Series(trend.values[2 * s - 1 :] - y.values[2 * s - 1 :])
-
-
 def oracle_profile(s: Series, cfg: MfaConfig):
-    """hurst_profile from the scalar parts: per-scale trends, a scalar
-    fluctuation call per table cell and one np.polyfit per q."""
+    """hurst_profile from the scalar parts: per-scale trends (for mf-dhv
+    and fs-mfa each window's weighted mean as a dot product, no prefix
+    sums), a scalar fluctuation call per table cell and one np.polyfit
+    per q."""
     scales = cfg.scales if cfg.scales is not None else default_scales(len(s))
     work = denoise(s)[0] if cfg.method == "fs-mfa" else s
     y = profile_series(work)
@@ -70,9 +43,14 @@ def oracle_profile(s: Series, cfg: MfaConfig):
         if cfg.method == "mf-dfa":
             per_scale.append(polynomial_detrend_variances(y, sc, cfg.dfa_poly_order))
         else:
-            theta = historical_volatility(y, cfg.vol_window)
-            trend = Series(weighted_trend_loop(y, theta, sc))
-            per_scale.append(window_variances(detrend(y, trend, sc), sc))
+            # each window's theta-weighted mean, straight from its values
+            theta = historical_volatility(y, cfg.vol_window).values
+            weights = sliding_window_view(theta, sc)
+            weight = weights.sum(axis=1)
+            weighted = np.einsum("ij,ij->i", weights, sliding_window_view(y.values, sc))
+            centre = y.values[(sc - 1) // 2 :][: weight.size]
+            trend = np.divide(weighted, weight, out=centre.copy(), where=weight > 0)
+            per_scale.append(window_variances(Series(trend - centre), sc))
     dropped = np.array([np.mean(v == 0) > DEGENERATE_WINDOW_FRACTION for v in per_scale])
     table = np.full((cfg.q_grid.size, scales.size), np.nan)
     for j, v in enumerate(per_scale):
@@ -233,39 +211,55 @@ class TestHistoricalVolatility:
 
 
 class TestWeightedTrend:
-    def test_uniform_weights_track_running_blend(self):
-        # with equal volatilities the recursion blends s-to-1 against the
-        # newest sample
-        y = Series(np.arange(1.0, 25.0))
+    def test_uniform_weights_give_centred_moving_average(self):
+        # equal volatilities leave the plain mean of each width-s window
+        y = Series(np.arange(1.0, 25.0) ** 2)
         theta = Series(np.ones(24))
-        s = 3
-        trend = weighted_trend(y, theta, s)
-        seed = np.mean([3.0, 4.0, 5.0])  # positions s..2s-1
-        assert_allclose(trend.values[: 2 * s - 1], seed)
-        expected = seed
-        for i in range(2 * s - 1, 24):
-            expected = (s * expected + y.values[i]) / (s + 1)
-            assert_allclose(trend.values[i], expected, rtol=1e-12)
+        trends = list(weighted_trend(y, theta, np.array([3, 4])))
+        for s, trend in zip((3, 4), trends):
+            assert trend.shape == (24 - s + 1,)
+            assert_allclose(trend, sliding_window_view(y.values, s).mean(axis=1), rtol=1e-14)
 
-    def test_zero_volatility_carries(self):
-        y = Series(np.arange(1.0, 25.0))
-        theta = Series(np.zeros(24))
-        trend = weighted_trend(y, theta, 3)
-        assert_allclose(trend.values, trend.values[0])
+    def test_weighted_mean_per_window(self):
+        rng = np.random.default_rng(4)
+        y = Series(rng.standard_normal(80))
+        th = np.abs(rng.standard_normal(80))
+        (trend,) = weighted_trend(y, Series(th), 5)
+        for j in (0, 37, 75):
+            k = slice(j, j + 5)
+            assert_allclose(trend[j], np.dot(th[k], y.values[k]) / th[k].sum(), rtol=1e-13)
+
+    def test_zero_volatility_window_reads_its_centre(self):
+        # windows 8..11 of scale 4 hold only theta = 0: no weighted mean, so
+        # the trend is Y at the centre j + 1 and the residual is exactly 0;
+        # the windows that reach a positive theta average it alone
+        y = Series(np.arange(1.0, 25.0) ** 2)
+        th = np.ones(24)
+        th[8:15] = 0.0
+        with np.errstate(all="raise"):
+            (trend,) = weighted_trend(y, Series(th), 4)
+        assert np.array_equal(trend[8:12], y.values[9:13])
+        assert trend[7] == y.values[7] and trend[12] == y.values[15]
+
+    def test_yields_one_scale_at_a_time(self):
+        y, theta = Series(np.arange(64.0)), Series(np.ones(64))
+        trends = weighted_trend(y, theta, [4, 16, 8])
+        assert [next(trends).size for _ in range(3)] == [61, 49, 57]
+        assert next(trends, None) is None
 
     def test_constant_signal_constant_trend(self):
         y = Series(np.full(40, 7.0))
         theta = Series(np.ones(40))
-        trend = weighted_trend(y, theta, 4)
-        assert_allclose(trend.values, 7.0, atol=1e-12)
+        (trend,) = weighted_trend(y, theta, 4)
+        assert_allclose(trend, 7.0, atol=1e-12)
 
     def test_trend_in_signal_hull(self):
         rng = np.random.default_rng(2)
         y = Series(rng.standard_normal(80))
         theta = Series(np.abs(rng.standard_normal(80)))
-        trend = weighted_trend(y, theta, 5)
-        assert trend.values.max() <= y.values.max() + 1e-12
-        assert trend.values.min() >= y.values.min() - 1e-12
+        (trend,) = weighted_trend(y, theta, 5)
+        assert trend.max() <= y.values.max() + 1e-12
+        assert trend.min() >= y.values.min() - 1e-12
 
     def test_length_guard(self):
         with pytest.raises(ValueError):
@@ -288,251 +282,42 @@ class TestWeightedTrend:
         with pytest.raises(ValueError, match=named):
             weighted_trend(y, theta, scales)
 
-
-def trend_bound(y: Series) -> float:
-    """Largest allowed |weighted_trend - weighted_trend_loop|.
-
-    The scan composes about 2 sqrt(N) affine maps on the way to any
-    position (within its block, then across blocks), and each step adds
-    a few ulps relative to max|Y|, which bounds every trend value.
-    """
-    return 4 * np.sqrt(len(y)) * np.finfo(np.float64).eps * np.abs(y.values).max()
-
-
-def carried_positions(theta: Series, s: int) -> np.ndarray:
-    """Positions from the seed on where the loop's total volatility is 0."""
-    th = theta.values
-    cumsum = np.concatenate([[0.0], np.cumsum(th)])
-    i = np.arange(2 * s - 1, th.size)
-    return i[~(cumsum[i] - cumsum[i - s] + th[i] > 0)]
-
-
-def assert_trend_matches_loop(trend: np.ndarray, y: Series, theta: Series, s: int):
-    expected = weighted_trend_loop(y, theta, s)
-    assert np.max(np.abs(trend - expected)) <= trend_bound(y), s
-    # exact wherever the value is copied rather than computed
-    bits = trend.view(np.uint64)
-    assert np.all(bits[: 2 * s - 1] == expected[:1].view(np.uint64)), s
-    carried = carried_positions(theta, s)
-    assert np.array_equal(bits[carried], bits[carried - 1]), s
-    return carried
-
-
-class TestAllScaleSweep:
-    @pytest.mark.parametrize("n", [768, 4096])
-    @pytest.mark.parametrize("zero_stretch", [False, True])
-    def test_within_tolerance_of_loop(self, n, zero_stretch):
-        rng = np.random.default_rng(n)
-        y = Series(np.cumsum(rng.standard_normal(n)))
-        th = np.abs(rng.standard_normal(n))
-        if zero_stretch:
-            # longer than the largest scale n//4, so every scale meets
-            # total == 0 and carries its previous value
-            th[n // 4 : n // 2 + 8] = 0.0
-        theta = Series(th)
-        scales = default_scales(n)
-        trends = weighted_trend(y, theta, scales)
-        assert trends.shape == (n, scales.size)
-        for j, s in enumerate(scales):
-            carried = assert_trend_matches_loop(trends[:, j], y, theta, int(s))
-            assert carried.size > 0 if zero_stretch else carried.size == 0
-        for s in (int(scales[0]), int(scales[-1])):
-            assert_trend_matches_loop(weighted_trend(y, theta, s).values, y, theta, s)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(64, 4096),
-        seed=st.integers(0, 2**32 - 1),
-        stretches=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 0.5)), max_size=3),
-        scale_picks=st.lists(st.floats(0, 1), min_size=1, max_size=5),
-    )
-    # N - 1 = 69 rows: 8 blocks of 8 and a tail of 5 on the plain recurrence
-    @example(n=70, seed=0, stretches=[(0.4, 0.3)], scale_picks=[0.0, 1.0])
-    # N - 1 = 729 rows: 27 blocks of 27 and no tail
-    @example(n=730, seed=1, stretches=[(0.2, 0.1)], scale_picks=[0.0, 0.5, 1.0])
-    def test_property_against_loop(self, n, seed, stretches, scale_picks):
-        rng = np.random.default_rng(seed)
-        y = Series(np.cumsum(rng.standard_normal(n)))
-        th = np.abs(rng.standard_normal(n))
-        for start, length in stretches:
-            th[int(start * n) : int((start + length) * n) + 1] = 0.0
-        theta = Series(th)
-        scales = np.unique([2 + round(p * (n // 4 - 2)) for p in scale_picks])
-        trends = weighted_trend(y, theta, scales)
-        for j, s in enumerate(scales):
-            assert_trend_matches_loop(trends[:, j], y, theta, int(s))
-
     def test_guard_uses_largest_scale(self):
         y, theta = Series(np.arange(64.0)), Series(np.ones(64))
         with pytest.raises(ValueError, match="4s = 68"):
             weighted_trend(y, theta, np.array([4, 17]))
-
-
-def weighted_trend_columns(y: Series, theta: Series, scales: np.ndarray) -> np.ndarray:
-    """weighted_trend with w_prev filled one (N, S) column per scale, the
-    layout the scan reads, and every carried position set through one
-    whole-array mask; kept as the bit-for-bit oracle of the row-per-scale
-    fill and of the mask-free set-up."""
-    n, yv, th = len(y), y.values, theta.values
-    scales = np.atleast_1d(np.asarray(scales, dtype=np.int64))
-    pos = np.arange(n)[:, None]
-    cumsum = np.concatenate([[0.0], np.cumsum(th)])
-    w_prev = np.empty((n, scales.size))
-    for col, sc in zip(w_prev.T, scales):
-        col[:sc] = cumsum[:sc]
-        np.subtract(cumsum[sc:n], cumsum[: n - sc], out=col[sc:])
-    total = w_prev + th[:, None]
-    carry = (pos < 2 * scales - 1) | ~(total > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.divide(w_prev, total, out=w_prev)
-        c = np.divide((th * yv)[:, None], total, out=total)
-    np.copyto(a, 1.0, where=carry)
-    np.copyto(c, 0.0, where=carry)
-    c[0] = [yv[sc - 1 : 2 * sc - 1].sum() / sc for sc in scales]
-    length = math.isqrt(n - 1)
-    end = 1 + (n - 1) // length * length
-    ab = a[1:end].reshape(-1, length, scales.size)
-    cb = c[1:end].reshape(-1, length, scales.size)
-    for k in range(1, length):
-        cb[:, k] += ab[:, k] * cb[:, k - 1]
-    np.multiply.accumulate(ab, axis=1, out=ab)
-    starts = np.empty((len(ab), scales.size))
-    starts[0] = c[0]
-    for start, prev, a_end, c_end in zip(starts[1:], starts[:-1], ab[:-1, -1], cb[:-1, -1]):
-        np.multiply(a_end, prev, out=start)
-        start += c_end
-    ab *= starts[:, None, :]
-    cb += ab
-    for i in range(end, n):
-        c[i] += a[i] * c[i - 1]
-    return c
-
-
-def idle_rows_case(n: int, seed: int, stretches: list, idle: list, spike: float | None):
-    """A random walk Y and volatilities with theta_i = 0 rows of every kind.
-
-    Stretches of zeros give rows whose window total is 0 once a stretch
-    outruns the scale, and positive before that; single zeros keep a
-    positive total. A spike of 1e20 makes the cumsum absorb the small
-    positive volatilities after it, so a later window of them totals
-    exactly 0; every other row after the spike is then set to 0.
-    """
-    rng = np.random.default_rng(seed)
-    y = Series(np.cumsum(rng.standard_normal(n)))
-    th = np.abs(rng.standard_normal(n))
-    for start, length in stretches:
-        th[int(start * n) : int((start + length) * n) + 1] = 0.0
-    th[[int(p * (n - 1)) for p in idle]] = 0.0
-    if spike is not None:
-        at = int(spike * (n - 1))
-        th[at] = 1e20
-        th[at + 1 :: 2] = 0.0
-    return y, Series(th)
-
-
-# a stretch longer than every scale, two single zeros and a spike
-IDLE_EXAMPLE = dict(n=1001, seed=5, stretches=[(0.3, 0.3)], idle=[0.1, 0.9], spike=0.7, scale_picks=[0.0, 1.0])
-
-
-class TestRowFill:
-    @pytest.mark.parametrize("n", [64, 257, 768, 1000, 1001, 8192, 65536])
-    @pytest.mark.parametrize("zero_stretch", [False, True])
-    def test_bit_identical_to_column_fill(self, n, zero_stretch):
-        rng = np.random.default_rng(n + zero_stretch)
-        y = Series(np.cumsum(rng.standard_normal(n)))
-        th = np.abs(rng.standard_normal(n))
-        if zero_stretch:
-            th[n // 4 : n // 2 + 8] = 0.0
-        theta = Series(th)
-        scales = default_scales(n)
-        expected = weighted_trend_columns(y, theta, scales)
-        assert np.array_equal(weighted_trend(y, theta, scales), expected)
-        for j, s in enumerate(scales):
-            assert np.array_equal(weighted_trend(y, theta, int(s)).values, expected[:, j]), s
-        if zero_stretch:
-            assert carried_positions(theta, int(scales[-1])).size > 0
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(64, 4096),
-        seed=st.integers(0, 2**32 - 1),
-        stretches=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 0.5)), max_size=3),
-        idle=st.lists(st.floats(0, 1), max_size=8),
-        spike=st.none() | st.floats(0, 1),
-        scale_picks=st.lists(st.floats(0, 1), min_size=1, max_size=5),
-    )
-    @example(**IDLE_EXAMPLE)
-    def test_property_bit_identical_to_mask_setup(self, n, seed, stretches, idle, spike, scale_picks):
-        y, theta = idle_rows_case(n, seed, stretches, idle, spike)
-        scales = np.unique([4 + round(p * (n // 4 - 4)) for p in scale_picks])
-        expected = weighted_trend_columns(y, theta, scales)
-        got = weighted_trend(y, theta, scales)
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-        s = int(scales[-1])
-        single = weighted_trend(y, theta, s).values
-        assert np.array_equal(single.view(np.uint64), expected[:, -1].view(np.uint64))
-
-    def test_example_reaches_every_idle_case(self):
-        # the explicit example meets every case the set-up tells apart at
-        # its largest scale: a theta_i = 0 row with a positive window total,
-        # one with a zero total, and a zero total whose window holds a
-        # positive volatility that the cumsum absorbed
-        case = dict(IDLE_EXAMPLE)
-        s = 4 + round(case.pop("scale_picks")[-1] * (case["n"] // 4 - 4))
-        th = idle_rows_case(**case)[1].values
-        cumsum = np.concatenate([[0.0], np.cumsum(th)])
-        i = np.arange(2 * s - 1, th.size)
-        idle = th[i] == 0
-        total = cumsum[i] - cumsum[i - s]
-        absorbed = np.array([np.any(th[j - s : j] > 0) for j in i])
-        assert np.any(idle & (total > 0))
-        assert np.any(idle & (total == 0) & ~absorbed)
-        assert np.any(idle & (total == 0) & absorbed)
-
-    def test_signed_zero_kept(self):
-        # a theta_i = 0 row with a positive window total keeps
-        # c = 0 * Y_i / total, which is -0.0 for Y_i < 0, as the mask set-up
-        # did. It shows after a trend of -0.0: row 20 has w_prev = 0, so
-        # its trend is 0 * (-1) + Y_20 = -0.0, and row 21 adds its c to that
-        yv = np.full(64, -1.0)
-        yv[20] = -0.0
-        th = np.ones(64)
-        th[16:20] = th[21] = 0.0
-        y, theta = Series(yv), Series(th)
-        expected = weighted_trend_columns(y, theta, np.array([4]))[:, 0]
-        assert expected[21] == 0 and np.signbit(expected[21])
-        got = weighted_trend(y, theta, 4).values
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_volatility_sum_must_be_finite(self):
         y, theta = Series(np.arange(64.0)), Series(np.full(64, 1e307))
         with pytest.raises(ValueError, match="finite sum"):
             weighted_trend(y, theta, 4)
 
+
+class TestMemory:
     def test_peak_memory(self):
+        # the prefix sums and the per-scale scratch are a fixed number of
+        # N-vectors (12 N floats measured, one trend held at a time), whatever
+        # the scale count; one (N, S) buffer of these 40 scales would be 40 N
         n = 65536
         rng = np.random.default_rng(0)
         y = Series(np.cumsum(rng.standard_normal(n)))
         theta = Series(np.abs(rng.standard_normal(n)))
-        scales = default_scales(n)
-        assert scales.size == 20
+        scales = np.geomspace(DEFAULT_MIN_SCALE, n // 4, 40).astype(int)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            weighted_trend(y, theta, scales)
+            for _ in weighted_trend(y, theta, scales):
+                pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # two (N, S) float buffers: about 2.0 N S 8 bytes; a third float
-        # buffer would read 3.0
-        assert peak - start <= 2.5 * n * scales.size * 8
+        assert peak - start <= 16 * n * 8
 
     @pytest.mark.parametrize("method", ["mf-dhv", "fs-mfa"])
     def test_hurst_profile_peak_memory(self, method):
-        # the two (N, S/2) buffers of a ten-scale chunk's scan are alive at
-        # once, and the residual is squared in place on the trend; two
-        # (N, S) buffers would read about 2.0 N S 8 bytes, a third 3.0
+        # weighted_trend yields one scale's trend at a time, so no (N, S)
+        # buffer is alive; two of them would read about 2.0 N S 8 bytes
         n = 65536
         s = synth_fgn(n, 0.7, seed=3)
         scales = default_scales(n)
@@ -546,40 +331,13 @@ class TestRowFill:
             tracemalloc.stop()
         assert peak - start <= 2.5 * n * scales.size * 8
 
-
-class TestScaleChunks:
-    @pytest.mark.parametrize("n", [4096, 65536])
-    @pytest.mark.parametrize("kind", ["fgn", "cascade"])
-    @pytest.mark.parametrize("method", ["mf-dhv", "fs-mfa"])
-    def test_chunks_move_no_scale(self, monkeypatch, method, kind, n):
-        s = synth_fgn(n, 0.7, seed=3) if kind == "fgn" else synth_binomial_cascade(n.bit_length() - 1, 0.75)
-        cfg = MfaConfig(method=method)
-        scales = default_scales(n)
-        base = hurst_profile(s, cfg)
-        calls = []
-
-        def counted(y, theta, chunk):
-            calls.append(chunk.size)
-            return weighted_trend(y, theta, chunk)
-
-        monkeypatch.setattr(multifractal, "weighted_trend", counted)
-        for values, per_chunk in [(3 * n, 3)] + [(1, 1)] * (n == 4096):
-            calls.clear()
-            monkeypatch.setattr(multifractal, "SCAN_VALUES", values)
-            got = hurst_profile(s, cfg)
-            assert len(calls) == -(-scales.size // per_chunk)
-            assert max(calls) <= per_chunk
-            for field in ("hurst", "r_squared"):
-                assert getattr(got, field).tobytes() == getattr(base, field).tobytes()
-            assert got.table.values.tobytes() == base.table.values.tobytes()
-
     @pytest.mark.parametrize("count", [20, 40])
     @pytest.mark.parametrize("method", ["mf-dhv", "fs-mfa"])
     def test_peak_memory_does_not_grow_with_scales(self, method, count):
-        # a chunk holds at most SCAN_VALUES // N = 16 scales, so the scan's
-        # two buffers stay within 2 SCAN_VALUES = 32 N values, and 8
-        # N-vectors more cover the profile, theta and the scan's other
-        # scratch. Two (N, S) buffers alone are 40 N at 20 scales, 80 at 40
+        # the trends come one scale at a time; only the window variances
+        # and the fluctuation table's scratch grow with the scale count
+        # (28.6 N values measured at 40 scales). Two (N, S) buffers alone
+        # are 40 N at 20 scales, 80 at 40
         n = 65536
         s = synth_fgn(n, 0.7, seed=3)
         scales = np.geomspace(DEFAULT_MIN_SCALE, n // 4, count).astype(int)
@@ -622,9 +380,9 @@ def stretchy_series(n: int, flat: int, gaps: list, seed: int) -> Series:
 def table_cases(draw):
     """(N, method, scales, flat, gaps, seed) with N >= 4*max(scales).
 
-    Half the draws add a scale whose last window ends exactly at N: for
-    mf-dhv one dividing N + 1, so it divides the N - 2s + 1 rows detrend
-    keeps; for mf-dfa one dividing N.
+    Half the draws add a scale whose last window ends exactly at the last
+    value: for mf-dhv one dividing N + 1, so it divides the N - s + 1
+    residuals of the centred windows; for mf-dfa one dividing N.
     """
     n = draw(st.integers(64, 4096))
     method = draw(st.sampled_from(("mf-dhv", "mf-dfa")))
@@ -667,11 +425,10 @@ class TestTableAndFitsAgainstOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(case=table_cases())
-    # N - 2s + 1 = 1024 - 2s is a multiple of every power of two s, so each
-    # scale's last window ends at N, the last scale's at the end of the
-    # one-pass buffer; the flat prefix drops scales 4 and 8 and leaves
-    # zero windows at 64 and 128
-    @example(case=(1023, "mf-dhv", np.array([4, 8, 64, 128]), 600, [], 0))
+    # N - s + 1 = 1024 - s is a multiple of every power of two s, so each
+    # scale's last window ends at its last residual; the flat prefix drops
+    # scales 4 and 8 and leaves zero windows at 64 and 128
+    @example(case=(1023, "mf-dhv", np.array([4, 8, 64, 128]), 540, [], 0))
     # 31 and 33 divide N = 1023, so their last mf-dfa window ends at N;
     # the prefix and the gap zero 101 of scale 4's 255 windows
     @example(case=(1023, "mf-dfa", np.array([4, 31, 33, 255]), 200, [(0.5, 0.2)], 0))
@@ -686,6 +443,71 @@ class TestTableAndFitsAgainstOracle:
         assert dropped.any() and not dropped.all()
         assert any(np.any(v == 0) for v, d in zip(per_scale, dropped) if not d)
         assert np.all(np.isfinite(table[:, ~dropped]))
+
+
+def test_compensated_sums_on_the_quietest_profile():
+    # fs-mfa's denoised fGn profile is smooth, so at the smallest scales the
+    # residual is tiny against Y and every window sum cancels most of its
+    # digits. The oracle sums every window exactly (math.fsum). Compensated
+    # prefix sums read 1.4e-11 in ln F here; plain cumsum differences read
+    # 1.7e-5
+    n = 65536
+    s = synth_fgn(n, 0.7, seed=81)
+    cfg = MfaConfig(method="fs-mfa")
+    prof = hurst_profile(s, cfg)
+    y = profile_series(denoise(s)[0]).values
+    theta = historical_volatility(Series(y), cfg.vol_window).values
+    weights, weighted = theta.tolist(), (theta * y).tolist()
+    smallest = prof.table.scales[:3].tolist()
+    variances = []
+    for sc in smallest:
+        c = (sc - 1) // 2
+        residual = [
+            math.fsum(weighted[j : j + sc]) / math.fsum(weights[j : j + sc]) - y[j + c]
+            for j in range(n - sc + 1)
+        ]
+        variances.append(window_variances(np.array(residual), sc))
+    exact = np.array([[fluctuation(v, float(q)) for v in variances] for q in cfg.q_grid])
+    assert np.max(np.abs(np.log(prof.table.values[:, : len(smallest)]) - np.log(exact))) <= 1e-8
+
+
+class TestWhatMfDhvEstimates:
+    """mf-dhv is centred MF-DMA with theta weights. Every number quoted
+    for the recursive trend it replaced comes from the same seeds."""
+
+    @staticmethod
+    def h2(series: Series) -> float:
+        return float(hurst_profile(series, MfaConfig(method="mf-dhv", q_grid=np.array([2.0]))).hurst[0])
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.8])
+    def test_h2_on_fgn(self, hurst):
+        # seeds 0-19 at N = 8192: means 0.303, 0.486 and 0.772, seed sd
+        # 0.018, 0.023 and 0.029. The bound is the largest bias (0.028 at
+        # H = 0.8) plus two standard errors of a 20-seed mean there
+        # (2 x 0.029 / sqrt(20) = 0.013). The recursion read 0.292, 0.458
+        # and 0.665: it compressed H to about 0.74 H + 0.07
+        h = [self.h2(synth_fgn(8192, hurst, seed=k)) for k in range(20)]
+        assert abs(np.mean(h) - hurst) <= 0.04
+
+    def test_shuffled_fgn_reads_half(self):
+        # shuffling removes the memory of fGn(0.8): seeds 0-19 read a mean of
+        # 0.495, seed sd 0.032. The bound is that bias plus two standard
+        # errors (2 x 0.032 / sqrt(20) = 0.014). The recursion read 0.457
+        h = []
+        for k in range(20):
+            x = synth_fgn(8192, 0.8, seed=k).values.copy()
+            np.random.default_rng(k).shuffle(x)
+            h.append(self.h2(Series(x)))
+        assert abs(np.mean(h) - 0.5) <= 0.02
+
+    def test_cascade_response(self):
+        # the closed form at q = -5, -2, 2, 5 is 1.54, 1.36, 0.89, 0.71. No
+        # moving average reaches the negative-q exponents, and the theta
+        # weights lower the q > 0 ones: unweighted centred windows read 0.81
+        # and 0.64 there. The recursion read 0.984, 0.906, 0.735 and 0.600
+        q = np.array([-5.0, -2.0, 2.0, 5.0])
+        prof = hurst_profile(synth_binomial_cascade(16, 0.7), MfaConfig(method="mf-dhv", q_grid=q))
+        assert_allclose(prof.hurst, [0.993, 0.989, 0.709, 0.516], rtol=0, atol=0.005)
 
 
 SCALE_INVARIANCE_BASE = synth_fgn(1024, 0.7, seed=11)
@@ -717,15 +539,6 @@ def test_hurst_invariant_under_shift(c, method):
     shifted = hurst_profile(Series(SCALE_INVARIANCE_BASE.values + c), cfg)
     assert np.all(np.isfinite(base.hurst))
     assert_allclose(shifted.hurst, base.hurst, rtol=0, atol=1e-9)
-
-
-class TestDetrend:
-    def test_valid_range_and_sign(self):
-        y = Series(np.arange(1.0, 21.0))
-        trend = Series(np.arange(1.0, 21.0) + 2.0)
-        d = detrend(y, trend, s=4)
-        assert len(d) == 20 - 2 * 4 + 1
-        assert_allclose(d.values, 2.0)
 
 
 class TestWindowVariances:
