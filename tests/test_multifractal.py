@@ -30,11 +30,21 @@ from fractamine.multifractal import (
 from fractamine.series import Series, synth_binomial_cascade, synth_fgn, synth_gaussian_noise
 
 
+def weighted_trend_loop(y: Series, theta: Series, s: int) -> np.ndarray:
+    """Each width-s window's theta-weighted mean straight from its values,
+    a dot product per window and no prefix sums; a window whose
+    volatilities sum to 0 reads Y at its centre."""
+    weights = sliding_window_view(theta.values, s)
+    weight = weights.sum(axis=1)
+    weighted = np.einsum("ij,ij->i", weights, sliding_window_view(y.values, s))
+    centre = y.values[(s - 1) // 2 :][: weight.size]
+    return np.divide(weighted, weight, out=centre.copy(), where=weight > 0)
+
+
 def oracle_profile(s: Series, cfg: MfaConfig):
     """hurst_profile from the scalar parts: per-scale trends (for mf-dhv
-    and fs-mfa each window's weighted mean as a dot product, no prefix
-    sums), a scalar fluctuation call per table cell and one np.polyfit
-    per q."""
+    and fs-mfa weighted_trend_loop), a scalar fluctuation call per table
+    cell and one np.polyfit per q."""
     scales = cfg.scales if cfg.scales is not None else default_scales(len(s))
     work = denoise(s)[0] if cfg.method == "fs-mfa" else s
     y = profile_series(work)
@@ -43,13 +53,8 @@ def oracle_profile(s: Series, cfg: MfaConfig):
         if cfg.method == "mf-dfa":
             per_scale.append(polynomial_detrend_variances(y, sc, cfg.dfa_poly_order))
         else:
-            # each window's theta-weighted mean, straight from its values
-            theta = historical_volatility(y, cfg.vol_window).values
-            weights = sliding_window_view(theta, sc)
-            weight = weights.sum(axis=1)
-            weighted = np.einsum("ij,ij->i", weights, sliding_window_view(y.values, sc))
-            centre = y.values[(sc - 1) // 2 :][: weight.size]
-            trend = np.divide(weighted, weight, out=centre.copy(), where=weight > 0)
+            trend = weighted_trend_loop(y, historical_volatility(y, cfg.vol_window), sc)
+            centre = y.values[(sc - 1) // 2 :][: trend.size]
             per_scale.append(window_variances(Series(trend - centre), sc))
     dropped = np.array([np.mean(v == 0) > DEGENERATE_WINDOW_FRACTION for v in per_scale])
     table = np.full((cfg.q_grid.size, scales.size), np.nan)
@@ -291,6 +296,119 @@ class TestWeightedTrend:
         y, theta = Series(np.arange(64.0)), Series(np.full(64, 1e307))
         with pytest.raises(ValueError, match="finite sum"):
             weighted_trend(y, theta, 4)
+
+
+def trend_bound(y: Series) -> float:
+    """Largest allowed |weighted_trend - weighted_trend_loop|.
+
+    Every trend value is a weighted mean, so max|Y| bounds it. The loop's
+    dot products add about sqrt(s) ulps of it and sqrt(N) >= 2 sqrt(s);
+    the compensated window sums add a few. The sweeps below measure
+    under 0.1 of this bound.
+    """
+    return 4 * np.sqrt(len(y)) * np.finfo(np.float64).eps * np.abs(y.values).max()
+
+
+def walk_and_volatilities(n: int, seed: int, stretches: list) -> tuple[Series, Series]:
+    """A random walk Y and |N(0, 1)| volatilities set to 0 over each
+    stretch, given as (start, length) fractions of N."""
+    rng = np.random.default_rng(seed)
+    y = Series(np.cumsum(rng.standard_normal(n)))
+    th = np.abs(rng.standard_normal(n))
+    for start, length in stretches:
+        th[int(start * n) : int((start + length) * n) + 1] = 0.0
+    return y, Series(th)
+
+
+def assert_trend_matches_loop(trend: np.ndarray, y: Series, theta: Series, s: int) -> int:
+    """Within trend_bound of the loop, and bit-exact at Y's centre value
+    wherever a window's volatilities sum to 0; returns how many do."""
+    expected = weighted_trend_loop(y, theta, s)
+    assert trend.shape == expected.shape, s
+    assert np.max(np.abs(trend - expected)) <= trend_bound(y), s
+    idle = sliding_window_view(theta.values, s).sum(axis=1) == 0
+    centre = y.values[(s - 1) // 2 :][: idle.size]
+    assert np.array_equal(trend[idle].view(np.uint64), centre[idle].view(np.uint64)), s
+    return int(idle.sum())
+
+
+class TestAllScaleSweep:
+    @pytest.mark.parametrize("n", [768, 4096])
+    @pytest.mark.parametrize("zero_stretch", [False, True])
+    def test_within_tolerance_of_loop(self, n, zero_stretch):
+        # a stretch of zeros longer than the largest scale n//4 gives
+        # every scale windows whose volatilities sum to 0
+        y, theta = walk_and_volatilities(n, n, [(0.25, 0.25 + 8 / n)] if zero_stretch else [])
+        scales = default_scales(n)
+        trends = list(weighted_trend(y, theta, scales))
+        assert len(trends) == scales.size
+        for trend, s in zip(trends, scales.tolist()):
+            idle = assert_trend_matches_loop(trend, y, theta, s)
+            assert idle > 0 if zero_stretch else idle == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(64, 4096),
+        seed=st.integers(0, 2**32 - 1),
+        stretches=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 0.5)), max_size=3),
+        scale_picks=st.lists(st.floats(0, 1), min_size=1, max_size=5),
+    )
+    # scale 1, whose trend is Y itself wherever theta > 0, and the largest
+    # scale N//4, across a stretch of zeros
+    @example(n=70, seed=0, stretches=[(0.4, 0.3)], scale_picks=[0.0, 1.0])
+    def test_property_against_loop(self, n, seed, stretches, scale_picks):
+        y, theta = walk_and_volatilities(n, seed, stretches)
+        scales = np.unique([1 + round(p * (n // 4 - 1)) for p in scale_picks])
+        for trend, s in zip(weighted_trend(y, theta, scales), scales.tolist()):
+            assert_trend_matches_loop(trend, y, theta, s)
+
+
+class TestScaleIndependence:
+    @pytest.mark.parametrize("n", [64, 257, 768, 1000, 1001, 8192, 65536])
+    @pytest.mark.parametrize("zero_stretch", [False, True])
+    def test_bit_identical_to_single_scale_calls(self, n, zero_stretch):
+        # a scale's trend comes from the shared prefix sums alone, so the
+        # other scales asked for, and their order, change none of its bits
+        y, theta = walk_and_volatilities(n, n + zero_stretch, [(0.25, 0.25 + 8 / n)] if zero_stretch else [])
+        scales = default_scales(n)
+        swept = list(weighted_trend(y, theta, scales[::-1]))[::-1]
+        for trend, s in zip(swept, scales.tolist()):
+            (single,) = weighted_trend(y, theta, s)
+            assert np.array_equal(single.view(np.uint64), trend.view(np.uint64)), s
+
+    def test_absorbed_volatility_still_averages(self):
+        # after a spike of 1e20 the plain cumsum of theta stops moving, so
+        # its differences read 0 over windows of positive volatility; the
+        # compensation row carries what it absorbed, and every such window
+        # keeps its weighted mean (1.8e-13 of max|Y| from the loop, measured)
+        n, at = 1001, 700
+        y, theta = walk_and_volatilities(n, 5, [])
+        th = theta.values
+        th[at] = 1e20
+        th[at + 1 :: 2] = 0.0
+        plain = np.concatenate([[0.0], np.cumsum(th)])
+        for s in (4, 100, 250):
+            windows = np.arange(at + 1, n - s + 1)
+            assert np.any(plain[windows + s] - plain[windows] == 0), s
+            (trend,) = weighted_trend(y, theta, s)
+            expected = weighted_trend_loop(y, theta, s)
+            assert np.max(np.abs(trend - expected)) <= 1e-11 * np.abs(y.values).max(), s
+
+
+class TestScaleSubsets:
+    @pytest.mark.parametrize("n", [4096, 65536])
+    @pytest.mark.parametrize("kind", ["fgn", "cascade"])
+    @pytest.mark.parametrize("method", ["mf-dhv", "fs-mfa"])
+    def test_subsets_move_no_scale(self, method, kind, n):
+        # each column of the fluctuation table depends on its own scale
+        # only: the even-, odd- and five-largest-scale runs match the
+        # full run's columns bit for bit
+        s = synth_fgn(n, 0.7, seed=3) if kind == "fgn" else synth_binomial_cascade(n.bit_length() - 1, 0.75)
+        scales = default_scales(n)
+        base = hurst_profile(s, MfaConfig(method=method)).table.values
+        for part in (scales[::2], scales[1::2], scales[-5:]):
+            got = hurst_profile(s, MfaConfig(method=method, scales=part)).table.values
+            assert got.tobytes() == base[:, np.searchsorted(scales, part)].tobytes()
 
 
 class TestMemory:
