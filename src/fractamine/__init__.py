@@ -5,10 +5,7 @@ autodiff core."""
 from .activations import KINDS, ActivationSpec, apply, apply_derivative, breakpoints
 from .autodiff import DiffArray, grad_check
 from .fourier_denoise import (
-    DegenerateBasisError,
     FourierModel,
-    angular_frequency,
-    count_sign_changes,
     denoise,
     fit_fourier,
     reconstruct,
@@ -58,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivationSpec",
-    "DegenerateBasisError",
     "DiffArray",
     "EmbeddingMatrix",
     "FluctuationTable",
@@ -73,11 +69,9 @@ __all__ = [
     "Series",
     "TrainConfig",
     "TrainingDiverged",
-    "angular_frequency",
     "apply",
     "apply_derivative",
     "breakpoints",
-    "count_sign_changes",
     "deffsi_forward",
     "default_q_grid",
     "default_scales",

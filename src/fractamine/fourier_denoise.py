@@ -1,11 +1,12 @@
 """Fourier-series least-squares denoising with entropy order selection.
 
-The basis frequency comes from the series itself: omega = 2*pi/T where
-T counts adjacent sign changes, or 2*pi/N when T < 3. Coefficients are
-fitted by ordinary least squares against {1, cos(u*omega*k),
-sin(u*omega*k)}, per-term energies are normalized into a probability
-distribution, and the truncation order is the first reversal of the
-per-term entropy gain along the energy-descending ranking.
+The basis frequency comes from the series itself: omega = 2*pi*k*/N for
+the periodogram's peak bin k* (DC and Nyquist left out). Harmonic u of
+that fundamental is DFT bin u*k*, so the least-squares fit against
+{1, cos(u*omega*k), sin(u*omega*k)} is a read of one real FFT. Per-term
+energies are normalized into a probability distribution, and the
+truncation order is the first reversal of the per-term entropy gain
+along the energy-descending ranking.
 """
 from __future__ import annotations
 
@@ -17,25 +18,11 @@ from .series import Series
 
 __all__ = [
     "FourierModel",
-    "DegenerateBasisError",
-    "angular_frequency",
-    "count_sign_changes",
     "fit_fourier",
     "select_order",
     "reconstruct",
     "denoise",
 ]
-
-
-class DegenerateBasisError(ValueError):
-    """Raised when the trigonometric design matrix is rank-deficient.
-
-    carries .terms, the harmonic indices whose columns collapsed.
-    """
-
-    def __init__(self, terms: list[int]):
-        self.terms = terms
-        super().__init__(f"rank-deficient design, degenerate harmonic terms: {terms}")
 
 
 @dataclass(frozen=True)
@@ -69,140 +56,43 @@ class FourierModel:
             raise ValueError("energy must be a probability distribution")
 
 
-def count_sign_changes(s: Series) -> int:
-    """Adjacent sign changes with zeros counted as positive."""
-    signs = np.where(s.values >= 0.0, 1.0, -1.0)
-    return int(np.sum(signs[:-1] * signs[1:] < 0))
+def fit_fourier(s: Series, max_terms: int | None = None) -> FourierModel:
+    """Least squares against {1, cos(u*omega*k), sin(u*omega*k)}, read off one rfft.
 
+    The fundamental is the periodogram peak: k* >= 1 maximises |F[k]|
+    over the bins 1..ceil(N/2)-1 of F = rfft(s), which leave out DC and
+    Nyquist, so the mean needs no removal. Ties go to the lowest bin, and
+    a series with no power there gets k* = 1. omega = 2*pi*k*/N.
 
-def _basis_period(s: Series) -> int:
-    """The basis period P: the sign-change count T when T >= 3, else N.
+    Harmonic u is then DFT bin u*k*. Every fitted bin lies strictly
+    between 0 and N/2, so the design's columns are orthogonal over
+    k = 1..N, with squared norms N (constant) and N/2 (cos and sin), and
+    the least-squares fit is a read of those bins (the Fourier-detrending
+    setting of Chianca, Ticona and Penna 2005): eta0 = F[0]/N and
+    alpha_u + i*beta_u = (2/N) * exp(i*theta) * conj(F[u*k*]), where the
+    phase theta = 2*pi*u*k*/N accounts for the index k starting at 1.
 
-    At T = 1 or 2 every harmonic of 2*pi/T aliases (at omega = 2*pi the
-    cos column is the constant, at omega = pi the sin column vanishes).
-    """
-    t = count_sign_changes(s)
-    return t if t >= 3 else len(s)
-
-
-def angular_frequency(s: Series) -> float:
-    """omega = 2*pi/P for the basis period P of _basis_period."""
-    if len(s) < 2:
-        raise ValueError("need at least 2 samples to count sign changes")
-    return 2.0 * np.pi / _basis_period(s)
-
-
-def _aliased_terms(period: int, max_terms: int) -> list[int]:
-    """Harmonics whose columns vanish or repeat at omega = 2*pi/period.
-
-    Harmonic u has the columns cos(f*omega*k) and +-sin(f*omega*k) for
-    its folded frequency f = min(u mod P, P - u mod P). At f = 0 its cos
-    column is the constant column and its sin column vanishes; at
-    2f = P its sin column vanishes; and harmonics of equal f have equal
-    or negated columns. Any other set of harmonics has distinct f in
-    (0, P/2), and their columns are orthogonal over each period.
-    """
-    u = np.arange(1, max_terms + 1)
-    f = np.minimum(u % period, period - u % period)
-    shared = np.bincount(f)[f] > 1
-    return [int(v) for v in u[(f == 0) | (2 * f == period) | shared]]
-
-
-def _power_sums(y: np.ndarray, period: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """C_v(j) and S_v(j), the sums of v_k cos(j*omega*k) and v_k sin(j*omega*k).
-
-    omega = 2*pi/period, k runs over 1..N and j over 0..count-1, for
-    v = 1 (row 0 of each (2, count) result) and v = y (row 1). They are
-    the real and imaginary parts of P_v(j) = sum_k v_k exp(i*j*omega*k).
-    Every phase repeats with period P in k, so with F_v[r] the sum of v_k
-    over k = r mod P,
-
-        P_v(j) = sum_r F_v[r] * exp(2*pi*i*j*r/P) = conj(rfft(F_v)[j mod P]),
-
-    and a bin g = j mod P above P/2 is read as the conjugate of bin
-    P - g, since F_v is real. The fold is two bincounts and the rest one
-    real FFT of length P; no phase is evaluated.
-    """
-    residue = np.arange(1, y.size + 1) % period
-    folded = np.stack(
-        [np.bincount(residue, minlength=period), np.bincount(residue, weights=y, minlength=period)]
-    )
-    spectrum = np.fft.rfft(folded)
-    g = np.arange(count) % period
-    f = np.minimum(g, period - g)
-    return spectrum.real[:, f], np.where(g > f, 1.0, -1.0) * spectrum.imag[:, f]
-
-
-def _normal_equations(y: np.ndarray, period: int, max_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """G = X^T X and b = X^T y of the design, from power sums alone.
-
-    X has the rows [1, cos(u*omega*k), sin(u*omega*k)] for u = 1..m at
-    k = 1..N, omega = 2*pi/period. With C(j) = C_1(j) and S(j) = S_1(j)
-    (_power_sums), the product-to-sum identities give every entry of G
-    from C and S at j = |u-v| and u+v:
-        cos_u cos_v = (C(u-v) + C(u+v)) / 2,
-        sin_u sin_v = (C(u-v) - C(u+v)) / 2,
-        cos_u sin_v = (S(u+v) - S(u-v)) / 2,
-    and the constant row is [N, C(u), S(u)]. b is [C_y(0), C_y(u),
-    S_y(u)]. Neither X nor any N-long trigonometric row is formed.
-    """
-    m = max_terms
-    (c, cy), (s, sy) = _power_sums(y, period, 2 * m + 1)
-    u = np.arange(1, m + 1)
-    diff = u[:, None] - u
-    lag, lead = np.abs(diff), u[:, None] + u
-    cos_sin = (s[lead] - np.sign(diff) * s[lag]) / 2.0
-    gram = np.empty((2 * m + 1, 2 * m + 1))
-    gram[0, 0] = y.size
-    gram[0, 1:] = gram[1:, 0] = np.concatenate([c[u], s[u]])
-    gram[1 : m + 1, 1 : m + 1] = (c[lag] + c[lead]) / 2.0
-    gram[m + 1 :, m + 1 :] = (c[lag] - c[lead]) / 2.0
-    gram[1 : m + 1, m + 1 :] = cos_sin
-    gram[m + 1 :, 1 : m + 1] = cos_sin.T
-    b = np.concatenate([cy[: m + 1], sy[u]])
-    return gram, b
-
-
-def fit_fourier(s: Series, max_terms: int, period: int | None = None) -> FourierModel:
-    """Ordinary least squares against the basis of omega = 2*pi/period.
-
-    period defaults to _basis_period(s) and must be an integer in
-    [1, N]. Requires N >= 2*max_terms+1 so the coefficients are
-    determined. A rank-deficient design (aliased or vanishing harmonics,
-    _aliased_terms) raises DegenerateBasisError naming the offending
-    terms rather than returning an unidentifiable fit.
-
-    The fit solves the normal equations. The design X (N x (2m+1),
-    m = max_terms) is never formed: its Gram matrix G = X^T X, at most
-    129 x 129, and b = X^T y follow from the 2m+1 power sums
-    sum_k v_k exp(i*j*omega*k) of v = 1 and v = y (_normal_equations),
-    as in Fourier-detrended fluctuation analysis (Chianca, Ticona and
-    Penna 2005), and the solve is coef = solve(G, b).
-
-    No numerical rank test is needed. Rows k and k + P of X are equal.
-    Without aliasing, the columns of the first P rows are orthogonal,
-    with squared norms P (constant) and P/2 (cos and sin), so their Gram
-    matrix G_P has eigenvalues P/2 and P. With N = qP + r, 0 <= r < P,
-    G is q*G_P plus the Gram matrix of r rows of one more period, which
-    lies between 0 and G_P; so q*G_P <= G <= (q+1)*G_P and
-    cond(G) <= 2(q+1)/q <= 4, that is cond(X) <= 2.
+    max_terms defaults to min(floor(N/4), 64, ceil(N/(2k*)) - 1), which
+    is what denoise fits; the last term is the largest m with m*k* < N/2,
+    so the default is at least 1 for N >= 4. An explicit max_terms must
+    also keep max_terms*k* < N/2.
     """
     n = len(s)
-    if max_terms < 1:
-        raise ValueError("max_terms must be at least 1")
-    if n < 2 * max_terms + 1:
-        raise ValueError(f"need N >= 2*max_terms+1 = {2 * max_terms + 1}, got N = {n}")
-    if period is None:
-        period = _basis_period(s)
-    elif not isinstance(period, (int, np.integer)) or not 1 <= period <= n:
-        raise ValueError(f"period must be an integer in [1, N = {n}], got {period!r}")
-    aliased = _aliased_terms(period, max_terms)
-    if aliased:
-        raise DegenerateBasisError(aliased)
-    coef = np.linalg.solve(*_normal_equations(s.values, period, max_terms))
-    eta0 = float(coef[0])
-    alpha = coef[1 : max_terms + 1].copy()
-    beta = coef[max_terms + 1 :].copy()
+    if n < 3:
+        raise ValueError(f"need at least 3 samples to fit a harmonic, got {n}")
+    spectrum = np.fft.rfft(s.values)
+    k = 1 + int(np.argmax(np.abs(spectrum[1 : (n + 1) // 2])))
+    limit = -(-n // (2 * k)) - 1
+    if max_terms is None:
+        max_terms = min(n // 4, 64, limit)
+    if not 1 <= max_terms <= limit:
+        raise ValueError(
+            f"max_terms must lie in [1, {limit}], so that max_terms*k* < N/2 "
+            f"at the fundamental bin k* = {k} of N = {n}; got max_terms = {max_terms}"
+        )
+    bins = k * np.arange(1, max_terms + 1)
+    coef = (2.0 / n) * np.exp(2j * np.pi * bins / n) * np.conj(spectrum[bins])
+    alpha, beta = coef.real.copy(), coef.imag.copy()
     e = alpha**2 + beta**2
     total = e.sum()
     if total > 0:
@@ -210,10 +100,10 @@ def fit_fourier(s: Series, max_terms: int, period: int | None = None) -> Fourier
     else:
         energy = np.full(max_terms, 1.0 / max_terms)
     return FourierModel(
-        eta0=eta0,
+        eta0=float(spectrum[0].real / n),
         alpha=alpha,
         beta=beta,
-        omega=2.0 * np.pi / period,
+        omega=2.0 * np.pi * k / n,
         max_terms=max_terms,
         energy=energy,
         n_samples=n,
@@ -262,18 +152,16 @@ def reconstruct(m: FourierModel, r: int) -> Series:
 
 
 def denoise(s: Series) -> tuple[Series, FourierModel, int]:
-    """Fit, entropy-select the order, and rebuild the series.
+    """Fit at fit_fourier's default order, entropy-select r, and rebuild.
 
-    The basis period P is _basis_period's, as in angular_frequency, and
-    the fitted order is min(floor(N/4), 64, floor((P-1)/2)), so no
-    harmonic reaches the alias point u = P/2, where columns vanish or
-    repeat and the fit would be unidentifiable.
+    The fitted order is min(floor(N/4), 64, ceil(N/(2k*)) - 1) for the
+    periodogram's fundamental bin k*, so at least one harmonic is fitted
+    whatever k* is, and none reaches the Nyquist bin N/2.
     """
     n = len(s)
     if n < 16:
         raise ValueError(f"need at least 16 samples to denoise, got {n}")
-    p = _basis_period(s)
-    model = fit_fourier(s, min(n // 4, 64, (p - 1) // 2), period=p)
+    model = fit_fourier(s)
     r = select_order(model)
     return reconstruct(model, r), model, r
 

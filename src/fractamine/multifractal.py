@@ -160,13 +160,13 @@ class HurstProfile:
         }
 
     def omega_fallback(self) -> bool | None:
-        """fs-mfa: whether denoise fell back to the basis period P = N
-        (fewer than three sign changes), which it marks by setting omega
-        to exactly 2*pi/N; None for the other methods."""
+        """fs-mfa: whether the series had no power above DC, so that
+        denoise defaulted its fundamental bin to k* = 1 (every fitted
+        coefficient is then zero); None for the other methods."""
         if self.denoised is None:
             return None
         model = self.denoised[1]
-        return bool(model.omega == 2.0 * np.pi / model.n_samples)
+        return not (model.alpha.any() or model.beta.any())
 
 
 def profile_series(s: Series) -> Series:

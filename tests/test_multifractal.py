@@ -646,11 +646,10 @@ def test_hurst_invariant_under_scaling(exponent, method):
     assert_allclose(scaled.hurst, base.hurst, rtol=0, atol=1e-9)
 
 
-# fs-mfa is left out: its denoiser counts sign changes of the raw series,
-# so a shift moves its H (by 0.24 for x + 0.5 on fGn(4096, H=0.7)), and
-# whether that is kept is still open
 @settings(max_examples=30, deadline=None)
-@given(c=st.floats(min_value=-1e3, max_value=1e3), method=st.sampled_from(("mf-dhv", "mf-dfa")))
+@given(c=st.floats(min_value=-1e3, max_value=1e3), method=st.sampled_from(METHODS))
+@example(c=1e3, method="fs-mfa")
+@example(c=-1e3, method="fs-mfa")
 def test_hurst_invariant_under_shift(c, method):
     cfg = MfaConfig(method=method)
     base = hurst_profile(SCALE_INVARIANCE_BASE, cfg)
@@ -835,8 +834,10 @@ class TestHurstProfile:
     @pytest.mark.parametrize(
         "name, series, method, want",
         [
-            # a positive cascade never crosses zero, so denoise falls back to P = N
-            ("cascade", synth_binomial_cascade(12, 0.75), "fs-mfa", True),
+            # a positive cascade has power above DC, though it never crosses zero
+            ("cascade", synth_binomial_cascade(12, 0.75), "fs-mfa", False),
+            # a constant has none, so denoise defaults its fundamental bin to 1
+            ("flat", Series(np.full(4096, 2.5)), "fs-mfa", True),
             ("fgn", synth_fgn(4096, 0.7, seed=1), "fs-mfa", False),
             ("fgn", synth_fgn(4096, 0.7, seed=1), "mf-dhv", None),
             ("cascade", synth_binomial_cascade(12, 0.75), "mf-dfa", None),

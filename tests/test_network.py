@@ -348,6 +348,15 @@ class TestHurstFeatures:
         assert fv.shape == (cfg.mfa.q_grid.size,)
         assert_allclose(fv, 0.5)
 
+    def test_wide_fs_mfa_documents_get_estimates(self):
+        # the model's default fs-mfa on 768-wide documents: the mean
+        # embedding's periodogram peak often lies above N/3, and denoise
+        # must still fit a harmonic there rather than fall back to 0.5
+        cfg = ModelConfig(n_classes=3)
+        rng = np.random.default_rng(768)
+        rows = [hurst_features(EmbeddingMatrix(rng.standard_normal((n, 768))), cfg) for n in (12, 24, 48) * 8]
+        assert not any(np.all(fv == 0.5) for fv in rows)
+
     def test_long_signal_uses_estimates(self):
         cfg = micro_config(mfa=MfaConfig(method="mf-dfa", q_grid=np.array([2.0])))
         doc = EmbeddingMatrix(RNG.standard_normal((4, 512)))
