@@ -15,7 +15,7 @@ from fractamine.fourier_denoise import (
     reconstruct,
     select_order,
 )
-from fractamine.series import Series, synth_fgn
+from fractamine.series import Series, synth_binomial_cascade, synth_fgn
 
 
 def periodic_signal(n=800, period=40.0):
@@ -90,9 +90,86 @@ class TestFitFourier:
         with pytest.raises(ValueError, match="max_terms"):
             fit_fourier(s, max_terms=20)
 
+    @pytest.mark.parametrize("max_terms", [0, -3, 20, 21, 400])
+    def test_max_terms_outside_range_refused(self, max_terms):
+        # k* = 20 at N = 800 admits max_terms 1..19
+        s, _ = periodic_signal()
+        with pytest.raises(ValueError, match="max_terms"):
+            fit_fourier(s, max_terms=max_terms)
+
+    @pytest.mark.parametrize("runs", [(40, 40), (30, 30, 30)], ids=["T1", "T2"])
+    def test_default_omega_fits_one_or_two_crossings(self, runs):
+        # a step series puts its peak at the lowest bin; four harmonics of
+        # that fundamental span it
+        s = Series(np.concatenate([np.full(n, (-1.0) ** i) for i, n in enumerate(runs)]))
+        model = fit_fourier(s, max_terms=4)
+        assert model.omega == 2.0 * np.pi / len(s)
+        rec = reconstruct(model, model.max_terms)
+        assert np.corrcoef(rec.values, s.values)[0, 1] > 0.9
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             fit_fourier(Series(np.arange(10.0)), max_terms=8)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_needs_three_samples(self, n):
+        with pytest.raises(ValueError, match="3 samples"):
+            fit_fourier(Series(np.arange(1.0, n + 1)))
+
+
+def periodogram_peak(y):
+    """The lowest bin of greatest power over 1..ceil(N/2)-1, from the full FFT."""
+    n = len(y)
+    power = np.abs(np.fft.fft(y)[1 : (n + 1) // 2]) ** 2
+    return 1 + int(np.flatnonzero(power == power.max())[0])
+
+
+def crossing_series(t, n=120):
+    """n samples in t+1 runs of alternating sign, so exactly t sign changes."""
+    rng = np.random.default_rng(t)
+    runs = np.array_split(1.0 + rng.uniform(size=n), t + 1)
+    return Series(np.concatenate([(-1.0) ** i * run for i, run in enumerate(runs)]))
+
+
+class TestFundamental:
+    @pytest.mark.parametrize("t", range(7))
+    def test_matches_denoise_basis(self, t):
+        # t = 0 is a positive series that never crosses zero; the
+        # fundamental is the periodogram peak whatever the crossings are
+        s = crossing_series(t)
+        n = len(s)
+        k = periodogram_peak(s.values)
+        model = fit_fourier(s)
+        assert model.omega == denoise(s)[1].omega == 2.0 * np.pi * k / n
+        assert model.max_terms == min(n // 4, 64, -(-n // (2 * k)) - 1) >= 1
+
+    def test_matches_denoise_basis_on_cascade(self):
+        # the cascade's power peaks at N/4, where one harmonic fits
+        s = synth_binomial_cascade(10, 0.75)
+        model = denoise(s)[1]
+        assert periodogram_peak(s.values) == len(s) // 4
+        assert model.omega == 2.0 * np.pi / 4
+        assert model.max_terms == 1
+
+
+@pytest.mark.parametrize(
+    "n,bin_",
+    [
+        (800, 20),  # N a multiple of 2k*: the last harmonic stops one short of Nyquist
+        (1000, 450),  # k* > N/3: one harmonic
+        (4097, 129),  # N odd, no Nyquist bin
+        (777, 1),  # the lowest bin, 64 harmonics
+        (17, 5),  # short series
+    ],
+    ids=["even", "above-third", "odd", "lowest-bin", "short"],
+)
+def test_design_is_orthogonal_at_the_fundamental(n, bin_):
+    # with every harmonic bin strictly inside (0, N/2) the columns are
+    # orthogonal, with squared norms N and N/2, so the bin read is the fit
+    m = min(n // 4, 64, -(-n // (2 * bin_)) - 1)
+    X = oracle_design(n, bin_, m)
+    want = np.diag(np.r_[n, np.full(2 * m, n / 2)])
+    assert_allclose(X.T @ X, want, rtol=0, atol=1e-9 * n)
 
 
 def oracle_design(n, bin_, max_terms):
@@ -120,6 +197,20 @@ def test_fit_matches_lstsq_oracle(n, seed, tone, amplitude, data):
     assert power[fundamental - 1] >= power.max() * (1 - 1e-12)
     m = data.draw(st.integers(1, min(64, -(-n // (2 * fundamental)) - 1)))
     model = fit_fourier(Series(y), max_terms=m)
+    assert model.omega == 2 * np.pi * fundamental / n
+    coef = np.linalg.lstsq(oracle_design(n, fundamental, m), y, rcond=None)[0]
+    assert abs(model.eta0 - coef[0]) <= 1e-12
+    assert_allclose(model.alpha, coef[1 : m + 1], rtol=0, atol=1e-12)
+    assert_allclose(model.beta, coef[m + 1 :], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [768, 800, 4097, 8192, 9000, 12289])
+def test_long_fit_matches_lstsq_oracle(n):
+    # fGn at the default order, up to 64 harmonics
+    y = synth_fgn(n, 0.7, seed=n).values
+    model = fit_fourier(Series(y))
+    m = model.max_terms
+    fundamental = periodogram_peak(y)
     assert model.omega == 2 * np.pi * fundamental / n
     coef = np.linalg.lstsq(oracle_design(n, fundamental, m), y, rcond=None)[0]
     assert abs(model.eta0 - coef[0]) <= 1e-12
