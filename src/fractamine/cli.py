@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: analyze (denoise diagnostics and Hurst profile of a
-series file), synth (oracle data generators), train-eval (train the
+Subcommands: analyze (Hurst profile of a series file, with fs-mfa's
+denoise diagnostics), synth (oracle data generators), train-eval (train the
 classifier on a corpus and report held-out metrics), compare (the
 activation-zoo and multifractal-method harnesses). Every run writes a
 manifest echoing its full effective configuration and the fractamine,
@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .activations import KINDS, ActivationSpec
+# denoise is unused here; perfbench's layer tracer wraps cli.denoise by name
 from .fourier_denoise import denoise, diagnostics
 from .multifractal import METHODS, MfaConfig, hurst_profile, log_spaced_scales
 from .neuralnet import ModelConfig, check_document, config_json, save_checkpoint
@@ -129,10 +130,8 @@ def cmd_analyze(args) -> int:
     profile = hurst_profile(series, cfg)
     out_dir = _ensure_out(args.out)
 
-    do_denoise = args.denoise if args.denoise is not None else (cfg.method == "fs-mfa")
-    if do_denoise:
-        # fs-mfa has denoised the series already
-        denoised, model, r = profile.denoised or denoise(series)
+    if profile.denoised is not None:  # fs-mfa, the one method that denoises
+        denoised, model, r = profile.denoised
         _write_json(os.path.join(out_dir, "denoise.json"), diagnostics(model, r))
         _write_series_csv(os.path.join(out_dir, "denoised.csv"), denoised)
 
@@ -145,7 +144,6 @@ def cmd_analyze(args) -> int:
             "input": args.input,
             "format": args.format,
             **config_json(cfg),
-            "denoise_diagnostics": bool(do_denoise),
         },
     )
     return 0
@@ -428,16 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = sub.add_parser("analyze", help="denoise diagnostics and Hurst profile of a series")
+    p_analyze = sub.add_parser("analyze", help="Hurst profile of a series, and fs-mfa's denoise diagnostics")
     p_analyze.add_argument("--input", required=True)
     p_analyze.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_mfa_flags(p_analyze)
-    p_analyze.add_argument(
-        "--denoise",
-        choices=("on", "off"),
-        default=None,
-        help="write denoise diagnostics (default: on for fs-mfa, off otherwise)",
-    )
     p_analyze.add_argument("--out", default=".")
     p_analyze.set_defaults(fn=cmd_analyze)
 
@@ -477,8 +469,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
-    if getattr(args, "denoise", None) is not None:
-        args.denoise = args.denoise == "on"
     try:
         return args.fn(args)
     except (OSError, ValueError, KeyError) as exc:  # bad input, or a path that cannot be used

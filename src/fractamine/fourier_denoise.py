@@ -72,9 +72,10 @@ def fit_fourier(s: Series, max_terms: int | None = None) -> FourierModel:
     alpha_u + i*beta_u = (2/N) * exp(i*theta) * conj(F[u*k*]), where the
     phase theta = 2*pi*u*k*/N accounts for the index k starting at 1.
 
-    max_terms defaults to min(floor(N/4), 64, ceil(N/(2k*)) - 1), which
-    is what denoise fits; the last term is the largest m with m*k* < N/2,
-    so the default is at least 1 for N >= 4. An explicit max_terms must
+    max_terms defaults to min(max(floor(N/4), 1), 64, ceil(N/(2k*)) - 1),
+    which is what denoise fits; the last term is the largest m with
+    m*k* < N/2, which is at least 1 since k* < N/2, so the default fits
+    at least one harmonic for every N >= 3. An explicit max_terms must
     also keep max_terms*k* < N/2.
     """
     n = len(s)
@@ -84,7 +85,7 @@ def fit_fourier(s: Series, max_terms: int | None = None) -> FourierModel:
     k = 1 + int(np.argmax(np.abs(spectrum[1 : (n + 1) // 2])))
     limit = -(-n // (2 * k)) - 1
     if max_terms is None:
-        max_terms = min(n // 4, 64, limit)
+        max_terms = min(max(n // 4, 1), 64, limit)
     if not 1 <= max_terms <= limit:
         raise ValueError(
             f"max_terms must lie in [1, {limit}], so that max_terms*k* < N/2 "

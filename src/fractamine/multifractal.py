@@ -205,8 +205,8 @@ def weighted_trend(y: Series, theta: Series, scales: int | np.ndarray) -> Iterat
     the window [j, j+s), which hurst_profile reads against Y at the
     window's centre j + (s-1)//2. A window whose volatilities sum to 0
     has no weighted mean; its trend is that centre value, so its
-    residual is 0. Refused: a scale that is not an integer >= 1,
-    N < 4 max(s), a negative theta, a theta sum that is not finite.
+    residual is 0. Refused: no scale, a scale that is not an integer
+    >= 1, N < 4 max(s), a negative theta, a theta sum that is not finite.
 
     The call checks the arguments and builds the prefix sums of theta
     and theta * Y; the iterator it returns then yields each scale's
@@ -226,9 +226,9 @@ def weighted_trend(y: Series, theta: Series, scales: int | np.ndarray) -> Iterat
         if not (isinstance(sc, (int, float)) and float(sc).is_integer() and sc >= 1):
             raise ValueError(f"every scale must be an integer >= 1, got {sc!r}")
     listed = [int(sc) for sc in listed]  # Python ints slice faster than numpy ones
-    max_scale = max(listed)
-    if n < 4 * max_scale:
-        raise ValueError(f"need N >= 4s = {4 * max_scale}, got {n}")
+    max_scale = max(listed, default=0)
+    if not 0 < 4 * max_scale <= n:
+        raise ValueError(f"need N >= 4s = {4 * max_scale}, got {n}" if listed else "scales is empty")
     yv = y.values
     th = theta.values
     if np.any(th < 0):
@@ -281,8 +281,8 @@ def window_variances(d: Series | np.ndarray, s: int) -> np.ndarray:
     """
     values = d.values if isinstance(d, Series) else d
     n = values.size
-    if n < s:
-        raise ValueError(f"need at least s = {s} samples, got {n}")
+    if not 1 <= s <= n:
+        raise ValueError(f"need a window s in [1, N = {n}], got s = {s}")
     w = n // s
     segments = values[: w * s].reshape(w, s)
     return np.einsum("ij,ij->i", segments, segments) / s
@@ -345,8 +345,8 @@ def polynomial_detrend_variances(y: Series, s: int, order: int) -> np.ndarray:
     uncentred powers of 0..s-1 are so ill-conditioned at order 3 and
     s = 16384 that lstsq drops a singular value and misses the fit.
     """
-    if s <= order + 1:
-        raise ValueError(f"need s > order+1 = {order + 1}, got s = {s}")
+    if not 0 <= order < s - 1:
+        raise ValueError(f"need order >= 0 and s > order+1, got order = {order}, s = {s}")
     n = len(y)
     if n < s:
         raise ValueError(f"need at least s = {s} samples, got {n}")

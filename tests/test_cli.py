@@ -35,6 +35,11 @@ def run(argv):
     return main(argv)
 
 
+def readme_cli_section() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_manifests_record_the_versions(tmp_path):
     series = tmp_path / "data" / "series.csv"
     assert run(["synth", "fgn", "--n", "1024", "--seed", "2", "--out", str(series.parent)]) == 0
@@ -158,6 +163,10 @@ class TestParsing:
                 }
             for action in actions:
                 assert action.default is None, (command, action.dest)
+        # analyze takes where the series is and where the output goes; every
+        # other flag sets an MfaConfig field
+        analyze = {a.dest for a in subparsers.choices["analyze"]._actions} - {"help"}
+        assert analyze <= {"input", "format", "out"} | {f.name for f in fields(MfaConfig)}
 
     def test_parser_registers_all_subcommands(self):
         parser = build_parser()
@@ -255,9 +264,8 @@ class TestAnalyze:
             "input": fgn_csv,
             "format": "csv",
             **config_json(MfaConfig(method="mf-dfa", q_grid=[-2.0, 0.0, 2.0])),
-            "denoise_diagnostics": False,
         }
-        # mf-dfa does not denoise, so no diagnostics by default
+        # mf-dfa does not denoise, so no diagnostics
         assert not os.path.exists(out / "denoise.json")
 
     def test_fs_mfa_emits_denoise_diagnostics(self, fgn_csv, tmp_path):
@@ -270,35 +278,41 @@ class TestAnalyze:
         assert "r_selected" in diag
         assert os.path.exists(out / "denoised.csv")
 
-    def test_denoise_flag_forces_diagnostics(self, fgn_csv, tmp_path):
+    @pytest.mark.parametrize("method", mf.METHODS)
+    def test_denoises_once(self, fgn_csv, tmp_path, monkeypatch, method):
+        # fs-mfa writes the estimator's own denoise; the other methods
+        # denoise nothing and write neither file
+        calls = {"cli": 0, "mf": 0}
+
+        def counting(owner):
+            def wrapped(series):
+                calls[owner] += 1
+                return denoise(series)
+
+            return wrapped
+
+        monkeypatch.setattr(cli, "denoise", counting("cli"))
+        monkeypatch.setattr(mf, "denoise", counting("mf"))
         out = tmp_path / "an"
-        assert run(
-            [
-                "analyze", "--input", fgn_csv, "--method", "mf-dfa",
-                "--denoise", "on", "--out", str(out),
-            ]
-        ) == 0
-        assert os.path.exists(out / "denoise.json")
-
-    @pytest.mark.parametrize("method,flags", [("fs-mfa", []), ("mf-dhv", ["--denoise", "on"])])
-    def test_denoises_once(self, fgn_csv, tmp_path, monkeypatch, method, flags):
-        calls = []
-
-        def counting(series):
-            calls.append(len(series))
-            return denoise(series)
-
-        monkeypatch.setattr(cli, "denoise", counting)
-        monkeypatch.setattr(mf, "denoise", counting)
-        out = tmp_path / "an"
-        assert run(["analyze", "--input", fgn_csv, "--method", method, *flags, "--out", str(out)]) == 0
-        assert len(calls) == 1
+        assert run(["analyze", "--input", fgn_csv, "--method", method, "--out", str(out)]) == 0
+        fs_mfa = method == "fs-mfa"
+        assert calls == {"cli": 0, "mf": int(fs_mfa)}
+        if not fs_mfa:
+            assert not (out / "denoise.json").exists()
+            assert not (out / "denoised.csv").exists()
+            return
         denoised, model, r = denoise(load_series(fgn_csv))
         expected_json = json.dumps({"format_version": 1, **diagnostics(model, r)}, indent=2)
         assert (out / "denoise.json").read_text() == expected_json
         expected = tmp_path / "expected.csv"
         np.savetxt(expected, denoised.values, fmt="%.17g")
         assert (out / "denoised.csv").read_bytes() == expected.read_bytes()
+
+    def test_denoise_flag_is_gone(self, fgn_csv, tmp_path):
+        out = tmp_path / "an"
+        argv = ["analyze", "--input", fgn_csv, "--method", "mf-dhv", "--denoise", "on", "--out", str(out)]
+        assert run(argv) == 2
+        assert not out.exists()
 
     def test_custom_scales(self, fgn_csv, tmp_path):
         out = tmp_path / "an"
@@ -632,9 +646,7 @@ class TestReadmeCommands:
     def test_readme_cli_commands_parse(self):
         # every `fractamine ...` line of the README's CLI shell blocks, with
         # backslash continuations joined, is a command the parser accepts
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-        script = "".join(re.findall(r"```sh\n(.*?)```", section, re.S)).replace("\\\n", " ")
+        script = "".join(re.findall(r"```sh\n(.*?)```", readme_cli_section(), re.S)).replace("\\\n", " ")
         commands = [shlex.split(line)[1:] for line in script.splitlines() if line.startswith("fractamine ")]
         assert {argv[0] for argv in commands} == {"synth", "analyze", "train-eval", "compare"}
         parser = build_parser()
@@ -643,6 +655,21 @@ class TestReadmeCommands:
                 parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README command does not parse: fractamine {shlex.join(argv)}")
+
+    def test_readme_cli_flags_exist(self):
+        # the prose names flags too, and no CI job runs prose
+        (subparsers,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        registered = {
+            flag
+            for command in subparsers.choices.values()
+            for action in command._actions
+            for flag in action.option_strings
+        }
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme_cli_section()))
+        assert {"--format", "--gamma", "--eta", "--repeats"} <= named
+        assert named - registered == set()
 
 
 class TestArtifacts:

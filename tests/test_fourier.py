@@ -116,6 +116,14 @@ class TestFitFourier:
         with pytest.raises(ValueError, match="3 samples"):
             fit_fourier(Series(np.arange(1.0, n + 1)))
 
+    def test_default_order_fits_a_harmonic_at_three_samples(self):
+        # floor(N/4) is 0 at N = 3, yet the default fits one harmonic: with
+        # the constant that is three columns, so the fit interpolates
+        s = Series([1.0, 2.0, 3.0])
+        model = fit_fourier(s)
+        assert model.max_terms == 1
+        assert_allclose(reconstruct(model, 1).values, s.values, rtol=0, atol=1e-12)
+
 
 def periodogram_peak(y):
     """The lowest bin of greatest power over 1..ceil(N/2)-1, from the full FFT."""

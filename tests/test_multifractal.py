@@ -280,6 +280,7 @@ class TestWeightedTrend:
             (np.array([0, 4]), "got 0"),  # the seed would be a 0/0 mean
             (-3, "got -3"),  # numpy's broadcast error, naming no scale
             (2.5, "got 2.5"),  # silently truncated to 2
+            ([], "scales is empty"),  # max() of an empty sequence
         ],
     )
     def test_scale_below_one_or_fractional_refused(self, scales, named):
@@ -669,6 +670,12 @@ class TestWindowVariances:
         assert v.shape == (4,)
         assert_allclose(v, 1.0)
 
+    @pytest.mark.parametrize("s", [0, -1, 13])
+    def test_window_outside_one_to_n_refused(self, s):
+        # unchecked, 0 divides by zero and -1 fails in reshape, naming no window
+        with pytest.raises(ValueError, match=f"got s = {s}"):
+            window_variances(np.ones(12), s)
+
 
 class TestFluctuation:
     def test_q2_is_rms(self):
@@ -720,6 +727,11 @@ class TestPolynomialDetrend:
     def test_scale_must_exceed_order(self):
         with pytest.raises(ValueError):
             polynomial_detrend_variances(Series(np.arange(64.0)), 2, order=1)
+
+    def test_negative_order_refused(self):
+        # unchecked, it indexes past the polynomial rows
+        with pytest.raises(ValueError, match="got order = -1"):
+            polynomial_detrend_variances(Series(np.arange(64.0)), 8, order=-1)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     @pytest.mark.parametrize("name", ["fgn", "cascade"])
