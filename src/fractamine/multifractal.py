@@ -65,7 +65,7 @@ def default_scales(n: int) -> np.ndarray:
     [DEFAULT_MIN_SCALE, n//4], deduplicated."""
     lo, hi = DEFAULT_MIN_SCALE, n // 4
     if hi < lo:
-        raise ValueError(f"series too short for scale range [{lo}, N/4]: N = {n}")
+        raise ValueError(f"N = {n}; series too short for the default scales [{lo}, N/4], which need N >= {4 * lo}")
     return log_spaced_scales(lo, hi, DEFAULT_SCALE_COUNT)
 
 
@@ -106,6 +106,19 @@ class MfaConfig:
                 f"dfa_poly_order = {self.dfa_poly_order} leaves no residual in a window of "
                 f"the smallest scale {smallest}; mf-dfa needs every scale >= dfa_poly_order + 2"
             )
+
+    def scales_for(self, n: int) -> np.ndarray:
+        """hurst_profile's window sizes on a length-n series: scales, or
+        default_scales(n) when it is None. The one owner of the width rule;
+        each refusal names N and the setting."""
+        scales = default_scales(n) if self.scales is None else self.scales
+        if n < 4 * scales[-1]:  # explicit scales only: the default ones end at N//4
+            top = scales[-1]
+            raise ValueError(f"N = {n}; mfa.scales up to {top} need N >= 4*max(mfa.scales) = {4 * top}")
+        if self.method != "mf-dfa" and n <= self.vol_window:
+            window = self.vol_window
+            raise ValueError(f"N = {n}; {self.method} with mfa.vol_window = {window} needs N > mfa.vol_window")
+        return scales
 
 
 @dataclass(frozen=True)
@@ -281,8 +294,9 @@ def window_variances(d: Series | np.ndarray, s: int) -> np.ndarray:
     """
     values = d.values if isinstance(d, Series) else d
     n = values.size
-    if not 1 <= s <= n:
-        raise ValueError(f"need a window s in [1, N = {n}], got s = {s}")
+    if not (float(s).is_integer() and 1 <= s <= n):
+        raise ValueError(f"need a whole window s in [1, N = {n}], got s = {s}")
+    s = int(s)
     w = n // s
     segments = values[: w * s].reshape(w, s)
     return np.einsum("ij,ij->i", segments, segments) / s
@@ -345,8 +359,9 @@ def polynomial_detrend_variances(y: Series, s: int, order: int) -> np.ndarray:
     uncentred powers of 0..s-1 are so ill-conditioned at order 3 and
     s = 16384 that lstsq drops a singular value and misses the fit.
     """
-    if not 0 <= order < s - 1:
-        raise ValueError(f"need order >= 0 and s > order+1, got order = {order}, s = {s}")
+    if not (float(s).is_integer() and float(order).is_integer() and 0 <= order < s - 1):
+        raise ValueError(f"need whole numbers order >= 0 and s > order+1, got order = {order}, s = {s}")
+    s, order = int(s), int(order)
     n = len(y)
     if n < s:
         raise ValueError(f"need at least s = {s} samples, got {n}")
@@ -431,10 +446,10 @@ def _fit_loglog(
 def hurst_profile(s: Series, cfg: MfaConfig | None = None) -> HurstProfile:
     """Full estimator: variances per scale, F_q(s) table, per-q slopes.
 
-    Zero-variance windows are excluded from the moment for q <= 0; a
-    scale where more than half the windows are degenerate is dropped
-    for every q. Each q needs at least 4 surviving scales, otherwise
-    its H is NaN.
+    The scales are cfg.scales_for(N), which refuses a width it cannot
+    analyse. Zero-variance windows are excluded from the moment for
+    q <= 0; a scale where more than half the windows are degenerate is
+    dropped for every q. Each q needs 4 surviving scales or its H is NaN.
 
     mf-dhv reads weighted_trend's centred theta-weighted moving average
     against Y at each window's centre and passes a scale's N-s+1
@@ -460,10 +475,7 @@ def hurst_profile(s: Series, cfg: MfaConfig | None = None) -> HurstProfile:
     """
     cfg = cfg or MfaConfig()
     n = len(s)
-    scales = cfg.scales if cfg.scales is not None else default_scales(n)
-    max_scale = int(scales[-1])
-    if n < 4 * max_scale:
-        raise ValueError(f"need N >= 4*max(scales) = {4 * max_scale}, got N = {n}")
+    scales = cfg.scales_for(n)
 
     denoised = denoise(s) if cfg.method == "fs-mfa" else None
     y = profile_series(denoised[0] if denoised else s)

@@ -296,14 +296,10 @@ def hurst_features(v: EmbeddingMatrix, cfg: ModelConfig) -> np.ndarray:
 
     q values whose fit failed (too few valid scales) fall back to 0.5,
     the neutral no-memory exponent, so downstream layers always see
-    finite inputs. Signals too short for any scale get the all-0.5
-    vector for the same reason.
+    finite inputs. A width the estimator cannot analyse raises, as
+    check_document does before any feature runs.
     """
-    try:
-        profile = hurst_profile(mean_embedding(v), cfg.mfa)
-    except ValueError:
-        return np.full(cfg.mfa.q_grid.size, 0.5)
-    fv = profile.hurst.copy()
+    fv = hurst_profile(mean_embedding(v), cfg.mfa).hurst.copy()
     fv[~np.isfinite(fv)] = 0.5
     return fv
 
@@ -358,11 +354,9 @@ def check_document(
 ) -> None:
     """Refuse a document the model cannot take; name opens the message.
 
-    It needs cfg.min_tokens() tokens. With explicit mfa.scales its
-    embedding width N must reach 4*max(scales), and for mf-dhv and
-    fs-mfa it must exceed mfa.vol_window, or hurst_features would give
-    it the all-0.5 fallback vector. Given params, its width must be the
-    one they were built for.
+    It needs cfg.min_tokens() tokens, an embedding width N that
+    cfg.mfa.scales_for admits (the rule hurst_profile applies), and,
+    given params, the width they were built for.
     """
     need = cfg.min_tokens()
     if v.n_tokens < need:
@@ -370,17 +364,10 @@ def check_document(
             f"{name} has {v.n_tokens} tokens; a {cfg.task} model with blocks={cfg.blocks} "
             f"and conv_width={cfg.conv_width} needs at least {need} (ModelConfig.min_tokens())"
         )
-    scales = cfg.mfa.scales
-    if scales is not None and v.dim < 4 * scales[-1]:
-        raise ValueError(
-            f"{name} has embedding width N = {v.dim}; mfa.scales up to "
-            f"{scales[-1]} need N >= 4*max(mfa.scales) = {4 * scales[-1]}"
-        )
-    if cfg.mfa.method != "mf-dfa" and v.dim <= cfg.mfa.vol_window:
-        raise ValueError(
-            f"{name} has embedding width N = {v.dim}; {cfg.mfa.method} with "
-            f"mfa.vol_window = {cfg.mfa.vol_window} needs N > mfa.vol_window"
-        )
+    try:
+        cfg.mfa.scales_for(v.dim)
+    except ValueError as exc:
+        raise ValueError(f"{name} has embedding width {exc}") from None
     if params is not None and v.dim != params.embed_dim:
         raise ValueError(
             f"{name} has embedding width {v.dim}; the model parameters "

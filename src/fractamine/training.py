@@ -125,9 +125,9 @@ def _check_inputs(dataset: LabeledDataset, model_cfg: ModelConfig, params: Model
     Given params must have been built for model_cfg
     (check_params_config). A tagging model needs a tagged dataset
     (LabeledDataset.tagged), and a classification model one of labels.
-    Every document must pass check_document (token count, explicit
-    mfa.scales, embedding width), and its target, label or tags, must
-    lie in the model's [0, n_classes).
+    Every document must pass check_document (token count, the width
+    rule of mfa.scales_for, params width), and its target, label or
+    tags, must lie in the model's [0, n_classes).
     """
     if params is not None:
         check_params_config(params, model_cfg)

@@ -346,14 +346,18 @@ class TestAnalyze:
         (["compare", "--mode", "mfa", "--hidden", "0"], "hidden must be at least 1"),
         (["compare", "--mode", "activations", "--activation", "kdac"], "it takes no --activation"),
         (["compare", "--mode", "mfa", "--method", "mf-dfa"], "it takes no --method"),
+        (["train-eval", "--dim", "48"], "document 0 has embedding width N = 48"),
+        (["compare", "--mode", "mfa", "--dim", "48"], "document 0 has embedding width N = 48"),
     ],
     ids=[
         "train-docs-7", "train-docs-3", "train-tokens-4", "train-seed-minus-1", "compare-docs-7",
         "compare-hidden-0", "compare-activations-activation", "compare-mfa-method",
+        "train-dim-48", "compare-dim-48",
     ],
 )
 def test_refused_run_trains_nothing_and_leaves_no_directory(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("train ran"))
+    monkeypatch.setattr(training, "hurst_features", lambda *a: pytest.fail("features ran"))
     out = tmp_path / "run"
     assert run([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -380,9 +384,9 @@ class TestTrainEval:
 
     def test_synthesizes_the_corpus_synth_writes(self, tmp_path, monkeypatch):
         # one builder serves both commands, and one list of corpus flags both
-        # manifests; dim exceeds the default vol_window = 16, as train-eval requires
+        # manifests; dim is as wide as the default scales need, as train-eval requires
         flags = [
-            "--docs", "10", "--classes", "2", "--tokens", "9", "--dim", "17",
+            "--docs", "10", "--classes", "2", "--tokens", "9", "--dim", "64",
             "--separation", "2.5", "--seed", "7",
         ]
         assert run(["synth", "corpus", *flags, "--out", str(tmp_path / "s")]) == 0

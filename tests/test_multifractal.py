@@ -676,6 +676,12 @@ class TestWindowVariances:
         with pytest.raises(ValueError, match=f"got s = {s}"):
             window_variances(np.ones(12), s)
 
+    def test_fractional_window_refused_and_integral_float_accepted(self):
+        # a fractional window failed in numpy's slicing with a TypeError naming no argument
+        with pytest.raises(ValueError, match="got s = 2.5"):
+            window_variances(np.ones(12), 2.5)
+        assert np.array_equal(window_variances(np.arange(12.0), 4.0), window_variances(np.arange(12.0), 4))
+
 
 class TestFluctuation:
     def test_q2_is_rms(self):
@@ -732,6 +738,16 @@ class TestPolynomialDetrend:
         # unchecked, it indexes past the polynomial rows
         with pytest.raises(ValueError, match="got order = -1"):
             polynomial_detrend_variances(Series(np.arange(64.0)), 8, order=-1)
+
+    @pytest.mark.parametrize("s, order, named", [(8.5, 1, "s = 8.5"), (8, 1.5, "order = 1.5")], ids=["s", "order"])
+    def test_fractional_window_or_order_refused(self, s, order, named):
+        # these failed in numpy with a TypeError naming no argument
+        with pytest.raises(ValueError, match=named):
+            polynomial_detrend_variances(Series(np.arange(64.0)), s, order)
+
+    def test_integral_float_window_and_order_accepted(self):
+        y = Series(np.random.default_rng(0).standard_normal(64).cumsum())
+        assert np.array_equal(polynomial_detrend_variances(y, 8.0, 2.0), polynomial_detrend_variances(y, 8, 2))
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     @pytest.mark.parametrize("name", ["fgn", "cascade"])

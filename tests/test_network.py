@@ -7,13 +7,15 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import fractamine.autodiff as ad
 import fractamine.neuralnet as neuralnet
 from fractamine.activations import KINDS, ActivationSpec
 from fractamine.autodiff import DiffArray
-from fractamine.multifractal import METHODS, MfaConfig
+from fractamine.multifractal import METHODS, MfaConfig, hurst_profile
 from fractamine.neuralnet import (
     ModelConfig,
     attention_fv,
@@ -29,7 +31,7 @@ from fractamine.neuralnet import (
     save_checkpoint,
     scnn_forward,
 )
-from fractamine.series import EmbeddingMatrix
+from fractamine.series import EmbeddingMatrix, Series
 from fractamine.training import TrainConfig
 
 RNG = np.random.default_rng(11)
@@ -341,12 +343,11 @@ class TestComponents:
 
 
 class TestHurstFeatures:
-    def test_short_signal_falls_back_to_half(self):
-        cfg = micro_config()
+    def test_short_signal_is_refused(self):
+        # it used to get the all-0.5 vector, features that carry nothing
         doc = micro_doc(n_tokens=4, dim=6)  # far too short for any scale
-        fv = hurst_features(doc, cfg)
-        assert fv.shape == (cfg.mfa.q_grid.size,)
-        assert_allclose(fv, 0.5)
+        with pytest.raises(ValueError, match=r"N = 6; series too short for the default scales"):
+            hurst_features(doc, micro_config())
 
     def test_wide_fs_mfa_documents_get_estimates(self):
         # the model's default fs-mfa on 768-wide documents: the mean
@@ -384,8 +385,8 @@ class TestForward:
 
     def test_predict_proba_normalized(self):
         cfg = micro_config()
-        params = init_params(cfg, embed_dim=6, seed=0)
-        proba = predict_proba(micro_doc(), cfg, params, fv=np.zeros(5))
+        params = init_params(cfg, embed_dim=64, seed=0)
+        proba = predict_proba(micro_doc(dim=64), cfg, params, fv=np.zeros(5))
         assert_allclose(proba.sum(), 1.0, rtol=1e-12)
         assert np.all(proba > 0)
 
@@ -397,14 +398,14 @@ class TestForward:
     def test_predict_proba_refuses_a_bad_fv_before_the_network(self, monkeypatch, fv):
         # a wrong length failed only after the whole forward, and NaN gave NaN probabilities
         cfg = micro_config()
-        params = init_params(cfg, embed_dim=6, seed=0)
+        params = init_params(cfg, embed_dim=64, seed=0)
 
         def not_reached(*args):
             raise AssertionError("the BiLSTM ran")
 
         monkeypatch.setattr(neuralnet, "birnn_forward", not_reached)
         with pytest.raises(ValueError, match=r"fv must be a finite vector of length 5"):
-            predict_proba(micro_doc(), cfg, params, fv=fv)
+            predict_proba(micro_doc(dim=64), cfg, params, fv=fv)
 
     def test_predict_proba_refuses_params_for_another_config(self):
         # the network would read params.config while the features follow cfg
@@ -417,18 +418,19 @@ class TestForward:
 
     def test_predict_proba_refuses_another_width_before_the_features(self, monkeypatch):
         cfg = micro_config()
-        params = init_params(cfg, embed_dim=6, seed=0)
+        params = init_params(cfg, embed_dim=128, seed=0)
         monkeypatch.setattr(neuralnet, "hurst_features", lambda *a: pytest.fail("features ran"))
-        with pytest.raises(ValueError, match="embedding width 4; .* built for width 6"):
-            predict_proba(micro_doc(dim=4), cfg, params)
+        with pytest.raises(ValueError, match="embedding width 64; .* built for width 128"):
+            predict_proba(micro_doc(dim=64), cfg, params)
 
     @pytest.mark.parametrize(
         "n_tokens, dim, scales, message",
         [
             (8, 64, [16, 64], r"the document has embedding width N = 64; mfa.scales up to 64 need N >= .* = 256"),
             (3, 6, None, r"the document has 3 tokens; a classification model .* needs at least 8"),
+            (8, 48, None, r"the document has embedding width N = 48; .* default scales .* need N >= 64"),
         ],
-        ids=["explicit-scales", "short"],
+        ids=["explicit-scales", "short", "default-scales"],
     )
     def test_predict_proba_refuses_what_evaluate_refuses_before_the_features(
         self, monkeypatch, n_tokens, dim, scales, message
@@ -448,10 +450,38 @@ class TestForward:
         # accepted, every document got the all-0.5 feature vector
         cfg = micro_config(mfa=MfaConfig(method=method, q_grid=np.linspace(-2, 2, 5), vol_window=800))
         doc = EmbeddingMatrix(np.random.default_rng(0).standard_normal((8, 768)))
-        assert_allclose(hurst_features(doc, cfg), 0.5)
-        with pytest.raises(ValueError, match=r"width N = 768; .* mfa.vol_window = 800 needs N > mfa.vol_window"):
+        message = r"N = 768; .* mfa.vol_window = 800 needs N > mfa.vol_window"
+        with pytest.raises(ValueError, match=message):
+            hurst_features(doc, cfg)
+        with pytest.raises(ValueError, match=r"width " + message):
             check_document(doc, cfg, None)
         check_document(doc, micro_config(mfa=MfaConfig(method=method, vol_window=767)), None)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 2048),
+        method=st.sampled_from(METHODS),
+        scales=st.none() | st.lists(st.integers(4, 600), min_size=1, max_size=4, unique=True).map(sorted),
+        vol_window=st.integers(2, 80),
+    )
+    @example(n=63, method="mf-dfa", scales=None, vol_window=16)
+    @example(n=64, method="fs-mfa", scales=None, vol_window=16)
+    @example(n=16, method="mf-dhv", scales=[4], vol_window=15)
+    @example(n=16, method="mf-dhv", scales=[4], vol_window=16)
+    def test_check_document_admits_what_hurst_profile_runs(self, n, method, scales, vol_window):
+        mfa = MfaConfig(method=method, q_grid=np.array([2.0]), scales=scales, vol_window=vol_window)
+        x = np.random.default_rng(n).standard_normal(n)
+        try:
+            check_document(EmbeddingMatrix(np.tile(x, (8, 1))), micro_config(mfa=mfa), None)
+            admitted = True
+        except ValueError:
+            admitted = False
+        try:
+            hurst_profile(Series(x), mfa)
+            runs = True
+        except ValueError:
+            runs = False
+        assert admitted == runs
 
     def test_vol_window_not_read_by_mf_dfa(self):
         cfg = micro_config(mfa=MfaConfig(method="mf-dfa", vol_window=800))
@@ -459,10 +489,10 @@ class TestForward:
 
     def test_predict_proba_accepts_an_equal_config(self):
         cfg = micro_config()
-        params = init_params(cfg, embed_dim=6, seed=0)
+        params = init_params(cfg, embed_dim=64, seed=0)
         copy = ModelConfig.from_json_dict(config_json(cfg))
         assert copy is not params.config
-        doc = micro_doc()
+        doc = micro_doc(dim=64)
         assert np.array_equal(
             predict_proba(doc, copy, params, fv=np.zeros(5)), predict_proba(doc, cfg, params, fv=np.zeros(5))
         )
@@ -558,11 +588,11 @@ class TestCheckpoint:
 
     def test_predictions_survive_round_trip(self, tmp_path):
         cfg = micro_config()
-        params = init_params(cfg, embed_dim=6, seed=4)
+        params = init_params(cfg, embed_dim=64, seed=4)
         prefix = str(tmp_path / "model")
         save_checkpoint(params, prefix)
         again = load_checkpoint(prefix)
-        doc = micro_doc()
+        doc = micro_doc(dim=64)
         fv = np.zeros(5)
         assert np.array_equal(
             predict_proba(doc, cfg, params, fv=fv),

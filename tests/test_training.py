@@ -342,8 +342,8 @@ class TestDocumentLength:
         rng = np.random.default_rng(1)
 
         def dataset(lengths):
-            # wider than the default vol_window = 16, which check_document requires
-            docs = [EmbeddingMatrix(rng.standard_normal((n, 17))) for n in lengths]
+            # as wide as the default scales need, which check_document requires
+            docs = [EmbeddingMatrix(rng.standard_normal((n, 64))) for n in lengths]
             return LabeledDataset(items=[(d, i % 3) for i, d in enumerate(docs)], n_classes=3)
 
         fits = dataset([need, need + 3])
@@ -367,34 +367,42 @@ class TestDocumentLength:
         assert calls == []
 
 
-    def test_train_and_evaluate_check_explicit_scales(self, monkeypatch):
-        model_cfg = small_model(mfa=MfaConfig(method="mf-dfa", scales=[4, 8]))
+    @pytest.mark.parametrize(
+        "scales, fits, narrow, message",
+        [
+            ([4, 8], 32, 31, r"width N = 31; mfa.scales up to 8 need N >= 4\*max\(mfa.scales\) = 32"),
+            # accepted, every document got the all-0.5 feature vector
+            (None, 64, 48, r"document 0 has embedding width N = 48; .* default scales .* need N >= 64"),
+        ],
+        ids=["explicit", "default"],
+    )
+    def test_train_and_evaluate_check_the_scales(self, monkeypatch, scales, fits, narrow, message):
+        model_cfg = small_model(mfa=MfaConfig(method="mf-dfa", scales=scales))
         rng = np.random.default_rng(2)
 
         def dataset(width):
             docs = [EmbeddingMatrix(rng.standard_normal((8, width))) for _ in range(3)]
             return LabeledDataset(items=[(d, i % 3) for i, d in enumerate(docs)], n_classes=3)
 
-        fits = dataset(32)
-        params, _ = train(fits, TrainConfig(epochs=1, seed=0), model_cfg)
-        assert set(evaluate(fits, model_cfg, params)) == {"accuracy", "macro_f1"}
+        fit = dataset(fits)
+        params, _ = train(fit, TrainConfig(epochs=1, seed=0), model_cfg)
+        assert set(evaluate(fit, model_cfg, params)) == {"accuracy", "macro_f1"}
 
         monkeypatch.setattr(training, "hurst_features", lambda *a: pytest.fail("features ran"))
-        narrow = dataset(31)
-        message = r"width N = 31; mfa.scales up to 8 need N >= 4\*max\(mfa.scales\) = 32"
+        monkeypatch.setattr(training, "deffsi_forward", lambda *a, **k: pytest.fail("forward ran"))
         with pytest.raises(ValueError, match=message):
-            train(narrow, TrainConfig(epochs=1, seed=0), model_cfg)
+            train(dataset(narrow), TrainConfig(epochs=1, seed=0), model_cfg)
         with pytest.raises(ValueError, match=message):
-            evaluate(narrow, model_cfg, params)
+            evaluate(dataset(narrow), model_cfg, params)
 
     def test_train_and_evaluate_check_the_params_width(self, monkeypatch):
         model_cfg = small_model()
-        params = init_params(model_cfg, embed_dim=16, seed=0)
+        params = init_params(model_cfg, embed_dim=128, seed=0)
         rng = np.random.default_rng(3)
-        docs = [EmbeddingMatrix(rng.standard_normal((8, 12))) for _ in range(3)]
+        docs = [EmbeddingMatrix(rng.standard_normal((8, 64))) for _ in range(3)]
         narrow = LabeledDataset(items=[(d, i % 3) for i, d in enumerate(docs)], n_classes=3)
         monkeypatch.setattr(training, "hurst_features", lambda *a: pytest.fail("features ran"))
-        message = "document 0 has embedding width 12; the model parameters were built for width 16"
+        message = "document 0 has embedding width 64; the model parameters were built for width 128"
         with pytest.raises(ValueError, match=message):
             train(narrow, TrainConfig(epochs=1, seed=0), model_cfg, params=params)
         with pytest.raises(ValueError, match=message):
@@ -428,12 +436,12 @@ class TestInputRefusals:
     def test_tag_outside_the_model_classes(self):
         # tag 2 is inside the dataset's 3 classes but not the model's 2
         rng = np.random.default_rng(0)
-        docs = [EmbeddingMatrix(rng.standard_normal((8, 12))) for _ in range(3)]
+        docs = [EmbeddingMatrix(rng.standard_normal((8, 64))) for _ in range(3)]
         tags = [np.zeros(8, dtype=np.int64) for _ in docs]
         tags[2][5] = 2
         ds = LabeledDataset(items=list(zip(docs, tags)), n_classes=3)
         model_cfg = small_model(n_classes=2, task="tagging")
-        params = init_params(model_cfg, embed_dim=12, seed=0)
+        params = init_params(model_cfg, embed_dim=64, seed=0)
         message = r"document 2 has tag 2 outside the model's classes \[0, n_classes=2\)"
         with pytest.raises(ValueError, match=message):
             train(ds, TrainConfig(epochs=1), model_cfg)
@@ -509,11 +517,11 @@ class TestEvaluate:
 
     def test_tagging_counts_every_token(self, monkeypatch):
         rng = np.random.default_rng(0)
-        docs = [EmbeddingMatrix(rng.standard_normal((8, 12))) for _ in range(4)]
+        docs = [EmbeddingMatrix(rng.standard_normal((8, 64))) for _ in range(4)]
         tags = [rng.integers(0, 2, size=8) for _ in range(4)]
         ds = LabeledDataset(items=list(zip(docs, tags)), n_classes=2)
         model_cfg = small_model(n_classes=2, task="tagging")
-        params = init_params(model_cfg, embed_dim=12, seed=0)
+        params = init_params(model_cfg, embed_dim=64, seed=0)
         seen = []
         real = training.macro_f1_score
         monkeypatch.setattr(training, "macro_f1_score", lambda t, p, c: seen.append(t) or real(t, p, c))
@@ -523,7 +531,7 @@ class TestEvaluate:
 
     def test_tagging_trains_on_every_token(self):
         rng = np.random.default_rng(1)
-        items = [(EmbeddingMatrix(rng.standard_normal((8, 12))), rng.integers(0, 2, size=8)) for _ in range(4)]
+        items = [(EmbeddingMatrix(rng.standard_normal((8, 64))), rng.integers(0, 2, size=8)) for _ in range(4)]
         model_cfg = small_model(n_classes=2, task="tagging")
         _, history = train(LabeledDataset(items=items, n_classes=2), TrainConfig(epochs=1), model_cfg)
         assert np.isfinite(history[0]["loss"])
