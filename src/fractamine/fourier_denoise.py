@@ -86,11 +86,12 @@ def fit_fourier(s: Series, max_terms: int | None = None) -> FourierModel:
     limit = -(-n // (2 * k)) - 1
     if max_terms is None:
         max_terms = min(max(n // 4, 1), 64, limit)
-    if not 1 <= max_terms <= limit:
+    if not (float(max_terms).is_integer() and 1 <= max_terms <= limit):
         raise ValueError(
-            f"max_terms must lie in [1, {limit}], so that max_terms*k* < N/2 "
+            f"max_terms must be a whole number in [1, {limit}], so that max_terms*k* < N/2 "
             f"at the fundamental bin k* = {k} of N = {n}; got max_terms = {max_terms}"
         )
+    max_terms = int(max_terms)
     bins = k * np.arange(1, max_terms + 1)
     coef = (2.0 / n) * np.exp(2j * np.pi * bins / n) * np.conj(spectrum[bins])
     alpha, beta = coef.real.copy(), coef.imag.copy()
@@ -140,8 +141,9 @@ def reconstruct(m: FourierModel, r: int) -> Series:
     sin rows, filled in place: no stacked copy, and contiguous rows keep
     numpy's vectorized cos/sin loops in use.
     """
-    if not 0 <= r <= m.max_terms:
-        raise ValueError(f"r must lie in [0, {m.max_terms}], got {r}")
+    if not (float(r).is_integer() and 0 <= r <= m.max_terms):
+        raise ValueError(f"r must be a whole number in [0, {m.max_terms}], got {r}")
+    r = int(r)
     ranking, _ = _entropy_gains(m.energy)
     top = ranking[:r]
     basis = np.empty((2 * r, m.n_samples))

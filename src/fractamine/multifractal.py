@@ -198,8 +198,9 @@ def historical_volatility(y: Series, window: int) -> Series:
     total.
     """
     n = len(y)
-    if window < 2:
-        raise ValueError("window must be at least 2")
+    if not (float(window).is_integer() and window >= 2):
+        raise ValueError(f"window must be a whole number of at least 2, got {window}")
+    window = int(window)
     if n <= window:
         raise ValueError(f"need more than window = {window} samples, got {n}")
     diffs = np.diff(y.values)

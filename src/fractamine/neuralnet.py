@@ -292,7 +292,8 @@ def attention_fv(fv: DiffArray, params: ModelParams) -> DiffArray:
 
 
 def hurst_features(v: EmbeddingMatrix, cfg: ModelConfig) -> np.ndarray:
-    """Generalized Hurst vector of the mean-embedding signal.
+    """Generalized Hurst vector of the mean-embedding signal: the fv
+    that train, evaluate and predict_proba pass to deffsi_forward.
 
     q values whose fit failed (too few valid scales) fall back to 0.5,
     the neutral no-memory exponent, so downstream layers always see
@@ -304,20 +305,13 @@ def hurst_features(v: EmbeddingMatrix, cfg: ModelConfig) -> np.ndarray:
     return fv
 
 
-def deffsi_forward(
-    v: EmbeddingMatrix,
-    cfg: ModelConfig,
-    params: ModelParams,
-    fv: np.ndarray | None = None,
-) -> DiffArray:
+def deffsi_forward(v: EmbeddingMatrix, cfg: ModelConfig, params: ModelParams, fv: np.ndarray) -> DiffArray:
     """Raw class scores for one document (or per-token scores when tagging).
 
-    fv overrides the Hurst feature vector; callers that batch many
-    forwards precompute it once per document since it does not depend
-    on the trainable parameters.
+    fv is the document's Hurst feature vector, hurst_features(v, cfg).
+    It does not depend on the trainable parameters, so train and
+    evaluate compute it once per document, not once per forward.
     """
-    if fv is None:
-        fv = hurst_features(v, cfg)
     fv_t = DiffArray(fv)
     t = params.tensors
 
@@ -375,20 +369,14 @@ def check_document(
         )
 
 
-def predict_proba(v: EmbeddingMatrix, cfg: ModelConfig, params: ModelParams, fv=None) -> np.ndarray:
+def predict_proba(v: EmbeddingMatrix, cfg: ModelConfig, params: ModelParams) -> np.ndarray:
     """Softmax class probabilities (per token when tagging); params must
     have been built for cfg (check_params_config), and the document must
-    pass check_document, before any feature or forward pass runs. An fv
-    override must be a finite vector with one entry per q of
-    cfg.mfa.q_grid."""
+    pass check_document, before hurst_features computes the document's
+    feature vector for the forward pass."""
     check_params_config(params, cfg)
     check_document(v, cfg, params)
-    if fv is not None:
-        fv = np.asarray(fv, dtype=np.float64)
-        want = cfg.mfa.q_grid.size
-        if fv.shape != (want,) or not np.all(np.isfinite(fv)):
-            raise ValueError(f"fv must be a finite vector of length {want} (one per q), got shape {fv.shape}")
-    logits = deffsi_forward(v, cfg, params, fv=fv)
+    logits = deffsi_forward(v, cfg, params, hurst_features(v, cfg))
     return ad.softmax(logits).data
 
 

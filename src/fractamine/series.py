@@ -207,8 +207,7 @@ def load_series(path: str | os.PathLike, format: str = "csv") -> Series:
 
 def synth_gaussian_noise(n: int, seed: int) -> Series:
     """n iid standard-normal samples, deterministic in seed."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_count("n", n, 1)
     rng = np.random.default_rng(seed)
     return Series(rng.standard_normal(n))
 
@@ -224,8 +223,7 @@ def synth_fgn(n: int, hurst: float, seed: int) -> Series:
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
-    if n < 64:
-        raise ValueError("n must be at least 64 for a usable spectrum")
+    check_count("n", n, 64)  # fewer samples leave no usable spectrum
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(n)
     spec = np.fft.rfft(white)
@@ -245,7 +243,8 @@ def synth_binomial_cascade(levels: int, p: float) -> Series:
     bits. Normalized to unit total mass. Ground truth for the
     generalized Hurst profile is cascade_hurst_oracle.
     """
-    if not 1 <= levels <= 24:
+    check_count("levels", levels, 1)
+    if levels > 24:
         raise ValueError(f"levels must lie in [1, 24], got {levels}")
     if not 0.5 < p < 1.0:
         raise ValueError(f"p must lie in (0.5, 1), got {p}")

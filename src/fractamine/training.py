@@ -114,10 +114,6 @@ class _Adam:
         self.data -= delta
 
 
-def _precompute_features(dataset: LabeledDataset, model_cfg: ModelConfig) -> list[np.ndarray]:
-    return [hurst_features(doc, model_cfg) for doc, _ in dataset.items]
-
-
 def _check_inputs(dataset: LabeledDataset, model_cfg: ModelConfig, params: ModelParams | None):
     """Refuse, before any Hurst feature or forward pass, inputs the model
     cannot take.
@@ -165,7 +161,7 @@ def train(
     if params is None:
         embed_dim = dataset.items[0][0].dim
         params = init_params(model_cfg, embed_dim, seed=cfg.seed)
-    features = _precompute_features(dataset, model_cfg)
+    features = [hurst_features(doc, model_cfg) for doc, _ in dataset.items]
 
     rng = np.random.default_rng(cfg.seed)
     optimizer = _Adam(params, cfg)
@@ -200,7 +196,7 @@ def train(
 def evaluate(dataset: LabeledDataset, model_cfg: ModelConfig, params: ModelParams) -> dict:
     """Accuracy and macro-F1 on a dataset with fixed parameters."""
     _check_inputs(dataset, model_cfg, params)
-    features = _precompute_features(dataset, model_cfg)
+    features = [hurst_features(doc, model_cfg) for doc, _ in dataset.items]
     y_true: list[int] = []
     y_pred: list[int] = []
     for idx, (doc, target) in enumerate(dataset.items):

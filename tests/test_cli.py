@@ -35,9 +35,9 @@ def run(argv):
     return main(argv)
 
 
-def readme_cli_section() -> str:
+def readme_section(title: str) -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_manifests_record_the_versions(tmp_path):
@@ -650,7 +650,7 @@ class TestReadmeCommands:
     def test_readme_cli_commands_parse(self):
         # every `fractamine ...` line of the README's CLI shell blocks, with
         # backslash continuations joined, is a command the parser accepts
-        script = "".join(re.findall(r"```sh\n(.*?)```", readme_cli_section(), re.S)).replace("\\\n", " ")
+        script = "".join(re.findall(r"```sh\n(.*?)```", readme_section("CLI"), re.S)).replace("\\\n", " ")
         commands = [shlex.split(line)[1:] for line in script.splitlines() if line.startswith("fractamine ")]
         assert {argv[0] for argv in commands} == {"synth", "analyze", "train-eval", "compare"}
         parser = build_parser()
@@ -659,6 +659,15 @@ class TestReadmeCommands:
                 parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README command does not parse: fractamine {shlex.join(argv)}")
+
+    def test_readme_library_example_runs(self, tmp_path, monkeypatch):
+        # the python blocks of the README's library example, joined as the
+        # readme-commands CI job joins them, run in a fresh directory
+        blocks = re.findall(r"```python\n(.*?)```", readme_section("Library example"), re.S)
+        assert blocks
+        monkeypatch.chdir(tmp_path)
+        exec(compile("".join(blocks), "README.md", "exec"), {"__name__": "__main__"})
+        assert (tmp_path / "model.json").is_file() and (tmp_path / "model.bin").is_file()
 
     def test_readme_cli_flags_exist(self):
         # the prose names flags too, and no CI job runs prose
@@ -671,7 +680,7 @@ class TestReadmeCommands:
             for action in command._actions
             for flag in action.option_strings
         }
-        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme_cli_section()))
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme_section("CLI")))
         assert {"--format", "--gamma", "--eta", "--repeats"} <= named
         assert named - registered == set()
 

@@ -90,9 +90,10 @@ class TestFitFourier:
         with pytest.raises(ValueError, match="max_terms"):
             fit_fourier(s, max_terms=20)
 
-    @pytest.mark.parametrize("max_terms", [0, -3, 20, 21, 400])
+    @pytest.mark.parametrize("max_terms", [0, -3, 20, 21, 400, 2.5])
     def test_max_terms_outside_range_refused(self, max_terms):
-        # k* = 20 at N = 800 admits max_terms 1..19
+        # k* = 20 at N = 800 admits max_terms 1..19; a fractional one
+        # failed in numpy's indexing with an IndexError naming no argument
         s, _ = periodic_signal()
         with pytest.raises(ValueError, match="max_terms"):
             fit_fourier(s, max_terms=max_terms)
@@ -106,6 +107,13 @@ class TestFitFourier:
         assert model.omega == 2.0 * np.pi / len(s)
         rec = reconstruct(model, model.max_terms)
         assert np.corrcoef(rec.values, s.values)[0, 1] > 0.9
+
+    def test_integral_float_max_terms_accepted(self):
+        # numpy refused 8.0 as an index
+        s, _ = periodic_signal()
+        model = fit_fourier(s, max_terms=8.0)
+        assert model.max_terms == 8 and isinstance(model.max_terms, int)
+        assert np.array_equal(model.alpha, fit_fourier(s, max_terms=8).alpha)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -316,6 +324,13 @@ class TestReconstruct:
                 for r in range(model.max_terms + 1)
             ]
             assert all(b <= a + 1e-9 for a, b in zip(rmses, rmses[1:]))
+
+    def test_fractional_order_refused_and_integral_float_accepted(self):
+        # a float r failed in numpy's slicing with a TypeError naming no argument
+        model = fit_fourier(periodic_signal()[0], max_terms=4)
+        with pytest.raises(ValueError, match=r"r must be a whole number in \[0, 4\], got 1.5"):
+            reconstruct(model, 1.5)
+        assert np.array_equal(reconstruct(model, 2.0).values, reconstruct(model, 2).values)
 
 
 class TestDenoise:

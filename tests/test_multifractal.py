@@ -214,6 +214,13 @@ class TestHistoricalVolatility:
         with pytest.raises(ValueError):
             historical_volatility(Series(np.arange(10.0)), window=16)
 
+    def test_fractional_window_refused_and_integral_float_accepted(self):
+        # a float window failed in numpy with a TypeError naming no argument
+        y = Series(np.random.default_rng(2).standard_normal(40))
+        with pytest.raises(ValueError, match="window must be a whole number of at least 2, got 2.5"):
+            historical_volatility(y, 2.5)
+        assert np.array_equal(historical_volatility(y, 8.0).values, historical_volatility(y, 8).values)
+
 
 class TestWeightedTrend:
     def test_uniform_weights_give_centred_moving_average(self):

@@ -386,26 +386,9 @@ class TestForward:
     def test_predict_proba_normalized(self):
         cfg = micro_config()
         params = init_params(cfg, embed_dim=64, seed=0)
-        proba = predict_proba(micro_doc(dim=64), cfg, params, fv=np.zeros(5))
+        proba = predict_proba(micro_doc(dim=64), cfg, params)
         assert_allclose(proba.sum(), 1.0, rtol=1e-12)
         assert np.all(proba > 0)
-
-    @pytest.mark.parametrize(
-        "fv",
-        [np.zeros(4), np.zeros(6), np.full(5, np.nan), np.array([0.5, 0.5, np.inf, 0.5, 0.5]), np.zeros((1, 5))],
-        ids=["short", "long", "nan", "inf", "2-d"],
-    )
-    def test_predict_proba_refuses_a_bad_fv_before_the_network(self, monkeypatch, fv):
-        # a wrong length failed only after the whole forward, and NaN gave NaN probabilities
-        cfg = micro_config()
-        params = init_params(cfg, embed_dim=64, seed=0)
-
-        def not_reached(*args):
-            raise AssertionError("the BiLSTM ran")
-
-        monkeypatch.setattr(neuralnet, "birnn_forward", not_reached)
-        with pytest.raises(ValueError, match=r"fv must be a finite vector of length 5"):
-            predict_proba(micro_doc(dim=64), cfg, params, fv=fv)
 
     def test_predict_proba_refuses_params_for_another_config(self):
         # the network would read params.config while the features follow cfg
@@ -414,7 +397,7 @@ class TestForward:
             activation=ActivationSpec("relu"), mfa=MfaConfig(method="mf-dhv", q_grid=np.linspace(-2, 2, 5))
         )
         with pytest.raises(ValueError, match=r"another config \(differing: activation, mfa\)"):
-            predict_proba(micro_doc(), other, params, fv=np.zeros(5))
+            predict_proba(micro_doc(), other, params)
 
     def test_predict_proba_refuses_another_width_before_the_features(self, monkeypatch):
         cfg = micro_config()
@@ -493,11 +476,9 @@ class TestForward:
         copy = ModelConfig.from_json_dict(config_json(cfg))
         assert copy is not params.config
         doc = micro_doc(dim=64)
-        assert np.array_equal(
-            predict_proba(doc, copy, params, fv=np.zeros(5)), predict_proba(doc, cfg, params, fv=np.zeros(5))
-        )
+        assert np.array_equal(predict_proba(doc, copy, params), predict_proba(doc, cfg, params))
 
-    def test_explicit_fv_overrides_computation(self):
+    def test_fv_changes_the_scores(self):
         cfg = micro_config()
         params = init_params(cfg, embed_dim=6, seed=0)
         doc = micro_doc()
@@ -593,11 +574,7 @@ class TestCheckpoint:
         save_checkpoint(params, prefix)
         again = load_checkpoint(prefix)
         doc = micro_doc(dim=64)
-        fv = np.zeros(5)
-        assert np.array_equal(
-            predict_proba(doc, cfg, params, fv=fv),
-            predict_proba(doc, again.config, again, fv=fv),
-        )
+        assert np.array_equal(predict_proba(doc, cfg, params), predict_proba(doc, again.config, again))
 
     def test_version_mismatch_rejected(self, tmp_path):
         cfg = micro_config()

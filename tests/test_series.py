@@ -307,6 +307,21 @@ class TestGenerators:
         with pytest.raises(ValueError):
             synth_binomial_cascade(8, 1.0)
 
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: synth_fgn(100.0, 0.7, 0), "n"),
+            (lambda: synth_gaussian_noise(10.5, 0), "n"),
+            (lambda: synth_binomial_cascade(4.0, 0.75), "levels"),
+            (lambda: synth_binomial_cascade(True, 0.75), "levels"),
+        ],
+        ids=["fgn-float", "noise-fractional", "cascade-float", "cascade-bool"],
+    )
+    def test_size_that_is_not_an_integer_refused(self, make, name):
+        # numpy failed with messages that named no argument, and True gave 2 samples
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            make()
+
     def test_cascade_oracle_closed_form(self):
         p = 0.75
         # h(q) = 1/q - log2(p^q + (1-p)^q)/q
